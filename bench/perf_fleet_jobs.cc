@@ -177,7 +177,7 @@ measureScenario(const Scenario &scenario, FleetRow &row)
         // checkpointed aggregate).
         row.dmaBytes +=
             static_cast<std::uint64_t>(job.finalQ.values().size()) *
-            4 *
+            rlcore::kQWireBytesPerEntry *
             static_cast<std::uint64_t>(job.grants + job.preemptions);
     }
     row.tenantCount = tenants.size();

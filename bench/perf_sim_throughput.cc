@@ -94,7 +94,7 @@ PerfResult
 measureCase(const PerfCase &shape, const rlcore::Dataset &data,
             rlcore::StateId num_states, rlcore::ActionId num_actions,
             std::size_t cores, int tau, int reps,
-            unsigned host_threads, bool batch_exec)
+            unsigned host_threads)
 {
     PerfResult r;
     r.shape = shape;
@@ -111,7 +111,6 @@ measureCase(const PerfCase &shape, const rlcore::Dataset &data,
         cfg.workload = shape.workload;
         cfg.hyper.episodes = tau; // one communication round
         cfg.tau = tau;
-        cfg.batchExec = batch_exec;
         PimTrainer trainer(system, cfg);
 
         common::Stopwatch wall;
@@ -187,7 +186,7 @@ writeRow(std::ostream &out, const PerfResult &r, const char *indent,
 
 bool
 writeJson(const std::string &path, const std::string &mode,
-          bool batch_exec, const std::vector<PerfResult> &rows,
+          const std::vector<PerfResult> &rows,
           const std::string &sweep_name,
           const std::vector<SweepPoint> &sweep)
 {
@@ -197,8 +196,6 @@ writeJson(const std::string &path, const std::string &mode,
     out << "{\n"
         << "  \"bench\": \"perf_sim_throughput\",\n"
         << "  \"mode\": \"" << mode << "\",\n"
-        << "  \"batch_exec\": " << (batch_exec ? "true" : "false")
-        << ",\n"
         << "  \"workloads\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i)
         writeRow(out, rows[i], "    ", i + 1 == rows.size());
@@ -230,7 +227,7 @@ main(int argc, char **argv)
     const common::CliFlags flags(
         argc, argv,
         {"smoke", "json", "reps", "cores", "transitions", "tau",
-         "host-threads", "batch-exec", "sweep"});
+         "host-threads", "sweep"});
 
     const bool smoke = flags.getBool("smoke", false);
     // Full shapes mirror one strong-scaling point at the paper's
@@ -245,12 +242,6 @@ main(int argc, char **argv)
         static_cast<int>(flags.getInt("reps", smoke ? 1 : 3));
     const unsigned host_threads =
         static_cast<unsigned>(flags.getInt("host-threads", 0));
-    // --batch-exec 0/1 overrides the build default
-    // (SWIFTRL_BATCH_EXEC): run eligible launches through the
-    // lockstep batch interpreter. Modelled outputs are bit-identical
-    // either way; only wall_sec moves.
-    const bool batch_exec =
-        flags.getBool("batch-exec", PimTrainConfig{}.batchExec);
     // --sweep 0 skips the host-pool scaling points (they rerun the
     // first workload once per pool size).
     const bool sweep_enabled = flags.getBool("sweep", true);
@@ -275,7 +266,7 @@ main(int argc, char **argv)
         auto env = rlenv::makeEnvironment(shape.env);
         rows.push_back(measureCase(shape, data, env->numStates(),
                                    env->numActions(), cores, tau,
-                                   reps, host_threads, batch_exec));
+                                   reps, host_threads));
     }
 
     // Host-pool scaling sweep (1 / 2 / hardware threads) of the first
@@ -296,8 +287,7 @@ main(int argc, char **argv)
         for (const unsigned pool : pools) {
             const auto r = measureCase(
                 shape, sweep_data, env->numStates(),
-                env->numActions(), cores, tau, /*reps=*/1, pool,
-                batch_exec);
+                env->numActions(), cores, tau, /*reps=*/1, pool);
             sweep.push_back({r.hostThreads, r.wallSec});
             sweep_name = r.name;
         }
@@ -320,14 +310,13 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
     std::cout << "\nhost threads: " << rows.front().hostThreads
-              << ", batch-exec: " << (batch_exec ? "on" : "off")
-              << " (modelled results are engine-invariant)\n";
+              << "\n";
     for (const auto &p : sweep)
         std::cout << "sweep " << sweep_name << ": " << p.hostThreads
                   << " thread(s) -> " << p.wallSec << " s\n";
 
-    if (!writeJson(json_path, smoke ? "smoke" : "full", batch_exec,
-                   rows, sweep_name, sweep)) {
+    if (!writeJson(json_path, smoke ? "smoke" : "full", rows,
+                   sweep_name, sweep)) {
         std::cerr << "cannot write " << json_path << "\n";
         return 1;
     }

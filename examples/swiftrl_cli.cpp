@@ -210,7 +210,7 @@ main(int argc, char **argv)
          "generations", "fault-seed", "fault-rate", "dropout-rate",
          "retry-limit", "metrics", "metrics-prom", "log-level",
          "checkpoint", "pause-round", "restore", "serve", "fleet",
-         "shards", "batch-exec", "trace-spans", "flight-record"});
+         "shards", "trace-spans", "flight-record"});
 
     // --log-level overrides the SWIFTRL_LOG environment variable.
     // An unknown name warns once and falls back to inform rather
@@ -444,7 +444,6 @@ main(int argc, char **argv)
             cfg.tau = cfg.hyper.episodes;
         cfg.tasklets =
             static_cast<unsigned>(flags.getInt("tasklets", 1));
-        cfg.batchExec = flags.getBool("batch-exec", cfg.batchExec);
         cfg.actors = static_cast<unsigned>(flags.getInt("actors", 1));
         cfg.refreshPeriod =
             static_cast<int>(flags.getInt("refresh-period", 0));
@@ -533,10 +532,6 @@ main(int argc, char **argv)
         cfg.tau = cfg.hyper.episodes;
     cfg.tasklets =
         static_cast<unsigned>(flags.getInt("tasklets", 1));
-    // --batch-exec 0/1: override the build default (SWIFTRL_BATCH_EXEC)
-    // for the lockstep batch interpreter. Bit-identical results; host
-    // wall-clock only.
-    cfg.batchExec = flags.getBool("batch-exec", cfg.batchExec);
     cfg.weightedAggregation = flags.getBool("weighted", false);
     // --shards S: partition the Q-table into S contiguous state
     // ranges with replicated slices per core group — the path for

@@ -3,26 +3,26 @@
  * Execution context for a *cohort* of simulated PIM cores running the
  * same kernel in lockstep.
  *
- * The scalar engine hands each kernel instance its own KernelContext
- * and interprets the kernel once per core — host cost scales with
- * `cores x ops` even though every core executes the identical
- * instruction stream. A BatchKernelContext instead owns one
+ * CommandStream::launch hands each kernel instance its own
+ * KernelContext and interprets the kernel once per core — host cost
+ * scales with `cores x ops` even though every core executes the
+ * identical instruction stream. A BatchKernelContext instead owns one
  * KernelContext per *lane* (one lane per live core of the cohort) plus
  * a shared scratch arena, so a batch kernel can lay its per-lane state
  * out struct-of-arrays and retire one op-class step for the whole
  * cohort per host instruction (see swiftrl::runTrainingKernelBatch and
  * docs/PERFORMANCE.md §batch interpreter).
  *
- * The split of responsibilities mirrors the scalar path: this class is
- * pure pimsim machinery — lane bookkeeping, per-lane charging via the
- * real KernelContext (so ChargePolicy, WRAM accounting, DMA padding
- * and the fault-site numbering all stay byte-for-byte identical to
- * scalar execution) — while the SoA views over Q-slices, transition
- * chunks and LCG streams are built on top by the swiftrl-layer batch
- * kernel. Charges committed through a lane context are
- * indistinguishable from a scalar run of the same kernel on that core:
- * batched ≡ reference bit-identity is a tested invariant
- * (tests/test_batch_context.cc).
+ * The split of responsibilities mirrors the per-core path: this
+ * class is pure pimsim machinery — lane bookkeeping, per-lane
+ * charging via the real KernelContext (so ChargePolicy, WRAM
+ * accounting, DMA padding and the fault-site numbering all stay
+ * byte-for-byte identical to per-core execution) — while the SoA
+ * views over Q-slices, transition chunks and LCG streams are built on
+ * top by the swiftrl-layer batch kernel. Charges committed through a
+ * lane context are indistinguishable from a per-core run of the same
+ * kernel on that core: batch ≡ per-core oracle bit-identity is a
+ * tested invariant (tests/test_batch_context.cc).
  *
  * A BatchKernelContext is confined to one host-pool worker (its
  * scratch arena is not thread-safe); CommandStream::launchBatch forms

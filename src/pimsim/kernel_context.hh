@@ -67,17 +67,8 @@ enum class ChargePolicy
 
 template <ChargePolicy Policy> class BasicKernelContext;
 
-/**
- * Production per-core context: ledger-batched charging, unless the
- * build sets -DSWIFTRL_REFERENCE_CHARGING (CMake option of the same
- * name) to flip the whole engine to write-through charging — a
- * diagnostic mode for bisecting charging discrepancies.
- */
-#ifdef SWIFTRL_REFERENCE_CHARGING
-using KernelContext = BasicKernelContext<ChargePolicy::Reference>;
-#else
+/** Production per-core context: ledger-batched charging. */
 using KernelContext = BasicKernelContext<ChargePolicy::Batched>;
-#endif
 
 /** Write-through context for charge-parity tests. */
 using ReferenceKernelContext =
@@ -495,8 +486,8 @@ class BasicKernelContext
      * Bulk charge used by the lockstep batch interpreter: commits
      * @p count ops of class @p op in one call. Identical to @p count
      * individual priced-helper calls — integer addition is
-     * associative — so batch execution stays bit-identical to the
-     * scalar interpreter (see docs/PERFORMANCE.md).
+     * associative — so batch execution stays bit-identical to
+     * per-op charging (see docs/PERFORMANCE.md).
      */
     void
     chargeBulk(OpClass op, std::uint64_t count)
@@ -505,32 +496,16 @@ class BasicKernelContext
     }
 
     /**
-     * Charge-only DMA of one logical transfer of @p bytes: advances
-     * the clock and the DMA byte counter exactly as mramToWram /
-     * wramToMram would (same 2,048-byte piece split, same per-piece
-     * tail padding) without moving any data. The batch interpreter
-     * reads transitions through a raw MRAM view (Dpu::mramView) and
-     * accounts the modelled transfer here.
-     */
-    void
-    chargeDmaSpan(std::size_t bytes)
-    {
-        std::size_t done = 0;
-        while (done < bytes) {
-            const std::size_t piece = std::min<std::size_t>(
-                bytes - done, _model->mramDmaMaxBytes);
-            chargeDma(piece);
-            done += piece;
-        }
-    }
-
-    /**
-     * Charge @p times identical logical transfers of @p bytes each.
-     * Equivalent to calling chargeDmaSpan(@p bytes) @p times — every
-     * transfer pads and splits independently, so the per-transfer
-     * cycle and byte totals are exact integers that scale by
-     * multiplication. Lets the batch interpreter retire a whole run
-     * of per-record 16-byte fetches (RANDOM sampling) in one call.
+     * Charge-only DMA of @p times identical logical transfers of
+     * @p bytes each: advances the clock and the DMA byte counter
+     * exactly as that many mramToWram / wramToMram calls would (same
+     * 2,048-byte piece split, same per-piece tail padding) without
+     * moving any data. Every transfer pads and splits independently,
+     * so the per-transfer totals are exact integers that scale by
+     * multiplication. The batch interpreter reads transitions through
+     * a raw MRAM view (Dpu::mramView) and accounts the modelled
+     * transfers here — a whole run of staging-block misses or
+     * per-record 16-byte fetches (RANDOM sampling) in one call.
      */
     void
     chargeDmaSpanBulk(std::size_t bytes, std::uint64_t times)

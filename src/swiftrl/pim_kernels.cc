@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -22,77 +21,6 @@ using rlcore::ActionId;
 using rlcore::PackedTransition;
 using rlcore::StateId;
 
-/**
- * Experience fetcher. SEQ and STR kernels stream aligned blocks of
- * records through a WRAM staging buffer (one DMA per block); RAN
- * kernels issue one small DMA per record, since consecutive draws land
- * in unrelated MRAM rows — the access pattern PIM tolerates and caches
- * do not. The staging buffer lives in the context's scratch arena, so
- * it is recycled across launches instead of heap-allocated per core
- * per generation.
- */
-template <typename Ctx>
-class TransitionFetcher
-{
-  public:
-    TransitionFetcher(Ctx &ctx, std::size_t data_offset,
-                      std::size_t count, std::size_t block_transitions,
-                      bool block_mode)
-        : _ctx(ctx), _dataOffset(data_offset), _count(count),
-          _blockTransitions(block_transitions), _blockMode(block_mode)
-    {
-        SWIFTRL_ASSERT(_blockTransitions > 0, "empty staging block");
-        if (_blockMode) {
-            _buffer = ctx.scratch().template alloc<PackedTransition>(
-                _blockTransitions);
-        }
-    }
-
-    /** Fetch record @p idx, charging its DMA and WRAM traffic. */
-    PackedTransition
-    fetch(std::size_t idx)
-    {
-        SWIFTRL_ASSERT(idx < _count, "record index out of chunk");
-        PackedTransition rec;
-        if (_blockMode) {
-            if (idx < _blockStart ||
-                idx >= _blockStart + _blockLen) {
-                loadBlock(idx);
-            }
-            rec = _buffer[idx - _blockStart];
-            // Buffer indexing: offset computation on the core.
-            _ctx.aluOps(2);
-        } else {
-            _ctx.mramToWram(_dataOffset + idx * kTransitionBytes, &rec,
-                            kTransitionBytes);
-        }
-        // The update reads all four record words from WRAM.
-        _ctx.aluOps(4);
-        return rec;
-    }
-
-  private:
-    void
-    loadBlock(std::size_t idx)
-    {
-        const std::size_t start =
-            idx / _blockTransitions * _blockTransitions;
-        _blockLen = std::min(_blockTransitions, _count - start);
-        _ctx.mramToWram(_dataOffset + start * kTransitionBytes,
-                        _buffer, _blockLen * kTransitionBytes);
-        _blockStart = start;
-    }
-
-    Ctx &_ctx;
-    std::size_t _dataOffset;
-    std::size_t _count;
-    std::size_t _blockTransitions;
-    bool _blockMode;
-    PackedTransition *_buffer = nullptr;
-    std::size_t _blockStart = std::numeric_limits<std::size_t>::max();
-    std::size_t _blockLen = 0;
-};
-
 /** Unpacked record fields common to both formats. */
 struct RecordFields
 {
@@ -103,256 +31,22 @@ struct RecordFields
     bool terminal;
 };
 
-template <typename Ctx>
-RecordFields
-decodeRecord(Ctx &ctx, const PackedTransition &rec)
-{
-    RecordFields f;
-    f.s = rec.state;
-    f.a = rec.action;
-    f.rewardBits = rec.rewardBits;
-    // Terminal flag unmasking: an AND and a shift.
-    ctx.aluOps(2);
-    f.s2 = static_cast<StateId>(rec.nextStateBits &
-                                ~PackedTransition::kTerminalBit);
-    f.terminal =
-        (rec.nextStateBits & PackedTransition::kTerminalBit) != 0;
-    return f;
-}
-
-/** Single-tasklet training loop (the paper's configuration). */
-template <typename Ctx, typename QWord, typename UpdateFn>
-void
-trainCoreSingleTasklet(Ctx &ctx, const KernelParams &p,
-                       std::size_t count, QWord *q, UpdateFn &&update)
-{
-    const std::size_t core = ctx.dpuId();
-    const bool block_mode =
-        p.workload.sampling != rlcore::Sampling::Ran;
-    ctx.wramAlloc(block_mode
-                      ? p.blockTransitions * kTransitionBytes
-                      : kTransitionBytes);
-
-    ctx.lcgSeed((*p.lcgStates)[core]);
-
-    rlcore::SampleWalker walker(
-        count, p.workload.sampling,
-        static_cast<std::size_t>(p.hyper.stride));
-    TransitionFetcher<Ctx> fetcher(ctx, p.dataOffset, count,
-                                   p.blockTransitions, block_mode);
-
-    for (int ep = 0; ep < p.episodes; ++ep) {
-        walker.startEpisode();
-        ctx.branch();
-        for (std::size_t k = 0; k < count; ++k) {
-            const std::size_t idx =
-                walker.next([&](std::size_t bound) {
-                    return static_cast<std::size_t>(
-                        ctx.lcgNextBounded(
-                            static_cast<std::uint32_t>(bound)));
-                });
-            // Walker bookkeeping + loop counter + record address
-            // computation (idx * 16 as a shift).
-            ctx.aluOps(3);
-            ctx.branch();
-
-            const PackedTransition rec = fetcher.fetch(idx);
-            const RecordFields f = decodeRecord(ctx, rec);
-            update(ctx, q, f);
-        }
-    }
-
-    (*p.lcgStates)[core] = ctx.lcgState();
-}
-
-/**
- * Multi-tasklet training loop (the paper's future work): the chunk is
- * split into near-equal contiguous sub-chunks, one per tasklet; each
- * tasklet walks its own sub-chunk in the workload's sampling order
- * with its own persistent LCG stream and staging buffer, and all
- * tasklets update the core's shared WRAM Q-table. Execution
- * interleaves round-robin, one update per tasklet per turn, matching
- * the pipeline's fine-grained multithreading order.
- */
-template <typename Ctx, typename QWord, typename UpdateFn>
-void
-trainCoreMultiTasklet(Ctx &ctx, const KernelParams &p,
-                      std::size_t count, QWord *q, UpdateFn &&update)
-{
-    const std::size_t core = ctx.dpuId();
-    const unsigned t = p.tasklets;
-    SWIFTRL_ASSERT(p.lcgStates->size() >=
-                       (core + 1) * static_cast<std::size_t>(t),
-                   "LCG state table too small for ", t,
-                   " tasklets on core ", core);
-    const bool block_mode =
-        p.workload.sampling != rlcore::Sampling::Ran;
-
-    // Sub-chunk split; tasklets beyond the chunk size stay idle.
-    std::vector<std::size_t> sub_first(t, 0), sub_count(t, 0);
-    {
-        const std::size_t base = count / t;
-        const std::size_t extra = count % t;
-        std::size_t at = 0;
-        for (unsigned tl = 0; tl < t; ++tl) {
-            sub_first[tl] = at;
-            sub_count[tl] = base + (tl < extra ? 1 : 0);
-            at += sub_count[tl];
-        }
-    }
-
-    std::vector<std::unique_ptr<rlcore::SampleWalker>> walkers(t);
-    std::vector<std::unique_ptr<TransitionFetcher<Ctx>>> fetchers(t);
-    std::vector<std::uint32_t> lcg(t);
-    std::size_t longest = 0;
-    for (unsigned tl = 0; tl < t; ++tl) {
-        lcg[tl] = (*p.lcgStates)[core * t + tl];
-        if (sub_count[tl] == 0)
-            continue;
-        // Each tasklet owns a staging buffer in the shared WRAM.
-        ctx.wramAlloc(block_mode
-                          ? p.blockTransitions * kTransitionBytes
-                          : kTransitionBytes);
-        walkers[tl] = std::make_unique<rlcore::SampleWalker>(
-            sub_count[tl], p.workload.sampling,
-            static_cast<std::size_t>(p.hyper.stride));
-        fetchers[tl] = std::make_unique<TransitionFetcher<Ctx>>(
-            ctx, p.dataOffset, count, p.blockTransitions,
-            block_mode);
-        longest = std::max(longest, sub_count[tl]);
-    }
-
-    for (int ep = 0; ep < p.episodes; ++ep) {
-        for (unsigned tl = 0; tl < t; ++tl) {
-            if (walkers[tl])
-                walkers[tl]->startEpisode();
-        }
-        ctx.branch();
-        for (std::size_t k = 0; k < longest; ++k) {
-            for (unsigned tl = 0; tl < t; ++tl) {
-                if (k >= sub_count[tl])
-                    continue;
-                // Swap in this tasklet's LCG stream.
-                ctx.lcgSeed(lcg[tl]);
-                const std::size_t idx =
-                    walkers[tl]->next([&](std::size_t bound) {
-                        return static_cast<std::size_t>(
-                            ctx.lcgNextBounded(
-                                static_cast<std::uint32_t>(bound)));
-                    });
-                ctx.aluOps(3);
-                ctx.branch();
-
-                const PackedTransition rec =
-                    fetchers[tl]->fetch(sub_first[tl] + idx);
-                const RecordFields f = decodeRecord(ctx, rec);
-                update(ctx, q, f);
-                lcg[tl] = ctx.lcgState();
-            }
-        }
-    }
-
-    for (unsigned tl = 0; tl < t; ++tl)
-        (*p.lcgStates)[core * t + tl] = lcg[tl];
-}
-
-/** Shared training kernel body, templated on the Q-word type. */
-template <typename QWord, typename Ctx, typename UpdateFn>
-void
-trainCore(Ctx &ctx, const KernelParams &p, UpdateFn &&update)
-{
-    const std::size_t core = ctx.dpuId();
-    SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
-                   "missing chunk table for core ", core);
-    SWIFTRL_ASSERT(p.lcgStates && core < p.lcgStates->size(),
-                   "missing LCG state for core ", core);
-    SWIFTRL_ASSERT(p.tasklets >= 1, "at least one tasklet required");
-    const std::size_t count = (*p.chunkCounts)[core];
-    if (count == 0 || p.episodes <= 0)
-        return;
-
-    const bool sharded = p.sliceRows > 0;
-    SWIFTRL_ASSERT(!sharded || !p.trackVisits,
-                   "visit tracking is incompatible with sharded "
-                   "Q-tables");
-    SWIFTRL_ASSERT(!sharded ||
-                       (p.haloRows && core < p.haloRows->size()),
-                   "missing halo table for core ", core);
-    // In sharded mode the WRAM table is [owned slice | halo rows]:
-    // the slice is read-write and DMA'd back, the halo is a
-    // read-only snapshot of remote next-state rows, refreshed by the
-    // host each sync round. Record state ids arrive pre-localised to
-    // this layout, so the update rules below are oblivious to it.
-    const std::size_t own_rows =
-        sharded ? p.sliceRows : static_cast<std::size_t>(p.numStates);
-    const std::size_t halo_rows =
-        sharded ? (*p.haloRows)[core] : 0;
-    const std::size_t na = static_cast<std::size_t>(p.numActions);
-    const std::size_t own_entries = own_rows * na;
-    const std::size_t q_entries = (own_rows + halo_rows) * na;
-    const std::size_t own_bytes = own_entries * sizeof(QWord);
-    pimsim::KernelScratch &scratch = ctx.scratch();
-
-    // Shared WRAM Q-table, DMA'd in at entry and out at exit. The
-    // host image lives in the launch's scratch arena; the inbound
-    // DMA overwrites every entry.
-    ctx.wramAlloc(q_entries * sizeof(QWord));
-    QWord *q = scratch.template alloc<QWord>(q_entries);
-    ctx.mramToWram(p.qOffset, q, own_bytes);
-    if (halo_rows > 0) {
-        ctx.mramToWram(p.haloOffset, q + own_entries,
-                       halo_rows * na * sizeof(QWord));
-    }
-
-    // Optional visit counters for weighted aggregation: zeroed each
-    // launch (weights reflect the current round's coverage).
-    std::uint32_t *visits = nullptr;
-    if (p.trackVisits) {
-        ctx.wramAlloc(q_entries * sizeof(std::uint32_t));
-        visits = scratch.template alloc<std::uint32_t>(q_entries);
-        std::fill_n(visits, q_entries, 0u);
-    }
-    auto counted_update = [&](Ctx &c, QWord *table,
-                              const RecordFields &f) {
-        update(c, table, f);
-        if (p.trackVisits) {
-            // Increment: one address computation + load-modify-store.
-            c.aluOps(2);
-            ++visits[static_cast<std::size_t>(f.s) *
-                         static_cast<std::size_t>(p.numActions) +
-                     static_cast<std::size_t>(f.a)];
-        }
-    };
-
-    if (p.tasklets == 1) {
-        trainCoreSingleTasklet(ctx, p, count, q, counted_update);
-    } else {
-        trainCoreMultiTasklet(ctx, p, count, q, counted_update);
-    }
-
-    // Only the owned slice is written back; halo rows are a stale
-    // read-only snapshot the host refreshes from the aggregate.
-    ctx.wramToMram(p.qOffset, q, own_bytes);
-    if (p.trackVisits) {
-        ctx.wramToMram(p.visitsOffset, visits,
-                       q_entries * sizeof(std::uint32_t));
-    }
-}
-
 // --- batch interpreter ------------------------------------------------
 //
-// The scalar engine interprets the kernel once per core, charging each
-// priced op as it executes — ~30 ledger increments per Q-update. The
-// batch interpreter exploits that every core of a cohort runs the
-// *same* kernel: it executes the update rules functionally through a
-// cost-free ops provider (LaneOps) and retires the charges wholesale,
-// as per-lane tallies of control-flow *shapes* multiplied by
-// probe-calibrated per-shape charge profiles. This is exact, not
-// approximate: an update's charge sequence is fully determined by its
-// shape — terminal (no bootstrap scan), SARSA explore (two extra LCG
-// draws), or the main path — because the bootstrap scans have fixed
-// trip count (num_actions) and charge identically on either branch
-// outcome. See docs/PERFORMANCE.md, "Batch interpretation".
+// A literal interpreter would run the kernel once per core, charging
+// each priced op as it executes — ~30 ledger increments per Q-update
+// (tests/oracle/scalar_kernel.cc is that interpreter, kept as the
+// tests' reference). The batch interpreter exploits that every core
+// of a cohort runs the *same* kernel: it executes the update rules
+// functionally through a cost-free ops provider (LaneOps) and retires
+// the charges wholesale, as per-lane tallies of control-flow *shapes*
+// multiplied by probe-calibrated per-shape charge profiles. This is
+// exact, not approximate: an update's charge sequence is fully
+// determined by its shape — terminal (no bootstrap scan), SARSA
+// explore (two extra LCG draws), or the main path — because the
+// bootstrap scans have fixed trip count (num_actions) and charge
+// identically on either branch outcome. See docs/PERFORMANCE.md,
+// "Batch interpretation".
 
 /** Update-charge shapes. One tally per lane per shape. */
 enum : std::size_t
@@ -632,442 +326,464 @@ calibrateShapes(const KernelParams &p, bool sarsa,
     return out;
 }
 
+/** Shape tallies of one lane. */
+using Tally = std::array<std::uint64_t, kNumShapes>;
+
+/** Control-flow shape of the update just applied through @p o. */
+template <typename Ops>
+std::size_t
+shapeOf(const RecordFields &f, const Ops &o)
+{
+    return f.terminal      ? kShapeTerminal
+           : o.draws == 2 ? kShapeExplore
+                          : kShapeMain;
+}
+
 /**
- * Lockstep batch training body: one pass retires every lane of the
- * cohort chunk. Structure-of-arrays per-lane state (walker, LCG, Q
- * image, block window, shape tallies); lanes retire lane-major, with
- * divergent chunk lengths handled by each lane's own step bound and
- * dead cores already excluded from the cohort by
- * CommandStream::launchBatch. @p Ops picks the functional provider
- * (LaneOps, or LaneOpsFastDiv for the division-heavy INT32 rules).
+ * Decode a lane's chunk once into @p recs and return its terminal
+ * record count. Transitions are read straight from the MRAM view:
+ * the region is read-only for the whole launch (the kernel's only
+ * MRAM writes are the Q and visit writebacks, to other regions), so
+ * the bytes match what per-record DMA would copy and the per-step
+ * fetch reduces to an indexed load. Decode is unpriced interpreter
+ * work — its charges are retired per record in bulk — so this moves
+ * no modelled number.
+ */
+std::size_t
+decodeChunk(const std::uint8_t *data, std::size_t n,
+            std::vector<RecordFields> &recs)
+{
+    recs.resize(n);
+    std::size_t terminal_records = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        PackedTransition rec;
+        std::memcpy(&rec, data + r * kTransitionBytes,
+                    kTransitionBytes);
+        RecordFields &f = recs[r];
+        f.s = rec.state;
+        f.a = rec.action;
+        f.rewardBits = rec.rewardBits;
+        f.s2 = static_cast<StateId>(rec.nextStateBits &
+                                    ~PackedTransition::kTerminalBit);
+        f.terminal =
+            (rec.nextStateBits & PackedTransition::kTerminalBit) != 0;
+        terminal_records += f.terminal ? 1 : 0;
+    }
+    return terminal_records;
+}
+
+/**
+ * Charge the staging-window DMA of one SEQ/STR walker over a whole
+ * launch. The walker visits chunk indices first + local(k), k < len,
+ * in an episode-invariant order (local = k for SEQ, order[k] for
+ * STR). Its window holds one aligned block of the @p chunk-record
+ * chunk, so blocks align against the whole chunk even when a tasklet
+ * walks a sub-range of it — only the chunk's last block can be
+ * short.
+ *
+ * Window misses are value-independent, so they are charged up front:
+ * walk the window over whole episodes until an episode ends in the
+ * state it started from — from then on every episode repeats that
+ * miss profile, and the remainder collapses into one bulk charge. In
+ * practice the window converges at the first or second episode;
+ * convergence is checked, never assumed.
+ */
+void
+chargeBlockMisses(pimsim::KernelContext &ctx, const std::uint32_t *order,
+                  std::size_t first, std::size_t len, std::size_t chunk,
+                  std::size_t block, std::uint64_t eps)
+{
+    std::size_t bs = std::numeric_limits<std::size_t>::max(), bl = 0;
+    std::uint64_t full = 0, tails = 0;
+    std::uint64_t ep_done = 0;
+    while (ep_done < eps) {
+        const std::size_t bs_in = bs;
+        std::uint64_t ep_full = 0, ep_tails = 0;
+        for (std::size_t k = 0; k < len; ++k) {
+            const std::size_t idx = first + (order ? order[k] : k);
+            if (idx >= bs && idx < bs + bl)
+                continue;
+            bs = idx / block * block;
+            bl = std::min(block, chunk - bs);
+            ++(bl == block ? ep_full : ep_tails);
+        }
+        ++ep_done;
+        // Steady state: this episode's end window equals its start
+        // window, so all remaining episodes repeat this profile.
+        const std::uint64_t reps = bs == bs_in ? 1 + (eps - ep_done) : 1;
+        full += ep_full * reps;
+        tails += ep_tails * reps;
+        ep_done += reps - 1;
+    }
+    ctx.chargeDmaSpanBulk(block * kTransitionBytes, full);
+    ctx.chargeDmaSpanBulk(chunk % block * kTransitionBytes, tails);
+}
+
+/**
+ * The hot path — one tasklet, no visit tracking (the paper's
+ * configuration): the lane's records in sampling order through one
+ * ops provider, with closed-form shape tallies wherever the shapes do
+ * not depend on LCG draws.
+ */
+template <typename QWord, typename Ops, typename UpdateFn>
+void
+trainSingle(pimsim::KernelContext &ctx, const KernelParams &p, bool sarsa,
+            const std::vector<RecordFields> &recs,
+            std::size_t terminal_records, std::vector<std::uint32_t> &order,
+            QWord *q, Ops &o, Tally &t, UpdateFn &update)
+{
+    const std::size_t n = recs.size();
+    const auto eps = static_cast<std::uint64_t>(p.episodes);
+
+    if (p.workload.sampling != rlcore::Sampling::Ran) {
+        // SEQ and STR visit every index exactly once per episode in
+        // an episode-invariant order (SampleWalker rewinds at
+        // startEpisode). Materialise the order once — SEQ is the
+        // identity and skips the table entirely.
+        const bool seq = p.workload.sampling == rlcore::Sampling::Seq;
+        if (!seq) {
+            order.resize(n);
+            rlcore::SampleWalker w(
+                n, p.workload.sampling,
+                static_cast<std::size_t>(p.hyper.stride));
+            for (std::size_t k = 0; k < n; ++k) {
+                order[k] = static_cast<std::uint32_t>(
+                    w.next([](std::size_t) { return std::size_t{0}; }));
+            }
+        }
+        chargeBlockMisses(ctx, seq ? nullptr : order.data(), 0, n, n,
+                          p.blockTransitions, eps);
+
+        if (!sarsa) {
+            // Q-learning consumes no LCG draws, so the shape of every
+            // visit is the record's terminal flag — and each record
+            // is visited exactly once per episode, making the tallies
+            // a closed form. The hot loop is just the functional
+            // updates.
+            for (std::uint64_t ep = 0; ep < eps; ++ep) {
+                if (seq) {
+                    for (std::size_t k = 0; k < n; ++k)
+                        update(o, q, recs[k]);
+                } else {
+                    for (std::size_t k = 0; k < n; ++k)
+                        update(o, q, recs[order[k]]);
+                }
+            }
+            t[kShapeTerminal] += eps * terminal_records;
+            t[kShapeMain] += eps * (n - terminal_records);
+        } else {
+            // SARSA's explore/exploit shape depends on its LCG draws:
+            // classify per visit.
+            for (std::uint64_t ep = 0; ep < eps; ++ep) {
+                for (std::size_t k = 0; k < n; ++k) {
+                    const RecordFields &f = recs[seq ? k : order[k]];
+                    o.draws = 0;
+                    update(o, q, f);
+                    ++t[shapeOf(f, o)];
+                }
+            }
+        }
+        return;
+    }
+
+    // RAN: the sample index is itself an LCG draw, taken before the
+    // update's own draws exactly as the scalar fetch-then-update
+    // order does.
+    const auto bound = static_cast<std::uint32_t>(n);
+    if (!sarsa) {
+        std::uint64_t term_visits = 0;
+        for (std::uint64_t ep = 0; ep < eps; ++ep) {
+            for (std::size_t k = 0; k < n; ++k) {
+                const RecordFields &f = recs[o.lcg.nextBounded(bound)];
+                update(o, q, f);
+                term_visits += f.terminal ? 1 : 0;
+            }
+        }
+        t[kShapeTerminal] += term_visits;
+        t[kShapeMain] += eps * n - term_visits;
+    } else {
+        for (std::uint64_t ep = 0; ep < eps; ++ep) {
+            for (std::size_t k = 0; k < n; ++k) {
+                const RecordFields &f = recs[o.lcg.nextBounded(bound)];
+                o.draws = 0;
+                update(o, q, f);
+                ++t[shapeOf(f, o)];
+            }
+        }
+    }
+}
+
+/** One tasklet of a lane in the general path. */
+template <typename Ops>
+struct Tasklet
+{
+    std::size_t first = 0; ///< sub-chunk start within the lane's chunk
+    std::size_t count = 0; ///< sub-chunk length (0 = idle tasklet)
+    Ops ops;               ///< functional provider + its LCG stream
+};
+
+/**
+ * The general path: any tasklet count, optional visit counting. The
+ * chunk splits into near-equal contiguous sub-chunks, one per
+ * tasklet; each tasklet walks its own in the workload's sampling
+ * order with its own LCG stream and staging window, and updates run
+ * round-robin, one per tasklet per turn, over the lane's shared Q
+ * image — the multi-tasklet kernel's interleaving, which the shared
+ * table makes observable. With one tasklet this is the
+ * single-tasklet kernel plus visit counting.
+ */
+template <typename QWord, typename Ops, typename UpdateFn>
+void
+trainInterleaved(pimsim::KernelContext &ctx, const KernelParams &p,
+                 const std::vector<RecordFields> &recs, std::uint32_t *lcg,
+                 std::vector<std::uint32_t> &order,
+                 std::vector<Tasklet<Ops>> &tasklets, QWord *q,
+                 std::uint32_t *visits, Tally &tally, UpdateFn &update)
+{
+    const unsigned t = p.tasklets;
+    const std::size_t n = recs.size();
+    const auto sampling = p.workload.sampling;
+    const bool block_mode = sampling != rlcore::Sampling::Ran;
+    const bool seq = sampling == rlcore::Sampling::Seq;
+    const auto eps = static_cast<std::uint64_t>(p.episodes);
+    const std::size_t na = static_cast<std::size_t>(p.numActions);
+
+    // Sub-chunk split; tasklets beyond the chunk size stay idle.
+    tasklets.clear();
+    tasklets.resize(t);
+    order.resize(n);
+    std::size_t at = 0, longest = 0;
+    for (unsigned tl = 0; tl < t; ++tl) {
+        Tasklet<Ops> &k = tasklets[tl];
+        k.first = at;
+        k.count = n / t + (tl < n % t ? 1 : 0);
+        at += k.count;
+        k.ops.lcg.seed(lcg[tl]);
+        if (k.count == 0)
+            continue;
+        // Each tasklet owns a staging buffer in the shared WRAM.
+        ctx.wramAlloc(block_mode ? p.blockTransitions * kTransitionBytes
+                                 : kTransitionBytes);
+        longest = std::max(longest, k.count);
+        if (sampling == rlcore::Sampling::Str) {
+            rlcore::SampleWalker w(
+                k.count, sampling,
+                static_cast<std::size_t>(p.hyper.stride));
+            for (std::size_t j = 0; j < k.count; ++j) {
+                order[k.first + j] = static_cast<std::uint32_t>(
+                    w.next([](std::size_t) { return std::size_t{0}; }));
+            }
+        }
+        if (block_mode) {
+            chargeBlockMisses(ctx, seq ? nullptr : order.data() + k.first,
+                              k.first, k.count, n, p.blockTransitions,
+                              eps);
+        }
+    }
+    // The single-tasklet kernel seeds its one stream at entry; more
+    // tasklets swap theirs in per step (charged with the record).
+    if (t == 1)
+        ctx.lcgSeed(lcg[0]);
+
+    for (std::uint64_t ep = 0; ep < eps; ++ep) {
+        for (std::size_t k = 0; k < longest; ++k) {
+            for (Tasklet<Ops> &tk : tasklets) {
+                if (k >= tk.count)
+                    continue;
+                Ops &o = tk.ops;
+                const std::size_t local =
+                    !block_mode ? o.lcg.nextBounded(
+                                      static_cast<std::uint32_t>(tk.count))
+                    : seq       ? k
+                                : order[tk.first + k];
+                const RecordFields &f = recs[tk.first + local];
+                o.draws = 0;
+                update(o, q, f);
+                ++tally[shapeOf(f, o)];
+                if (visits) {
+                    ++visits[static_cast<std::size_t>(f.s) * na +
+                             static_cast<std::size_t>(f.a)];
+                }
+            }
+        }
+    }
+    for (unsigned tl = 0; tl < t; ++tl)
+        lcg[tl] = tasklets[tl].ops.lcg.state();
+}
+
+/**
+ * Retire a lane's tallied charges: per-shape profiles times tallies,
+ * plus the fixed per-record charges outside the update rule, mirrored
+ * from the scalar kernel (the parity tests enforce the match):
+ *   aluOps(3) + branch   walker/loop bookkeeping
+ *   aluOps(4)            record WRAM reads (fetch tail)
+ *   aluOps(2)            decode: terminal-flag unmask
+ *   block mode: aluOps(2) buffer indexing, every fetch
+ *   RAN: lcgNextBounded draw = Int32Mul x2 + IntAlu x2,
+ *        plus one 16-byte record DMA
+ *   tasklets > 1: lcgSeed (1 IntAlu) swapping in the step's stream
+ *   visit tracking: aluOps(2) counter increment
+ * Either sampling mode totals 11 IntAlu per record before the last
+ * two. Episodes add one branch each (the episode-loop branch).
+ */
+void
+retireTally(pimsim::KernelContext &ctx, const KernelParams &p,
+            const std::array<ShapeProfile, kNumShapes> &shapes,
+            const Tally &tally)
+{
+    ShapeProfile total{};
+    std::uint64_t records = 0;
+    for (std::size_t s = 0; s < kNumShapes; ++s) {
+        records += tally[s];
+        for (std::size_t c = 0; c < pimsim::kNumOpClasses; ++c)
+            total[c] += shapes[s][c] * tally[s];
+    }
+    using enum pimsim::OpClass;
+    const std::uint64_t alu = 11 + (p.tasklets > 1 ? 1 : 0) +
+                              (p.trackVisits ? 2 : 0);
+    total[static_cast<std::size_t>(IntAlu)] += alu * records;
+    total[static_cast<std::size_t>(Branch)] +=
+        records + static_cast<std::uint64_t>(p.episodes);
+    if (p.workload.sampling == rlcore::Sampling::Ran) {
+        total[static_cast<std::size_t>(Int32Mul)] += 2 * records;
+        ctx.chargeDmaSpanBulk(kTransitionBytes, records);
+    }
+    for (std::size_t c = 0; c < pimsim::kNumOpClasses; ++c) {
+        if (total[c] != 0)
+            ctx.chargeBulk(static_cast<pimsim::OpClass>(c), total[c]);
+    }
+}
+
+/**
+ * Batch training body: retires every lane of the cohort chunk, one
+ * lane at a time. Each lane runs fused, back to back — preamble
+ * charges, training loop, tally retirement, Q writeback, LCG store —
+ * through one Q image (and one visit table) reused by every lane, so
+ * the working set is one lane's, not the chunk's: a taxi chunk of 250
+ * lanes touches one 12 KB image instead of 3 MB of cold ones. Lanes
+ * are independent (own Q slice, walkers, LCG streams) and charges are
+ * integer sums, so this order is bit-identical to per-core
+ * interpretation; divergent chunk lengths need no masking, as each
+ * lane's loop is simply its own length. Dead cores are already
+ * excluded from the cohort by CommandStream::launchBatch. @p Ops
+ * picks the functional provider (LaneOps, or LaneOpsFastDiv for the
+ * division-heavy INT32 rules).
  */
 template <typename QWord, typename Ops, typename UpdateFn>
 void
 trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
            bool sarsa, std::int32_t epsilon_milli, UpdateFn &&update)
 {
-    SWIFTRL_ASSERT(p.tasklets == 1,
-                   "batch interpretation is single-tasklet");
-    SWIFTRL_ASSERT(!p.trackVisits,
-                   "batch interpretation does not track visits");
-    const bool block_mode =
-        p.workload.sampling != rlcore::Sampling::Ran;
+    SWIFTRL_ASSERT(p.tasklets >= 1, "at least one tasklet required");
     const bool sharded = p.sliceRows > 0;
+    SWIFTRL_ASSERT(!sharded || !p.trackVisits,
+                   "visit tracking is incompatible with sharded "
+                   "Q-tables");
+    // In sharded mode the WRAM table is [owned slice | halo rows]:
+    // the slice is read-write and DMA'd back, the halo is a read-only
+    // snapshot of remote next-state rows, refreshed by the host each
+    // sync round. Record state ids arrive pre-localised to this
+    // layout, so the update rules are oblivious to it.
     const std::size_t na = static_cast<std::size_t>(p.numActions);
-    const std::size_t never = std::numeric_limits<std::size_t>::max();
+    const std::size_t own_entries =
+        (sharded ? p.sliceRows : static_cast<std::size_t>(p.numStates)) *
+        na;
+    const std::size_t own_bytes = own_entries * sizeof(QWord);
+    const std::size_t lanes = bctx.lanes();
+    const auto halo_rows_of = [&](std::size_t core) {
+        return sharded ? (*p.haloRows)[core] : std::size_t{0};
+    };
 
-    const auto shapes =
-        calibrateShapes<QWord>(p, sarsa, epsilon_milli, update);
-
-    // Per-lane SoA state over the *active* lanes. A scalar kernel
-    // instance with an empty chunk or a non-positive episode budget
-    // returns before charging anything, so such lanes are excluded
-    // here entirely.
-    std::vector<std::size_t> lane;      ///< index into bctx
-    std::vector<std::size_t> count;     ///< chunk length
-    std::vector<std::size_t> ownBytes;  ///< writeback size
-    std::vector<QWord *> qPtr;          ///< WRAM Q image
-    std::vector<const std::uint8_t *> data; ///< MRAM transition view
-    std::vector<rlcore::SampleWalker> walker;
-    std::vector<Ops> ops;
-    std::vector<std::array<std::uint64_t, kNumShapes>> tally;
-
-    const std::size_t cohort = bctx.lanes();
-    for (std::size_t i = 0; i < cohort; ++i) {
-        pimsim::KernelContext &ctx = bctx.lane(i);
-        const std::size_t core = ctx.dpuId();
+    // A core with an empty chunk or a non-positive episode budget
+    // returns before charging anything, so such lanes are skipped
+    // entirely.
+    std::size_t max_entries = 0;
+    for (std::size_t i = 0; i < lanes; ++i) {
+        const std::size_t core = bctx.dpuId(i);
         SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
                        "missing chunk table for core ", core);
-        SWIFTRL_ASSERT(p.lcgStates && core < p.lcgStates->size(),
+        SWIFTRL_ASSERT(p.lcgStates &&
+                           p.lcgStates->size() >= (core + 1) * p.tasklets,
                        "missing LCG state for core ", core);
-        const std::size_t n = (*p.chunkCounts)[core];
-        if (n == 0 || p.episodes <= 0)
+        if ((*p.chunkCounts)[core] == 0 || p.episodes <= 0)
             continue;
         SWIFTRL_ASSERT(!sharded ||
                            (p.haloRows && core < p.haloRows->size()),
                        "missing halo table for core ", core);
+        max_entries =
+            std::max(max_entries, own_entries + halo_rows_of(core) * na);
+    }
+    if (max_entries == 0)
+        return;
 
-        // Mirror the scalar per-core preamble charge for charge:
-        // Q-table WRAM footprint and inbound DMA (trainCore), then
-        // the staging-buffer footprint and LCG seed
-        // (trainCoreSingleTasklet).
-        const std::size_t own_rows =
-            sharded ? p.sliceRows
-                    : static_cast<std::size_t>(p.numStates);
-        const std::size_t halo_rows =
-            sharded ? (*p.haloRows)[core] : 0;
-        const std::size_t own_entries = own_rows * na;
-        const std::size_t q_entries = (own_rows + halo_rows) * na;
-        const std::size_t own_bytes = own_entries * sizeof(QWord);
+    const auto shapes =
+        calibrateShapes<QWord>(p, sarsa, epsilon_milli, update);
+    QWord *const q = bctx.scratch().template alloc<QWord>(max_entries);
+    std::uint32_t *const visits =
+        p.trackVisits
+            ? bctx.scratch().template alloc<std::uint32_t>(max_entries)
+            : nullptr;
+    const bool hot_path = p.tasklets == 1 && !p.trackVisits;
+    std::vector<RecordFields> recs;
+    std::vector<std::uint32_t> order;
+    std::vector<Tasklet<Ops>> tasklets;
 
+    for (std::size_t i = 0; i < lanes; ++i) {
+        pimsim::KernelContext &ctx = bctx.lane(i);
+        const std::size_t core = ctx.dpuId();
+        const std::size_t n = (*p.chunkCounts)[core];
+        if (n == 0 || p.episodes <= 0)
+            continue;
+
+        // Preamble, charge for charge as the kernel's: Q-table WRAM
+        // footprint and inbound DMA (the DMA overwrites every entry
+        // of the reused image), then the zeroed visit counters —
+        // weights reflect the current round's coverage.
+        const std::size_t halo_rows = halo_rows_of(core);
+        const std::size_t q_entries = own_entries + halo_rows * na;
         ctx.wramAlloc(q_entries * sizeof(QWord));
-        QWord *q = bctx.scratch().template alloc<QWord>(q_entries);
         ctx.mramToWram(p.qOffset, q, own_bytes);
         if (halo_rows > 0) {
             ctx.mramToWram(p.haloOffset, q + own_entries,
                            halo_rows * na * sizeof(QWord));
         }
-        ctx.wramAlloc(block_mode
-                          ? p.blockTransitions * kTransitionBytes
-                          : kTransitionBytes);
-        const std::uint32_t seed = (*p.lcgStates)[core];
-        ctx.lcgSeed(seed);
-
-        lane.push_back(i);
-        count.push_back(n);
-        ownBytes.push_back(own_bytes);
-        qPtr.push_back(q);
-        // Transitions are read straight from the MRAM view — the
-        // region is read-only for the whole launch (the only kernel
-        // MRAM write is the Q writeback below, after the loop), so
-        // the pointer stays valid and the bytes match what per-record
-        // DMA would copy.
-        data.push_back(
-            bctx.dpu(i).mramView(p.dataOffset, n * kTransitionBytes));
-        walker.emplace_back(n, p.workload.sampling,
-                            static_cast<std::size_t>(p.hyper.stride));
-        Ops o;
-        o.lcg.seed(seed);
-        ops.push_back(o);
-        tally.push_back({});
-    }
-
-    const std::size_t nlanes = lane.size();
-    if (nlanes == 0)
-        return;
-
-    // The cohort retires lane-major: every lane runs its full episode
-    // budget before the next lane starts. Lanes are independent (own
-    // Q slice, own walker, own LCG stream) and charges are integer
-    // sums, so any retirement order is bit-identical to the scalar
-    // interleaving — and lane-major keeps one lane's Q image and
-    // decoded chunk hot in cache instead of cycling the whole chunk's
-    // working set per step. Divergent chunk lengths need no masking
-    // in this order: each lane's step loop is simply its own length.
-    std::vector<RecordFields> recs;
-    std::vector<std::uint32_t> order; // STR visit order, per lane
-    for (std::size_t i = 0; i < nlanes; ++i) {
-        // Decode the lane's chunk once: the record stream is
-        // read-only for the whole launch, so the per-step fetch
-        // reduces to an indexed load. (The scalar engine re-decodes
-        // every visit; decode is unpriced interpreter work, so this
-        // moves no modelled number.)
-        const std::size_t n = count[i];
-        recs.resize(n);
-        std::size_t terminal_records = 0;
-        for (std::size_t r = 0; r < n; ++r) {
-            PackedTransition rec;
-            std::memcpy(&rec, data[i] + r * kTransitionBytes,
-                        kTransitionBytes);
-            RecordFields &f = recs[r];
-            f.s = rec.state;
-            f.a = rec.action;
-            f.rewardBits = rec.rewardBits;
-            f.s2 = static_cast<StateId>(
-                rec.nextStateBits & ~PackedTransition::kTerminalBit);
-            f.terminal = (rec.nextStateBits &
-                          PackedTransition::kTerminalBit) != 0;
-            terminal_records += f.terminal ? 1 : 0;
+        if (visits) {
+            ctx.wramAlloc(q_entries * sizeof(std::uint32_t));
+            std::fill_n(visits, q_entries, 0u);
         }
 
-        Ops &o = ops[i];
-        QWord *const q = qPtr[i];
-        auto &t = tally[i];
-        pimsim::KernelContext &ctx = bctx.lane(lane[i]);
-        const auto eps = static_cast<std::uint64_t>(p.episodes);
-
-        if (block_mode) {
-            // SEQ and STR visit every index exactly once per episode
-            // in an episode-invariant order (SampleWalker rewinds at
-            // startEpisode). Materialise the order once — SEQ is the
-            // identity and skips the table entirely.
-            const bool seq =
-                p.workload.sampling == rlcore::Sampling::Seq;
-            if (!seq) {
-                order.resize(n);
-                rlcore::SampleWalker &w = walker[i];
-                w.startEpisode();
-                for (std::size_t k = 0; k < n; ++k) {
-                    order[k] = static_cast<std::uint32_t>(w.next(
-                        [](std::size_t) { return std::size_t{0}; }));
-                }
-            }
-            const auto at = [&](std::size_t k) -> const RecordFields & {
-                return recs[seq ? k : order[k]];
-            };
-
-            // Staging-window misses are value-independent, so the
-            // whole launch's block DMA can be charged up front: walk
-            // the window over whole episodes until an episode ends in
-            // the state it started from — from then on every episode
-            // repeats that miss profile (identical visit order), and
-            // the remainder collapses into one bulk charge. In
-            // practice the window converges at the first or second
-            // episode; convergence is checked, never assumed.
-            {
-                std::size_t bs = never, bl = 0;
-                struct SpanTimes
-                {
-                    std::size_t len;
-                    std::uint64_t times;
-                };
-                std::vector<SpanTimes> misses; // ≤2 lens: block, tail
-                const auto miss = [&](std::size_t len,
-                                      std::uint64_t times) {
-                    for (auto &m : misses) {
-                        if (m.len == len) {
-                            m.times += times;
-                            return;
-                        }
-                    }
-                    misses.push_back({len, times});
-                };
-                std::uint64_t ep_done = 0;
-                while (ep_done < eps) {
-                    const std::size_t bs_in = bs, bl_in = bl;
-                    std::size_t full = 0, tail_len = 0, tails = 0;
-                    for (std::size_t k = 0; k < n; ++k) {
-                        const std::size_t idx = seq ? k : order[k];
-                        if (idx >= bs && idx < bs + bl)
-                            continue;
-                        bs = idx / p.blockTransitions *
-                             p.blockTransitions;
-                        bl = std::min(p.blockTransitions, n - bs);
-                        if (bl == p.blockTransitions) {
-                            ++full;
-                        } else {
-                            tail_len = bl;
-                            ++tails;
-                        }
-                    }
-                    ++ep_done;
-                    // Steady state: this episode's end state equals
-                    // its start state, so all remaining episodes
-                    // repeat this exact profile.
-                    const std::uint64_t reps =
-                        (bs == bs_in && bl == bl_in)
-                            ? 1 + (eps - ep_done)
-                            : 1;
-                    if (full > 0)
-                        miss(p.blockTransitions, full * reps);
-                    if (tails > 0)
-                        miss(tail_len, tails * reps);
-                    ep_done += reps - 1;
-                }
-                for (const auto &m : misses)
-                    ctx.chargeDmaSpanBulk(m.len * kTransitionBytes,
-                                          m.times);
-            }
-
-            if (!sarsa) {
-                // Q-learning consumes no LCG draws, so the shape of
-                // every visit is the record's terminal flag — and each
-                // record is visited exactly once per episode, making
-                // the tallies a closed form. The hot loop is just the
-                // functional updates.
-                for (std::uint64_t ep = 0; ep < eps; ++ep) {
-                    if (seq) {
-                        for (std::size_t k = 0; k < n; ++k)
-                            update(o, q, recs[k]);
-                    } else {
-                        for (std::size_t k = 0; k < n; ++k)
-                            update(o, q, recs[order[k]]);
-                    }
-                }
-                t[kShapeTerminal] += eps * terminal_records;
-                t[kShapeMain] += eps * (n - terminal_records);
-            } else {
-                // SARSA's explore/exploit shape depends on its LCG
-                // draws: classify per visit.
-                for (std::uint64_t ep = 0; ep < eps; ++ep) {
-                    for (std::size_t k = 0; k < n; ++k) {
-                        const RecordFields &f = at(k);
-                        o.draws = 0;
-                        update(o, q, f);
-                        const std::size_t shape =
-                            f.terminal        ? kShapeTerminal
-                            : (o.draws == 2) ? kShapeExplore
-                                              : kShapeMain;
-                        ++t[shape];
-                    }
-                }
-            }
+        const std::size_t terminal_records = decodeChunk(
+            bctx.dpu(i).mramView(p.dataOffset, n * kTransitionBytes), n,
+            recs);
+        std::uint32_t *const lcg = p.lcgStates->data() + core * p.tasklets;
+        Tally tally{};
+        if (hot_path) {
+            ctx.wramAlloc(p.workload.sampling != rlcore::Sampling::Ran
+                              ? p.blockTransitions * kTransitionBytes
+                              : kTransitionBytes);
+            ctx.lcgSeed(lcg[0]);
+            Ops o;
+            o.lcg.seed(lcg[0]);
+            trainSingle<QWord>(ctx, p, sarsa, recs, terminal_records,
+                               order, q, o, tally, update);
+            lcg[0] = o.lcg.state();
         } else {
-            // RAN: the sample index is itself an LCG draw, taken
-            // before the update's own draws exactly as the scalar
-            // fetch-then-update order does.
-            const auto bound = static_cast<std::uint32_t>(n);
-            if (!sarsa) {
-                std::uint64_t term_visits = 0;
-                for (std::uint64_t ep = 0; ep < eps; ++ep) {
-                    for (std::size_t k = 0; k < n; ++k) {
-                        const RecordFields &f =
-                            recs[o.lcg.nextBounded(bound)];
-                        update(o, q, f);
-                        term_visits += f.terminal ? 1 : 0;
-                    }
-                }
-                t[kShapeTerminal] += term_visits;
-                t[kShapeMain] += eps * n - term_visits;
-            } else {
-                for (std::uint64_t ep = 0; ep < eps; ++ep) {
-                    for (std::size_t k = 0; k < n; ++k) {
-                        const RecordFields &f =
-                            recs[o.lcg.nextBounded(bound)];
-                        o.draws = 0;
-                        update(o, q, f);
-                        const std::size_t shape =
-                            f.terminal        ? kShapeTerminal
-                            : (o.draws == 2) ? kShapeExplore
-                                              : kShapeMain;
-                        ++t[shape];
-                    }
-                }
-            }
+            trainInterleaved<QWord>(ctx, p, recs, lcg, order, tasklets,
+                                    q, visits, tally, update);
         }
-    }
+        retireTally(ctx, p, shapes, tally);
 
-    // Retire the tallied charges and write back per lane. Ordering
-    // relative to the loop is immaterial: cycles, op counts and DMA
-    // bytes are integer sums, so any interleaving that preserves the
-    // per-lane totals is bit-identical to the scalar run.
-    for (std::size_t i = 0; i < nlanes; ++i) {
-        pimsim::KernelContext &ctx = bctx.lane(lane[i]);
-        const std::uint64_t records = tally[i][kShapeTerminal] +
-                                      tally[i][kShapeMain] +
-                                      tally[i][kShapeExplore];
-        for (std::size_t s = 0; s < kNumShapes; ++s) {
-            if (tally[i][s] == 0)
-                continue;
-            for (std::size_t c = 0; c < pimsim::kNumOpClasses; ++c) {
-                if (shapes[s][c] != 0)
-                    ctx.chargeBulk(static_cast<pimsim::OpClass>(c),
-                                   shapes[s][c] * tally[i][s]);
-            }
+        // Only the owned slice is written back; halo rows are a stale
+        // read-only snapshot the host refreshes from the aggregate.
+        ctx.wramToMram(p.qOffset, q, own_bytes);
+        if (visits) {
+            ctx.wramToMram(p.visitsOffset, visits,
+                           q_entries * sizeof(std::uint32_t));
         }
-        // Fixed per-record charges outside the update rule, mirrored
-        // from the scalar loop (the parity test enforces the match):
-        //   aluOps(3) + branch   walker/loop bookkeeping
-        //   aluOps(4)            record WRAM reads (fetch tail)
-        //   aluOps(2)            decode: terminal-flag unmask
-        //   block mode: aluOps(2) buffer indexing, every fetch
-        //   RAN: lcgNextBounded draw = Int32Mul x2 + IntAlu x2,
-        //        plus one 16-byte record DMA
-        // Either mode totals 11 IntAlu per record. Episodes add one
-        // branch each (the episode-loop branch).
-        ctx.chargeBulk(pimsim::OpClass::IntAlu, 11 * records);
-        ctx.chargeBulk(pimsim::OpClass::Branch,
-                       records + static_cast<std::uint64_t>(
-                                     p.episodes));
-        if (!block_mode) {
-            ctx.chargeBulk(pimsim::OpClass::Int32Mul, 2 * records);
-            ctx.chargeDmaSpanBulk(kTransitionBytes, records);
-        }
-        ctx.wramToMram(p.qOffset, qPtr[i], ownBytes[i]);
-        (*p.lcgStates)[ctx.dpuId()] = ops[i].lcg.state();
     }
 }
 
 } // namespace
-
-template <typename Ctx>
-void
-runTrainingKernel(Ctx &ctx, const KernelParams &p)
-{
-    using rlcore::Algorithm;
-    using rlcore::NumericFormat;
-
-    SWIFTRL_ASSERT(p.numStates > 0 && p.numActions > 0,
-                   "kernel needs a Q-table shape");
-    const auto scaled = rlcore::ScaledHyper::fromHyper(p.hyper);
-    const auto epsilon_milli = scaled.epsilonMilli;
-    const float alpha = p.hyper.alpha;
-    const float gamma = p.hyper.gamma;
-    const ActionId num_actions = p.numActions;
-
-    if (p.workload.format == NumericFormat::Fp32) {
-        if (p.workload.algo == Algorithm::QLearning) {
-            trainCore<float>(
-                ctx, p,
-                [&](Ctx &c, float *q, const RecordFields &f) {
-                    rlcore::qlearningUpdateFp32(
-                        c, q, num_actions, f.s, f.a,
-                        std::bit_cast<float>(f.rewardBits), f.s2,
-                        f.terminal, alpha, gamma);
-                });
-        } else {
-            trainCore<float>(
-                ctx, p,
-                [&](Ctx &c, float *q, const RecordFields &f) {
-                    rlcore::sarsaUpdateFp32(
-                        c, q, num_actions, f.s, f.a,
-                        std::bit_cast<float>(f.rewardBits), f.s2,
-                        f.terminal, alpha, gamma, epsilon_milli);
-                });
-        }
-        return;
-    }
-
-    if (p.workload.format == NumericFormat::Int8) {
-        const auto pow2 = rlcore::ScaledHyperPow2::fromHyper(p.hyper);
-        if (p.workload.algo == Algorithm::QLearning) {
-            trainCore<std::int32_t>(
-                ctx, p,
-                [&](Ctx &c, std::int32_t *q,
-                    const RecordFields &f) {
-                    rlcore::qlearningUpdateInt8(c, q, num_actions,
-                                                f.s, f.a,
-                                                f.rewardBits, f.s2,
-                                                f.terminal, pow2);
-                });
-        } else {
-            trainCore<std::int32_t>(
-                ctx, p,
-                [&](Ctx &c, std::int32_t *q,
-                    const RecordFields &f) {
-                    rlcore::sarsaUpdateInt8(c, q, num_actions, f.s,
-                                            f.a, f.rewardBits, f.s2,
-                                            f.terminal, pow2);
-                });
-        }
-        return;
-    }
-
-    if (p.workload.algo == Algorithm::QLearning) {
-        trainCore<std::int32_t>(
-            ctx, p,
-            [&](Ctx &c, std::int32_t *q, const RecordFields &f) {
-                rlcore::qlearningUpdateInt32(c, q, num_actions, f.s,
-                                             f.a, f.rewardBits, f.s2,
-                                             f.terminal, scaled);
-            });
-    } else {
-        trainCore<std::int32_t>(
-            ctx, p,
-            [&](Ctx &c, std::int32_t *q, const RecordFields &f) {
-                rlcore::sarsaUpdateInt32(c, q, num_actions, f.s, f.a,
-                                         f.rewardBits, f.s2,
-                                         f.terminal, scaled);
-            });
-    }
-}
-
-// The production engine drives the batched context; the parity test
-// drives the write-through reference. Instantiated here so kernel
-// code stays out of the header while callers link either flavour.
-// Named by policy, not alias: under SWIFTRL_REFERENCE_CHARGING both
-// aliases denote the Reference policy and alias-named instantiations
-// would collide.
-template void
-runTrainingKernel<pimsim::BasicKernelContext<
-    pimsim::ChargePolicy::Batched>>(
-    pimsim::BasicKernelContext<pimsim::ChargePolicy::Batched> &,
-    const KernelParams &);
-template void
-runTrainingKernel<pimsim::BasicKernelContext<
-    pimsim::ChargePolicy::Reference>>(
-    pimsim::BasicKernelContext<pimsim::ChargePolicy::Reference> &,
-    const KernelParams &);
 
 void
 runTrainingKernelBatch(pimsim::BatchKernelContext &batch,

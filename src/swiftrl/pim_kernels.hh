@@ -9,8 +9,8 @@
  *   2. Restore the persistent LCG state.
  *   3. For each episode: walk the chunk in the workload's sampling
  *      order; for each experience, fetch it (block-cached DMA for
- *      SEQ/STR, single-record DMA for RAN) and apply the update rule
- *      through the cycle-charged ops provider.
+ *      SEQ/STR, single-record DMA for RAN) and apply the update rule,
+ *      each priced op charged to the core.
  *   4. DMA the Q-table back to MRAM, persist the LCG state.
  *
  * Functional results are bit-identical to rlcore::trainCpuReference by
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "pimsim/batch_context.hh"
-#include "pimsim/kernel_context.hh"
 #include "rlcore/trainers.hh"
 #include "rlcore/types.hh"
 #include "swiftrl/workload.hh"
@@ -106,36 +105,22 @@ struct KernelParams
 };
 
 /**
- * Kernel entry point, executed once per core by PimSystem::launch.
- * Dispatches on the workload's algorithm and numeric format.
- *
- * Templated on the context type so the charge-ledger parity test can
- * drive the same kernel through a write-through
- * pimsim::ReferenceKernelContext; explicitly instantiated in
- * pim_kernels.cc for both context types — production callers just
- * pass a pimsim::KernelContext.
- */
-template <typename Ctx>
-void runTrainingKernel(Ctx &ctx, const KernelParams &params);
-
-/**
- * Batch-interpreted kernel entry point: trains every lane of a cohort
- * in one lockstep pass instead of interpreting the kernel once per
- * core (see docs/PERFORMANCE.md, "Batch interpretation").
+ * Training-kernel entry point, executed once per cohort chunk by
+ * CommandStream::launchBatch. Dispatches on the workload's algorithm,
+ * numeric format and action count, then trains every lane of the
+ * cohort — one lane at a time — instead of interpreting the kernel
+ * once per core (see docs/PERFORMANCE.md, "Batch interpretation").
  *
  * Functionally and in every modelled quantity — per-core cycles, op
- * counts, DMA bytes, Q-tables, LCG streams — the result is
- * bit-identical to running runTrainingKernel over the same cores with
- * the same KernelParams: the lanes execute the real update-rule
- * templates record by record, while op-class charges are retired as
- * per-lane *shape tallies* multiplied by probe-calibrated per-shape
- * charge profiles (exact, because every update's charge sequence is
- * fully determined by its control-flow shape). The invariant is
- * enforced by tests/test_batch_context.cc across all kernel variants.
- *
- * Preconditions (callers fall back to the scalar path otherwise):
- * params.tasklets == 1 and !params.trackVisits. Sharded layouts are
- * supported.
+ * counts, DMA bytes, Q-tables, visit counts, LCG streams — the result
+ * is bit-identical to interpreting the DPU program once per core:
+ * the lanes execute the real update-rule templates record by record,
+ * while op-class charges are retired as per-lane *shape tallies*
+ * multiplied by probe-calibrated per-shape charge profiles (exact,
+ * because every update's charge sequence is fully determined by its
+ * control-flow shape). tests/test_batch_context.cc enforces the
+ * invariant against a scalar per-core oracle over every kernel
+ * variant, tasklet count, visit tracking and sharded layouts.
  */
 void runTrainingKernelBatch(pimsim::BatchKernelContext &batch,
                             const KernelParams &params);

@@ -51,7 +51,6 @@ PimTrainer::sessionConfig() const
     cfg.epsilonDecay = _config.epsilonDecay;
     cfg.streaming = false;
     cfg.shards = _config.shards;
-    cfg.batchExec = _config.batchExec;
     cfg.metrics = _config.metrics;
     return cfg;
 }
@@ -245,29 +244,16 @@ PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
     // synchronisation rounds (the aggregation step "would be
     // unnecessary in this setting", Sec. 3.2.1).
     params.episodes = _config.hyper.episodes;
-    const pimsim::KernelFn kernel =
-        [&params](pimsim::KernelContext &ctx) {
-            runTrainingKernel(ctx, params);
-        };
-    const pimsim::BatchKernelFn batch_kernel =
+    const pimsim::BatchKernelFn kernel =
         [&params](pimsim::BatchKernelContext &batch) {
             runTrainingKernelBatch(batch, params);
         };
-    // Batch interpretation applies whenever the kernel is
-    // single-tasklet (multi-agent mode never tracks visits); results
-    // are bit-identical to the scalar path either way.
-    const bool use_batch = _config.batchExec && _config.tasklets == 1;
     runWithRecovery(
         stream, _config.retry, "kernel:episodes",
         [&] {
-            return use_batch
-                       ? stream.launchBatch(batch_kernel,
-                                            _config.tasklets,
-                                            TimeBucket::Kernel,
-                                            "kernel:episodes")
-                       : stream.launch(kernel, _config.tasklets,
-                                       TimeBucket::Kernel,
-                                       "kernel:episodes");
+            return stream.launchBatch(kernel, _config.tasklets,
+                                      TimeBucket::Kernel,
+                                      "kernel:episodes");
         },
         [](const pimsim::CommandError &error) {
             // Independent learners are pinned to their cores: there

@@ -67,24 +67,6 @@ struct PimTrainConfig
     unsigned tasklets = 1;
 
     /**
-     * Run eligible kernel launches through the lockstep batch
-     * interpreter (pimsim::BatchKernelContext +
-     * runTrainingKernelBatch) instead of interpreting the kernel once
-     * per core. Eligible means tasklets == 1 and no visit tracking
-     * (weightedAggregation); ineligible launches silently use the
-     * scalar path. Modelled results — Q-tables, cycles, op counts,
-     * DMA bytes — are bit-identical either way (a tested invariant);
-     * only host wall-clock changes. Defaults to the
-     * SWIFTRL_BATCH_EXEC build option.
-     */
-    bool batchExec =
-#ifdef SWIFTRL_BATCH_EXEC
-        true;
-#else
-        false;
-#endif
-
-    /**
      * Fault recovery under an active PimConfig::faultPlan: bounded
      * relaunch with modelled backoff for transient/corruption faults,
      * chunk redistribution over the survivors for permanent dropouts.

@@ -143,14 +143,11 @@ TrainerSession::buildKernel()
     _params.sliceRows = shardedMode() ? _sliceRows : 0;
     _params.haloOffset = _haloOffset;
     _params.haloRows = &_haloRows;
-    // One kernel wrapper for every round and retry: the KernelFn
-    // (a std::function) allocates, so it is built once and reused
-    // rather than reconstructed per launch. It reads the episode
-    // count through _params at call time.
-    _kernel = [this](pimsim::KernelContext &ctx) {
-        runTrainingKernel(ctx, _params);
-    };
-    _batchKernel = [this](pimsim::BatchKernelContext &batch) {
+    // One kernel wrapper for every round and retry: the
+    // BatchKernelFn (a std::function) allocates, so it is built once
+    // and reused rather than reconstructed per launch. It reads the
+    // episode count through _params at call time.
+    _kernel = [this](pimsim::BatchKernelContext &batch) {
         runTrainingKernelBatch(batch, _params);
     };
 }
@@ -574,21 +571,12 @@ TrainerSession::step()
         .attr("episodes", _params.episodes);
     telemetry::ScopedSpanParent ambient(round.id());
 
-    // Batch interpretation when the kernel qualifies (single
-    // tasklet, no visit tracking): one lockstep pass over the live
-    // cohort instead of one interpreter run per core. Either path
-    // produces bit-identical modelled results.
     runWithRecovery(
         *_stream, _config.retry, "kernel:round",
         [&] {
-            return batchEligible()
-                       ? _stream->launchBatch(_batchKernel,
-                                              _config.tasklets,
-                                              TimeBucket::Kernel,
-                                              "kernel:round")
-                       : _stream->launch(_kernel, _config.tasklets,
-                                         TimeBucket::Kernel,
-                                         "kernel:round");
+            return _stream->launchBatch(_kernel, _config.tasklets,
+                                        TimeBucket::Kernel,
+                                        "kernel:round");
         },
         [&](const pimsim::CommandError &) { redistribute(); });
 
@@ -1045,8 +1033,11 @@ class ByteReader
             SWIFTRL_FATAL("checkpoint ", _path,
                           " truncated mid-array");
         std::vector<T> v(count);
-        std::memcpy(v.data(), _bytes.data() + _pos,
-                    count * sizeof(T));
+        // An empty vector's data() may be null, which memcpy forbids
+        // even for zero bytes.
+        if (count > 0)
+            std::memcpy(v.data(), _bytes.data() + _pos,
+                        count * sizeof(T));
         _pos += count * sizeof(T);
         return v;
     }

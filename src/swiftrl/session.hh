@@ -131,21 +131,6 @@ struct SessionConfig
      */
     std::size_t shards = 0;
 
-    /**
-     * Run eligible launches through the lockstep batch interpreter
-     * (see PimTrainConfig::batchExec). Eligible means tasklets == 1
-     * and no visit tracking (weightedAggregation); ineligible
-     * launches silently use the scalar path. Modelled results are
-     * bit-identical either way, so this is NOT checkpoint identity —
-     * a run checkpointed with one setting restores under the other.
-     */
-    bool batchExec =
-#ifdef SWIFTRL_BATCH_EXEC
-        true;
-#else
-        false;
-#endif
-
     /** Telemetry destination (null = off). Observation-only. */
     telemetry::MetricRegistry *metrics = nullptr;
 
@@ -590,15 +575,7 @@ class TrainerSession
     int _traceFaultsSeen = 0;
 
     KernelParams _params;
-    pimsim::KernelFn _kernel;
-    pimsim::BatchKernelFn _batchKernel;
-
-    /** Does the armed kernel qualify for batch interpretation? */
-    bool batchEligible() const
-    {
-        return _config.batchExec && _config.tasklets == 1 &&
-               !_params.trackVisits;
-    }
+    pimsim::BatchKernelFn _kernel;
 };
 
 } // namespace swiftrl

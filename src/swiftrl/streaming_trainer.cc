@@ -63,7 +63,6 @@ StreamingTrainer::sessionConfig() const
     cfg.weightedAggregation = false;
     cfg.epsilonDecay = _config.epsilonDecay;
     cfg.streaming = true;
-    cfg.batchExec = _config.batchExec;
     cfg.metrics = _config.metrics;
     return cfg;
 }

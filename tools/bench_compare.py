@@ -29,8 +29,9 @@ additionally fails when any common workload's host wall-clock
 (``before.wall_sec / after.wall_sec``) must be at least
 ``--min-speedup`` (default 0.9, i.e. up to 10% slack for timer
 noise). Raise the bar (e.g. ``--min-speedup 1.2``) to assert an
-optimisation actually pays off, as the CI perf-smoke job does for
-the batch interpreter.
+optimisation actually pays off; lower it to gate a fresh run against
+rows recorded on another host, as the CI perf-smoke job does against
+the smoke rows of ``BENCH_sim_throughput.json``.
 
 Exit status is 0 when every modelled quantity agrees (and, under
 ``--throughput``, no workload regressed), 1 on drift or regression,
