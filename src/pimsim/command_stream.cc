@@ -221,7 +221,7 @@ CommandStream::pushBroadcast(std::size_t offset,
 
 CommandStatus
 CommandStream::gather(std::size_t offset, std::size_t bytes,
-                      std::vector<std::vector<std::uint8_t>> &out,
+                      std::vector<std::span<const std::uint8_t>> &out,
                       TimeBucket bucket, std::string_view label)
 {
     auto &dpus = _system._dpus;
@@ -229,12 +229,10 @@ CommandStream::gather(std::size_t offset, std::size_t bytes,
     const bool faulty = plan.enabled();
     const std::size_t site = faulty ? _faultSites++ : 0;
 
-    out.assign(dpus.size(), std::vector<std::uint8_t>(bytes));
+    out.assign(dpus.size(), {});
     for (std::size_t i = 0; i < dpus.size(); ++i) {
-        if (_dead[i])
-            continue;
-        if (bytes > 0)
-            dpus[i].mramRead(offset, out[i].data(), bytes);
+        if (!_dead[i])
+            out[i] = {dpus[i].mramView(offset, bytes), bytes};
     }
     const double transfer =
         _system.config().transferModel.pimToCpuSeconds(bytes,
@@ -250,7 +248,8 @@ CommandStream::gather(std::size_t offset, std::size_t bytes,
     // byte flip always changes an FNV-1a digest, so only fated
     // chunks need the send/recompute pair — unaffected chunks verify
     // clean by construction (their modelled verify time is charged
-    // below either way).
+    // below either way). The flip lands on a scratch copy of the
+    // chunk, never on the bank the view aliases.
     std::vector<std::size_t> &corrupted = _faultScratchA;
     corrupted.clear();
     for (std::size_t i = 0; i < dpus.size(); ++i) {
@@ -258,9 +257,10 @@ CommandStream::gather(std::size_t offset, std::size_t bytes,
             continue;
         if (!plan.fires(FaultKind::CorruptGather, site, i))
             continue;
-        const std::uint64_t sent = chunkChecksum(out[i]);
-        out[i][0] ^= 0xFFu;
-        if (chunkChecksum(out[i]) != sent)
+        std::vector<std::uint8_t> wire(out[i].begin(), out[i].end());
+        const std::uint64_t sent = chunkChecksum(wire);
+        wire[0] ^= 0xFFu;
+        if (chunkChecksum(wire) != sent)
             corrupted.push_back(i);
     }
     const double verify = checksumSeconds(bytes * _liveCount);

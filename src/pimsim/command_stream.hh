@@ -147,18 +147,26 @@ class CommandStream
                          std::string_view label = "broadcast");
 
     /**
-     * Gather @p bytes from every core's MRAM at @p offset into
-     * @p out (resized to one payload per core; dropped cores'
-     * entries stay zero-filled — filter with isDead()).
+     * Gather @p bytes from every core's MRAM at @p offset as read-only
+     * views into the banks: @p out gets one span per core, aliasing
+     * Dpu::mramView — no payload is copied. A dropped core's span is
+     * empty (filter with isDead()); never-written bytes read as zero.
+     * A view stays valid until the next write to its bank (any later
+     * scatter, broadcast, kernel launch or poke). Reading a range past
+     * a bank's buffer end grows the bank, so a gather can also
+     * invalidate views an *earlier* gather took of that bank: a caller
+     * that holds views across two gathers must re-take the older ones
+     * (Dpu::mram) before reading them.
      *
      * A fault site. While the fault plan is active every received
      * chunk is checksum-verified (charged to the Recovery track);
      * on a mismatch the whole gather is discarded (@p out cleared)
-     * and a CorruptGather error returned — the banks are intact, so
-     * a retry re-reads them cleanly.
+     * and a CorruptGather error returned — the wire corruption is
+     * modelled on a scratch copy, so the banks stay intact and a
+     * retry re-reads them cleanly.
      */
     CommandStatus gather(std::size_t offset, std::size_t bytes,
-                         std::vector<std::vector<std::uint8_t>> &out,
+                         std::vector<std::span<const std::uint8_t>> &out,
                          TimeBucket bucket = TimeBucket::PimToCpu,
                          std::string_view label = "gather");
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pimsim/cost_model.hh"
@@ -52,11 +53,19 @@ class Dpu
     /**
      * Raw read-only view of MRAM bytes [offset, offset + bytes).
      * Grows the lazy buffer (zero-filled) first, so never-written
-     * ranges read as zero exactly like mramRead. The pointer stays
-     * valid until a write past the current buffer end triggers
-     * growth; callers that interleave writes must re-acquire. Fatal
-     * past the bank capacity. Used by the batch interpreter to avoid
-     * staging copies of the read-only transition region.
+     * ranges read as zero exactly like mramRead. Fatal past the bank
+     * capacity.
+     *
+     * Invalidation rule: treat the view as dead after the next write
+     * to this bank (mramWrite), and after any later mramView — a
+     * gather included — reaching past the current buffer end: either
+     * may grow and reallocate the buffer. A write inside the buffer
+     * only changes the viewed bytes, but no caller may rely on that.
+     *
+     * Callers: the batch interpreter reads the transition region in
+     * place during a launch, and CommandStream::gather hands these
+     * views out as the gathered payloads, which the session's
+     * aggregation decodes in place before the next broadcast.
      */
     const std::uint8_t *
     mramView(std::size_t offset, std::size_t bytes)
@@ -64,6 +73,15 @@ class Dpu
         ensure(offset + bytes);
         return _mram.data() + offset;
     }
+
+    /**
+     * The bank's current lazy buffer: every byte written or viewed so
+     * far, starting at offset 0. Never grows the bank and charges
+     * nothing; same invalidation rule as mramView. Lets a caller
+     * re-take a view after a later access grew the bank, or check
+     * that an old view still lies inside it.
+     */
+    std::span<const std::uint8_t> mram() const { return _mram; }
 
     /** Total cycles this core has consumed. */
     Cycles cycles() const { return _cycles; }

@@ -87,14 +87,19 @@ double
 PimSystem::gather(std::size_t offset, std::size_t bytes,
                   std::vector<std::vector<std::uint8_t>> &out)
 {
+    std::vector<std::span<const std::uint8_t>> views;
     const CommandStatus status =
-        defaultStream().gather(offset, bytes, out);
+        defaultStream().gather(offset, bytes, views);
     if (!status.ok())
         SWIFTRL_FATAL("gather failed (", faultKindName(
                           status.error->kind),
                       " at fault site ", status.error->site,
                       ") and the blocking API has no recovery path; "
                       "drive a CommandStream with a RetryPolicy");
+    // Copy out of the bank views; dropped cores stay zero-filled.
+    out.assign(views.size(), std::vector<std::uint8_t>(bytes));
+    for (std::size_t i = 0; i < views.size(); ++i)
+        std::copy(views[i].begin(), views[i].end(), out[i].begin());
     return status.seconds;
 }
 

@@ -146,7 +146,9 @@ class PimSystem
 
     /**
      * Gather @p bytes from every core's MRAM at @p offset into
-     * @p out (resized to numDpus() payloads).
+     * @p out (resized to numDpus() payloads). Unlike
+     * CommandStream::gather, which hands out bank views, the blocking
+     * wrapper copies the payloads out.
      *
      * The blocking wrapper has no recovery path: if the default
      * stream reports a fault it dies loudly. Fault-tolerant code

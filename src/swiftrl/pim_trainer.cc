@@ -195,11 +195,10 @@ PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
                       "agent; sharding does not apply");
     }
 
-    const std::size_t q_bytes =
-        static_cast<std::size_t>(num_states) *
-        static_cast<std::size_t>(num_actions) *
-        rlcore::kQWireBytesPerEntry;
-    _dataOffsetCache = dataOffset(q_bytes);
+    const std::size_t entries = static_cast<std::size_t>(num_states) *
+                                static_cast<std::size_t>(num_actions);
+    _dataOffsetCache =
+        dataOffset(entries * rlcore::kQWireBytesPerEntry);
 
     PimTrainResult result;
     result.coresUsed = n;
@@ -265,9 +264,14 @@ PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
                           "redistributed");
         });
 
-    result.perCore = _qio.gatherQTables(
-        stream, num_states, num_actions, TimeBucket::PimToCpu,
-        &_config.retry);
+    std::vector<std::span<const std::uint8_t>> views;
+    _qio.gatherWires(stream, entries, TimeBucket::PimToCpu, "gather:q",
+                     _config.retry, views);
+    // Each agent deploys its own table, decoded from its bank view.
+    result.perCore.reserve(views.size());
+    for (const auto &wire : views)
+        result.perCore.push_back(
+            _qio.decodeTable(wire, num_states, num_actions));
     // finalQ kept as the average for convenience (diagnostics only;
     // each agent deploys its own table).
     result.finalQ = QTable::average(result.perCore);

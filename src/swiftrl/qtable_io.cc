@@ -1,5 +1,6 @@
 #include "swiftrl/qtable_io.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "pimsim/pim_system.hh"
@@ -55,16 +56,13 @@ QTableIo::initQTables(pimsim::CommandStream &stream, StateId ns,
                          "broadcast:qinit");
 }
 
-std::vector<QTable>
-QTableIo::gatherQTables(pimsim::CommandStream &stream, StateId ns,
-                        ActionId na, TimeBucket bucket,
-                        const RetryPolicy *retry) const
+void
+QTableIo::gatherWires(pimsim::CommandStream &stream,
+                      std::size_t entries, TimeBucket bucket,
+                      std::string_view label, const RetryPolicy &retry,
+                      std::vector<std::span<const std::uint8_t>> &views)
+    const
 {
-    const std::size_t entries = static_cast<std::size_t>(ns) *
-                                static_cast<std::size_t>(na);
-    const std::size_t q_bytes =
-        entries * rlcore::kQWireBytesPerEntry;
-    std::vector<std::vector<std::uint8_t>> raw;
     // INT32 kernels descale their tables to FP32 on-core before the
     // transfer (Sec. 4.2); the conversion runs in parallel on all
     // cores, so it costs one per-core table pass. Charged once even
@@ -74,40 +72,52 @@ QTableIo::gatherQTables(pimsim::CommandStream &stream, StateId ns,
         conversionSeconds(stream, entries, /*to_float=*/true);
     if (convert > 0.0)
         stream.onCoreCompute(convert, bucket, "convert:descale");
-    // No policy = no recovery: a single fault is then fatal.
-    static constexpr RetryPolicy kNoRetries{.limit = 0};
     runWithRecovery(
-        stream, retry ? *retry : kNoRetries, "gather:q",
+        stream, retry, label,
         [&] {
-            return stream.gather(qOffset(), q_bytes, raw, bucket,
-                                 "gather:q");
+            return stream.gather(qOffset(),
+                                 entries * rlcore::kQWireBytesPerEntry,
+                                 views, bucket, label);
         },
         [](const pimsim::CommandError &) {
             SWIFTRL_PANIC("gathers cannot drop cores");
         });
+}
 
-    std::vector<QTable> tables;
-    tables.reserve(raw.size());
-    for (const auto &bytes : raw) {
-        QTable t(ns, na);
-        if (_workload.format == NumericFormat::Fp32) {
-            std::memcpy(t.values().data(), bytes.data(), q_bytes);
-        } else {
-            // Functional descale in double precision: exact for every
-            // raw value below 2^53, so a 1-core run roundtrips
-            // bit-perfectly (the modelled cost above is what the
-            // on-core float conversion would take).
-            const auto *fixed =
-                reinterpret_cast<const std::int32_t *>(bytes.data());
-            for (std::size_t i = 0; i < entries; ++i) {
-                t.values()[i] = static_cast<float>(
-                    static_cast<double>(fixed[i]) /
-                    static_cast<double>(fixedScale()));
-            }
-        }
-        tables.push_back(std::move(t));
+std::size_t
+QTableIo::meanOfWires(
+    std::span<const std::span<const std::uint8_t>> group,
+    std::span<float> out) const
+{
+    std::fill(out.begin(), out.end(), 0.0f);
+    std::size_t live = 0;
+    for (const auto &wire : group) {
+        if (wire.empty())
+            continue;
+        SWIFTRL_ASSERT(wire.size() ==
+                           out.size() * rlcore::kQWireBytesPerEntry,
+                       "gathered Q wire size mismatch");
+        decodeWire(wire, [out](std::size_t i, float v) { out[i] += v; });
+        ++live;
     }
-    return tables;
+    SWIFTRL_ASSERT(live > 0, "mean over a group with no live core");
+    const float inv = 1.0f / static_cast<float>(live);
+    for (float &v : out)
+        v *= inv;
+    return live;
+}
+
+QTable
+QTableIo::decodeTable(std::span<const std::uint8_t> wire, StateId ns,
+                      ActionId na) const
+{
+    QTable t(ns, na);
+    if (wire.empty())
+        return t;
+    SWIFTRL_ASSERT(wire.size() == t.byteSize(),
+                   "gathered Q wire size mismatch");
+    decodeWire(wire, [&t](std::size_t i, float v) { t.values()[i] = v; });
+    return t;
 }
 
 std::vector<std::uint8_t>

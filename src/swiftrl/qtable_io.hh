@@ -1,11 +1,11 @@
 /**
  * @file
  * Q-table wire I/O shared by the offline (PimTrainer) and streaming
- * (StreamingTrainer) trainers: initialising, gathering, and
- * broadcasting Q-tables over a command stream, including the on-core
- * fixed-point<->FP32 conversion the paper describes flanking every
- * transfer ("convert the values back from INT32 to FP32 ... before
- * the PIM cores transfer", Sec. 4.2).
+ * (StreamingTrainer) trainers: initialising, gathering, decoding,
+ * averaging, and broadcasting Q-tables over a command stream,
+ * including the on-core fixed-point<->FP32 conversion the paper
+ * describes flanking every transfer ("convert the values back from
+ * INT32 to FP32 ... before the PIM cores transfer", Sec. 4.2).
  *
  * Extracting this from PimTrainer keeps the two trainers' transfers
  * byte- and cycle-identical by construction: same packing, same
@@ -16,6 +16,8 @@
 #define SWIFTRL_SWIFTRL_QTABLE_IO_HH
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -73,20 +75,73 @@ class QTableIo
                      rlcore::ActionId num_actions) const;
 
     /**
-     * Gather all per-core Q-tables (functional + timing), including
-     * the on-core descale-to-FP32 step, charged to @p bucket.
-     * Dropped cores' tables come back zero-filled — filter with
-     * CommandStream::isDead before aggregating.
+     * Gather every core's @p entries-entry Q wire at qOffset() as
+     * bank views (CommandStream::gather: one span per core, empty for
+     * a dropped core, valid until the next write to that bank),
+     * including the on-core descale-to-FP32 step, charged to
+     * @p bucket under @p label.
      *
      * A corrupted gather is retried under @p retry (the on-core
      * conversion is *not* redone — the converted table still sits in
-     * the bank, only the wire transfer failed). With no policy, or
-     * once its limit is exhausted, the run dies loudly.
+     * the bank, only the wire transfer failed). Once the policy's
+     * limit is exhausted the run dies loudly.
      */
-    std::vector<rlcore::QTable> gatherQTables(
-        pimsim::CommandStream &stream, rlcore::StateId num_states,
-        rlcore::ActionId num_actions, pimsim::TimeBucket bucket,
-        const RetryPolicy *retry = nullptr) const;
+    void gatherWires(pimsim::CommandStream &stream, std::size_t entries,
+                     pimsim::TimeBucket bucket, std::string_view label,
+                     const RetryPolicy &retry,
+                     std::vector<std::span<const std::uint8_t>> &views)
+        const;
+
+    /**
+     * Decode one Q wire entry by entry, calling fn(i, value) in
+     * ascending i. FP32 wires are reinterpreted; fixed-point wires
+     * are descaled in double precision — float(double(raw) /
+     * double(scale)), exact for every raw value below 2^53, so a
+     * 1-core run roundtrips bit-perfectly (conversionSeconds is what
+     * the on-core float conversion would take).
+     */
+    template <typename Fn>
+    void
+    decodeWire(std::span<const std::uint8_t> wire, Fn &&fn) const
+    {
+        const std::size_t entries =
+            wire.size() / rlcore::kQWireBytesPerEntry;
+        const std::uint8_t *p = wire.data();
+        if (_workload.format == rlcore::NumericFormat::Fp32) {
+            for (std::size_t i = 0; i < entries; ++i) {
+                float v;
+                std::memcpy(&v, p + i * sizeof v, sizeof v);
+                fn(i, v);
+            }
+            return;
+        }
+        const double scale = static_cast<double>(fixedScale());
+        for (std::size_t i = 0; i < entries; ++i) {
+            std::int32_t raw;
+            std::memcpy(&raw, p + i * sizeof raw, sizeof raw);
+            fn(i, static_cast<float>(static_cast<double>(raw) / scale));
+        }
+    }
+
+    /**
+     * Fused decode-and-mean of one gathered core group: walks the
+     * group's live cores (non-empty views) in ascending order, adds
+     * each view's decoded entries into @p out (zeroed first), then
+     * scales once by 1/live — exactly QTable::average's per-entry
+     * operations over the decoded tables, so the result is
+     * bit-identical to it, without materialising any table.
+     * Every live view must hold out.size() entries.
+     * @return the number of live cores averaged (at least one).
+     */
+    std::size_t
+    meanOfWires(std::span<const std::span<const std::uint8_t>> group,
+                std::span<float> out) const;
+
+    /** Decode one Q wire to a table; an empty view (a dropped core)
+     *  decodes to zeros. */
+    rlcore::QTable decodeTable(std::span<const std::uint8_t> wire,
+                               rlcore::StateId num_states,
+                               rlcore::ActionId num_actions) const;
 
     /**
      * Broadcast one Q-table to every core's MRAM Q region, including

@@ -21,6 +21,20 @@ using rlcore::NumericFormat;
 using rlcore::QTable;
 using rlcore::StateId;
 
+namespace {
+
+/** True while @p view lies inside @p bank (a Dpu::mram() buffer). */
+bool
+viewInside(std::span<const std::uint8_t> view,
+           std::span<const std::uint8_t> bank)
+{
+    const auto v = reinterpret_cast<std::uintptr_t>(view.data());
+    const auto b = reinterpret_cast<std::uintptr_t>(bank.data());
+    return v >= b && v + view.size() <= b + bank.size();
+}
+
+} // namespace
+
 TrainerSession::TrainerSession(pimsim::PimSystem &system,
                                SessionConfig config)
     : _system(system), _config(std::move(config)),
@@ -398,58 +412,30 @@ TrainerSession::pushShardHalos(TimeBucket bucket,
 std::size_t
 TrainerSession::shardedAggregate()
 {
-    // On-core descale of each slice before the wire transfer, as in
-    // the unsharded gather but over slice entries only.
-    const double convert =
-        _qio.conversionSeconds(*_stream, _sliceEntries,
-                               /*to_float=*/true);
-    if (convert > 0.0)
-        _stream->onCoreCompute(convert, TimeBucket::InterCore,
-                               "convert:descale");
-    std::vector<std::vector<std::uint8_t>> raw;
-    runWithRecovery(
-        *_stream, _config.retry, "gather:slices",
-        [&] {
-            return _stream->gather(
-                _qio.qOffset(),
-                _sliceEntries * rlcore::kQWireBytesPerEntry, raw,
-                TimeBucket::InterCore, "gather:slices");
-        },
-        [](const pimsim::CommandError &) {
-            SWIFTRL_PANIC("gathers cannot drop cores");
-        });
+    // Descale + gather of each core's slice, as in the unsharded
+    // gather but over slice entries only.
+    std::vector<std::span<const std::uint8_t>> slices;
+    _qio.gatherWires(*_stream, _sliceEntries, TimeBucket::InterCore,
+                     "gather:slices", _config.retry, slices);
 
-    const bool fp32 = _config.workload.format == NumericFormat::Fp32;
-    const std::int32_t scale = _qio.fixedScale();
+    const std::span<const std::span<const std::uint8_t>> views(slices);
     const std::size_t row_entries =
         static_cast<std::size_t>(_numActions);
+    std::vector<float> mean(_sliceEntries);
     std::size_t deepest = 0;
     for (std::size_t s = 0; s < _plan->map.numShards(); ++s) {
-        // Sum the live replica slices in ascending core order, then
-        // scale once by 1/liveCount — the exact op order of
-        // QTable::average, so a one-shard run aggregates
-        // bit-identically to the unsharded path.
-        std::vector<float> sum(_sliceEntries, 0.0f);
-        std::size_t live = 0;
-        for (const std::size_t core : _plan->coresOfShard[s]) {
-            if (_stream->isDead(core))
-                continue;
-            const auto decoded = decodeSliceWire(
-                raw[core], _sliceEntries, fp32, scale);
-            for (std::size_t i = 0; i < _sliceEntries; ++i)
-                sum[i] += decoded[i];
-            ++live;
-        }
-        SWIFTRL_ASSERT(live > 0, "shard ", s,
-                       " has no live replica to aggregate");
-        const float inv = 1.0f / static_cast<float>(live);
-        for (float &v : sum)
-            v *= inv;
+        // A shard's replica group is a contiguous core range; the
+        // fused mean over its slice views has QTable::average's exact
+        // op order, so a one-shard run aggregates bit-identically to
+        // the unsharded path.
+        const auto &group = _plan->coresOfShard[s];
+        const std::size_t live = _qio.meanOfWires(
+            views.subspan(group.front(), group.size()), mean);
         deepest = std::max(deepest, live);
         // Only the real (un-padded) rows flow back to the aggregate.
         const StateId base = _plan->map.firstState(s);
         const StateId owned = _plan->map.ownedRows(s);
-        std::copy_n(sum.begin(),
+        std::copy_n(mean.begin(),
                     static_cast<std::size_t>(owned) * row_entries,
                     _aggregated.values().begin() +
                         static_cast<std::size_t>(base) * row_entries);
@@ -585,40 +571,40 @@ TrainerSession::step()
     if (shardedMode()) {
         deepest_group = shardedAggregate();
     } else {
-        auto tables = _qio.gatherQTables(*_stream, _numStates,
-                                         _numActions,
-                                         TimeBucket::InterCore,
-                                         &_config.retry);
+        std::vector<std::span<const std::uint8_t>> q_views;
+        _qio.gatherWires(*_stream, _entries, TimeBucket::InterCore,
+                         "gather:q", _config.retry, q_views);
         if (_config.weightedAggregation) {
             // Extra gather of the per-core visit counts, then a
             // count-weighted mean with fallback to the previous
             // aggregate for entries no core visited this round.
-            // Dropped cores come back zero-filled with zero counts,
-            // so they carry no weight.
-            std::vector<std::vector<std::uint8_t>> raw_counts;
+            std::vector<std::span<const std::uint8_t>> visit_views;
             runWithRecovery(
                 *_stream, _config.retry, "gather:visits",
                 [&] {
                     return _stream->gather(
                         _visitsOffset,
                         _entries * rlcore::kQWireBytesPerEntry,
-                        raw_counts, TimeBucket::InterCore,
+                        visit_views, TimeBucket::InterCore,
                         "gather:visits");
                 },
                 [](const pimsim::CommandError &) {
                     SWIFTRL_PANIC("gathers cannot drop cores");
                 });
-            _aggregated = weightedAverage(tables, raw_counts, previous);
-        } else {
-            // Plain mean over the *surviving* cores only; a dropped
-            // core's zero-filled placeholder must not dilute it.
-            std::vector<QTable> live_tables;
-            live_tables.reserve(_stream->liveDpuCount());
-            for (std::size_t i = 0; i < tables.size(); ++i) {
-                if (!_stream->isDead(i))
-                    live_tables.push_back(std::move(tables[i]));
+            // A live core whose chunk was empty never ran the kernel,
+            // so its visit region was never written and the visits
+            // gather just grew (and may have moved) that bank under
+            // its Q view: re-take the Q views, uncharged.
+            for (std::size_t core = 0; core < q_views.size(); ++core) {
+                if (!q_views[core].empty())
+                    q_views[core] = _system.dpu(core).mram().subspan(
+                        _qio.qOffset(), q_views[core].size());
             }
-            _aggregated = QTable::average(live_tables);
+            weightedAverage(q_views, visit_views, previous);
+        } else {
+            // Plain mean over the *surviving* cores only: a dropped
+            // core's view is empty, so it cannot dilute the mean.
+            _qio.meanOfWires(q_views, _aggregated.values());
         }
     }
     const float delta = QTable::maxAbsDifference(_aggregated, previous);
@@ -723,38 +709,46 @@ TrainerSession::finishRetrieval()
     _state = SessionState::Done;
 }
 
-QTable
+void
 TrainerSession::weightedAverage(
-    const std::vector<QTable> &tables,
-    const std::vector<std::vector<std::uint8_t>> &raw_counts,
-    const QTable &previous) const
+    const std::vector<std::span<const std::uint8_t>> &q_views,
+    const std::vector<std::span<const std::uint8_t>> &visit_views,
+    const QTable &previous)
 {
-    SWIFTRL_ASSERT(tables.size() == raw_counts.size(),
-                   "one count table per Q-table required");
-    QTable out(previous.numStates(), previous.numActions());
-    const std::size_t entries = out.entryCount();
+    const std::size_t entries = _entries;
     std::vector<double> numerator(entries, 0.0);
     std::vector<double> denominator(entries, 0.0);
 
-    for (std::size_t core = 0; core < tables.size(); ++core) {
-        SWIFTRL_ASSERT(raw_counts[core].size() == entries * 4,
+    // Both gathers alias the same banks, so every Q view must still
+    // lie inside its bank's current buffer (the caller re-took them
+    // after the visits gather). Dropped cores have empty views and
+    // carry no weight.
+    for (std::size_t core = 0; core < q_views.size(); ++core) {
+        const auto counts = visit_views[core];
+        if (counts.empty())
+            continue;
+        SWIFTRL_ASSERT(counts.size() ==
+                           entries * rlcore::kQWireBytesPerEntry,
                        "count table size mismatch");
-        const auto *counts = reinterpret_cast<const std::uint32_t *>(
-            raw_counts[core].data());
-        for (std::size_t i = 0; i < entries; ++i) {
-            const double w = counts[i];
-            numerator[i] +=
-                w * static_cast<double>(tables[core].values()[i]);
+        SWIFTRL_ASSERT(viewInside(q_views[core],
+                                  _system.dpu(core).mram()),
+                       "core ", core,
+                       ": Q view outlived its bank buffer");
+        _qio.decodeWire(q_views[core], [&](std::size_t i, float q) {
+            std::uint32_t raw;
+            std::memcpy(&raw, counts.data() + i * sizeof raw,
+                        sizeof raw);
+            const double w = raw;
+            numerator[i] += w * static_cast<double>(q);
             denominator[i] += w;
-        }
+        });
     }
     for (std::size_t i = 0; i < entries; ++i) {
-        out.values()[i] =
+        _aggregated.values()[i] =
             denominator[i] > 0.0
                 ? static_cast<float>(numerator[i] / denominator[i])
                 : previous.values()[i];
     }
-    return out;
 }
 
 TimeBreakdown

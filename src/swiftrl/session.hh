@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -443,6 +444,10 @@ class TrainerSession
     /** MRAM byte offset of the transition region. */
     std::size_t dataOffset() const { return _dataOffset; }
 
+    /** MRAM byte offset of the per-core visit-count region (weighted
+     *  aggregation only). */
+    std::size_t visitsOffset() const { return _visitsOffset; }
+
   private:
     /** Shared begin work: stream + collector + LCG seeding. */
     void start(rlcore::StateId num_states,
@@ -512,11 +517,16 @@ class TrainerSession
      */
     std::size_t shardedAggregate();
 
-    /** Visit-count-weighted mean (offline weighted aggregation). */
-    rlcore::QTable weightedAverage(
-        const std::vector<rlcore::QTable> &tables,
-        const std::vector<std::vector<std::uint8_t>> &raw_counts,
-        const rlcore::QTable &previous) const;
+    /**
+     * Visit-count-weighted mean (offline weighted aggregation) into
+     * _aggregated, decoding the gathered @p q_views and reading the
+     * @p visit_views in place; entries no core visited keep
+     * @p previous.
+     */
+    void weightedAverage(
+        const std::vector<std::span<const std::uint8_t>> &q_views,
+        const std::vector<std::span<const std::uint8_t>> &visit_views,
+        const rlcore::QTable &previous);
 
     /** Shared restore work: identity check + engine + learner. */
     void adopt(const SessionCheckpoint &ck);

@@ -214,29 +214,6 @@ packHaloWire(const QTableIo &qio, const QTable &aggregated,
     return qio.packWire(rows);
 }
 
-std::vector<float>
-decodeSliceWire(const std::vector<std::uint8_t> &bytes,
-                std::size_t entries, bool fp32, std::int32_t scale)
-{
-    SWIFTRL_ASSERT(bytes.size() == entries * rlcore::kQWireBytesPerEntry,
-                   "slice wire size mismatch");
-    std::vector<float> out(entries);
-    if (fp32) {
-        std::memcpy(out.data(), bytes.data(), bytes.size());
-    } else {
-        // Same double-precision descale as QTableIo::gatherQTables,
-        // so a 1-shard gather decodes bit-identically.
-        SWIFTRL_ASSERT(scale > 0, "scale factor must be positive");
-        const auto *fixed =
-            reinterpret_cast<const std::int32_t *>(bytes.data());
-        for (std::size_t i = 0; i < entries; ++i) {
-            out[i] = static_cast<float>(static_cast<double>(fixed[i]) /
-                                        static_cast<double>(scale));
-        }
-    }
-    return out;
-}
-
 std::size_t
 shardedMramDemandBound(StateId num_states, ActionId num_actions,
                        std::size_t num_shards, std::size_t transitions)

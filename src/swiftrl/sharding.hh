@@ -134,15 +134,6 @@ packHaloWire(const QTableIo &qio, const rlcore::QTable &aggregated,
              rlcore::ActionId num_actions);
 
 /**
- * Decode one gathered slice back to floats — the same per-entry
- * expressions as QTableIo::gatherQTables, so a 1-shard run decodes
- * bit-identically to the unsharded gather.
- */
-std::vector<float>
-decodeSliceWire(const std::vector<std::uint8_t> &bytes,
-                std::size_t entries, bool fp32, std::int32_t scale);
-
-/**
  * Conservative per-core MRAM demand upper bound for a sharded run:
  * slice + a data region reserved for the whole dataset (after
  * dropouts one surviving replica can inherit its shard's entire

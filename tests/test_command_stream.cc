@@ -7,6 +7,10 @@
  *    non-overlapping intervals whose durations sum to sync();
  *  - the timing-only gather charges exactly what the functional one
  *    does (and validates the range the same way);
+ *  - the functional gather hands out bank views: empty for a dead
+ *    core, zeros for never-written MRAM, and under a fault plan the
+ *    same sites, charges and events as a copying gather, with a
+ *    corrupted chunk flipped on a scratch copy, never in the bank;
  *  - the trainer's reported TimeBreakdown is derived from — and hence
  *    always agrees with — its result timeline;
  *  - the exported Chrome trace JSON holds one "X" slice per command,
@@ -15,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "swiftrl/swiftrl.hh"
@@ -112,14 +117,14 @@ TEST(CommandStream, TimedGatherChargesExactlyTheFunctionalCost)
     const auto payload = pattern(512, 7);
     stream.pushBroadcast(0, payload);
 
-    std::vector<std::vector<std::uint8_t>> out;
+    std::vector<std::span<const std::uint8_t>> out;
     const auto status = stream.gather(0, payload.size(), out);
     ASSERT_TRUE(status.ok());
     const double functional = status.seconds;
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_TRUE(std::ranges::equal(out[0], payload));
     const double timed = stream.gatherTimed(0, payload.size());
     EXPECT_EQ(timed, functional);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0], payload);
 
     // Both gathers were recorded as events on the same track.
     EXPECT_EQ(stream.timeline().size(), 3u);
@@ -140,9 +145,149 @@ TEST(CommandStream, StreamsOnOneSystemKeepIndependentClocks)
     EXPECT_TRUE(b.timeline().empty());
 
     // Functional state is shared: stream b reads what a wrote.
-    std::vector<std::vector<std::uint8_t>> out;
+    std::vector<std::span<const std::uint8_t>> out;
     b.gather(0, payload.size(), out);
-    EXPECT_EQ(out[1], payload);
+    EXPECT_TRUE(std::ranges::equal(out[1], payload));
+}
+
+// --- gather contract: bank views ------------------------------------
+
+using swiftrl::pimsim::FaultKind;
+
+/** A 4-core system whose fault plan fires only @p faults. */
+PimSystem
+makeFaultySystem(std::vector<swiftrl::pimsim::ScheduledFault> faults)
+{
+    PimConfig cfg;
+    cfg.numDpus = 4;
+    cfg.mramBytesPerDpu = 1u << 20;
+    cfg.faultPlan.scheduled = std::move(faults);
+    return PimSystem(cfg);
+}
+
+/** Modelled transfer and checksum-verify seconds of one gather. */
+std::pair<double, double>
+gatherCharges(const PimSystem &system, std::size_t bytes,
+              std::size_t live)
+{
+    const auto &cfg = system.config();
+    return {cfg.transferModel.pimToCpuSeconds(bytes, live),
+            cfg.faultPlan.checksumSecPerByte *
+                static_cast<double>(bytes * live)};
+}
+
+TEST(CommandStreamGather, DeadCoreYieldsAnEmptyView)
+{
+    // Site 0 (the launch) drops core 2; the gather at site 1 then
+    // hands out views for the three survivors only.
+    auto system = makeFaultySystem(
+        {{FaultKind::PermanentDropout, /*site=*/0, /*dpu=*/2}});
+    CommandStream stream(system);
+    const auto payload = pattern(128, 9);
+    stream.pushBroadcast(0, payload);
+    const auto launched = stream.launch(
+        [](swiftrl::pimsim::KernelContext &ctx) { ctx.aluOps(10); });
+    ASSERT_FALSE(launched.ok());
+    ASSERT_TRUE(stream.isDead(2));
+
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(0, payload.size(), out).ok());
+    ASSERT_EQ(out.size(), 4u);
+    EXPECT_TRUE(out[2].empty());
+    for (const std::size_t i : {0u, 1u, 3u})
+        EXPECT_TRUE(std::ranges::equal(out[i], payload)) << "core " << i;
+}
+
+TEST(CommandStreamGather, NeverWrittenRangeReadsAsZeros)
+{
+    auto system = makeSystem(2);
+    CommandStream stream(system);
+    stream.pushBroadcast(0, pattern(64, 1));
+
+    // Far past anything written: the view grows the lazy bank and
+    // reads zeros, exactly like the copying mramRead.
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(512 * 1024, 256, out).ok());
+    ASSERT_EQ(out.size(), 2u);
+    for (const auto &view : out) {
+        ASSERT_EQ(view.size(), 256u);
+        EXPECT_TRUE(std::ranges::all_of(
+            view, [](std::uint8_t b) { return b == 0; }));
+    }
+}
+
+TEST(CommandStreamGather, CorruptGatherDiscardsViewsAndKeepsBanks)
+{
+    auto system = makeFaultySystem(
+        {{FaultKind::CorruptGather, /*site=*/0, /*dpu=*/1}});
+    CommandStream stream(system);
+    const auto payload = pattern(300, 4);
+    stream.pushBroadcast(0, payload);
+    const std::size_t events = stream.timeline().size();
+
+    std::vector<std::span<const std::uint8_t>> out;
+    const auto status = stream.gather(0, payload.size(), out);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error->kind, FaultKind::CorruptGather);
+    EXPECT_EQ(status.error->site, 0u);
+    EXPECT_EQ(status.error->dpus, std::vector<std::size_t>{1});
+    EXPECT_EQ(stream.faultSitesUsed(), 1u);
+    EXPECT_TRUE(out.empty());
+
+    // One Recovery event carrying transfer + verify.
+    const auto [transfer, verify] =
+        gatherCharges(system, payload.size(), 4);
+    ASSERT_EQ(stream.timeline().size(), events + 1);
+    const auto &fault = stream.timeline().events().back();
+    EXPECT_EQ(fault.phase, Phase::Recovery);
+    EXPECT_EQ(fault.bucket, TimeBucket::Recovery);
+    EXPECT_EQ(fault.label, "fault:corrupt-gather");
+    EXPECT_EQ(fault.end, fault.start + (transfer + verify));
+    EXPECT_EQ(status.seconds, transfer + verify);
+
+    // The flip hit a scratch copy, not the bank: the retry at the
+    // next site reads the broadcast payload intact.
+    ASSERT_TRUE(stream.gather(0, payload.size(), out).ok());
+    EXPECT_EQ(stream.faultSitesUsed(), 2u);
+    EXPECT_TRUE(std::ranges::equal(out[1], payload));
+}
+
+TEST(CommandStreamGather, CleanFaultyPlanGatherRecordsChecksumVerify)
+{
+    // An active plan that never fires at this site: the gather still
+    // consumes the site and pays the checksum pass, as the copying
+    // gather did — Gather event, then "verify:checksum" on Recovery.
+    auto system = makeFaultySystem(
+        {{FaultKind::TransientKernel, /*site=*/99, /*dpu=*/0}});
+    CommandStream stream(system);
+    const auto payload = pattern(200, 2);
+    stream.pushBroadcast(0, payload);
+    const std::size_t events = stream.timeline().size();
+
+    std::vector<std::span<const std::uint8_t>> out;
+    const auto status =
+        stream.gather(0, payload.size(), out, TimeBucket::InterCore,
+                      "gather:q");
+    ASSERT_TRUE(status.ok());
+    EXPECT_EQ(stream.faultSitesUsed(), 1u);
+
+    const auto [transfer, verify] =
+        gatherCharges(system, payload.size(), 4);
+    ASSERT_EQ(stream.timeline().size(), events + 2);
+    const auto &gather = stream.timeline().events()[events];
+    const auto &check = stream.timeline().events()[events + 1];
+    EXPECT_EQ(gather.phase, Phase::Gather);
+    EXPECT_EQ(gather.bucket, TimeBucket::InterCore);
+    EXPECT_EQ(gather.label, "gather:q");
+    EXPECT_EQ(gather.end, gather.start + transfer);
+    EXPECT_EQ(check.phase, Phase::Recovery);
+    EXPECT_EQ(check.bucket, TimeBucket::Recovery);
+    EXPECT_EQ(check.label, "verify:checksum");
+    EXPECT_EQ(check.start, gather.end);
+    EXPECT_EQ(check.end, check.start + verify);
+    EXPECT_EQ(status.seconds, transfer + verify);
+    for (const auto &view : out)
+        EXPECT_TRUE(std::ranges::equal(view, payload));
 }
 
 TEST(CommandStream, HostReduceAndOnCoreComputeAdvanceTheClock)

@@ -7,7 +7,9 @@
  * fault accounting — for any host-pool size, both trainers, and with
  * or without an active fault plan. Plus the checkpoint file format's
  * failure modes: corruption, wrong magic, version and identity
- * mismatches all die loudly.
+ * mismatches all die loudly. Also: the session's fused plain and
+ * count-weighted means equal references computed from independently
+ * decoded copies of the live banks.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +200,157 @@ TEST(SessionOffline, RestoreBitIdenticalWeightedInt32)
     PimConfig pim;
     pim.numDpus = 4;
     checkOfflinePauseResume(data, pim, cfg, 1, "weighted_int32");
+}
+
+/**
+ * Reference for the session's fused aggregation: after every
+ * successful launch, copy each live bank's Q region (and, for the
+ * weighted mean, its visit counts) out with mramRead and decode it
+ * here, independently of QTableIo. The plain reference is
+ * QTable::average over the decoded tables; the weighted one is the
+ * count-weighted mean that falls back to @c previous (the aggregate
+ * before the round) where no core visited an entry. The session's
+ * aggregate must equal the reference bit for bit.
+ */
+class LiveBankMean : public swiftrl::pimsim::StreamObserver
+{
+  public:
+    LiveBankMean(NumericFormat format, std::int32_t scale, StateId ns,
+                 ActionId na, std::size_t visits_offset = 0)
+        : _format(format), _scale(scale), _ns(ns), _na(na),
+          _visitsOffset(visits_offset), reference(ns, na),
+          previous(ns, na)
+    {
+    }
+
+    void
+    onLaunch(swiftrl::pimsim::CommandStream &stream,
+             const swiftrl::pimsim::LaunchStats &) override
+    {
+        const std::size_t entries =
+            static_cast<std::size_t>(_ns) * static_cast<std::size_t>(_na);
+        std::vector<QTable> live;
+        std::vector<double> num(entries, 0.0), den(entries, 0.0);
+        for (std::size_t i = 0; i < stream.system().numDpus(); ++i) {
+            if (stream.isDead(i))
+                continue;
+            const auto &dpu = stream.system().dpu(i);
+            std::vector<float> values(entries);
+            if (_format == NumericFormat::Fp32) {
+                dpu.mramRead(0, values.data(), entries * sizeof(float));
+            } else {
+                std::vector<std::int32_t> raw(entries);
+                dpu.mramRead(0, raw.data(),
+                             entries * sizeof(std::int32_t));
+                for (std::size_t e = 0; e < entries; ++e)
+                    values[e] = static_cast<float>(
+                        static_cast<double>(raw[e]) /
+                        static_cast<double>(_scale));
+            }
+            if (_visitsOffset > 0) {
+                std::vector<std::uint32_t> counts(entries);
+                dpu.mramRead(_visitsOffset, counts.data(),
+                             entries * sizeof(std::uint32_t));
+                for (std::size_t e = 0; e < entries; ++e) {
+                    num[e] += static_cast<double>(counts[e]) *
+                              static_cast<double>(values[e]);
+                    den[e] += static_cast<double>(counts[e]);
+                }
+            }
+            live.push_back(QTable::fromFloats(_ns, _na, values));
+        }
+        if (_visitsOffset == 0) {
+            reference = QTable::average(live);
+        } else {
+            for (std::size_t e = 0; e < entries; ++e)
+                reference.values()[e] =
+                    den[e] > 0.0 ? static_cast<float>(num[e] / den[e])
+                                 : previous.values()[e];
+        }
+        ++launches;
+    }
+
+  private:
+    NumericFormat _format;
+    std::int32_t _scale;
+    StateId _ns;
+    ActionId _na;
+    std::size_t _visitsOffset;
+
+  public:
+    QTable reference;
+    QTable previous;
+    int launches = 0;
+};
+
+TEST(SessionAggregation, FusedMeanMatchesAverageOverLiveBanks)
+{
+    const auto data = offlineData();
+    for (const auto format :
+         {NumericFormat::Int32, NumericFormat::Fp32}) {
+        SCOPED_TRACE(format == NumericFormat::Fp32 ? "fp32" : "int32");
+        swiftrl::SessionConfig cfg;
+        cfg.workload =
+            Workload{Algorithm::QLearning, Sampling::Seq, format};
+        cfg.hyper.episodes = 40;
+        cfg.tau = 20;
+        PimConfig pim;
+        pim.numDpus = 6;
+        // The first launch drops core 4: the retried launch runs on
+        // the survivors, and its dead bank must not enter the mean.
+        pim.faultPlan.scheduled = {
+            {FaultKind::PermanentDropout, /*site=*/0, /*dpu=*/4}};
+        PimSystem system(pim);
+        swiftrl::TrainerSession session(system, cfg);
+        session.beginOffline(data, 16, 4);
+        LiveBankMean mean(format, cfg.hyper.scale, 16, 4);
+        session.stream().setObserver(&mean);
+        for (int round = 1; round <= 2; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            ASSERT_TRUE(session.step());
+            EXPECT_EQ(mean.launches, round);
+            expectBitEq(mean.reference, session.aggregated());
+        }
+        EXPECT_TRUE(session.stream().isDead(4));
+        session.stream().setObserver(nullptr);
+    }
+}
+
+TEST(SessionAggregation, WeightedMeanWithEmptyChunksMatchesReference)
+{
+    // Five transitions over eight cores: three live cores get empty
+    // chunks, so their kernels never write the visit region and the
+    // visits gather has to grow those banks after the Q gather took
+    // its views. The aggregate must still be the count-weighted mean
+    // over the banks' contents (clean under ASan).
+    swiftrl::rlenv::FrozenLake env(true);
+    const auto data = collectRandomDataset(env, 5, 11);
+    for (const auto format :
+         {NumericFormat::Int32, NumericFormat::Fp32}) {
+        SCOPED_TRACE(format == NumericFormat::Fp32 ? "fp32" : "int32");
+        swiftrl::SessionConfig cfg;
+        cfg.workload =
+            Workload{Algorithm::QLearning, Sampling::Seq, format};
+        cfg.hyper.episodes = 4;
+        cfg.tau = 2;
+        cfg.weightedAggregation = true;
+        PimConfig pim;
+        pim.numDpus = 8;
+        PimSystem system(pim);
+        swiftrl::TrainerSession session(system, cfg);
+        session.beginOffline(data, 16, 4);
+        LiveBankMean mean(format, cfg.hyper.scale, 16, 4,
+                          session.visitsOffset());
+        session.stream().setObserver(&mean);
+        for (int round = 1; round <= 2; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            mean.previous = session.aggregated();
+            ASSERT_TRUE(session.step());
+            EXPECT_EQ(mean.launches, round);
+            expectBitEq(mean.reference, session.aggregated());
+        }
+        session.stream().setObserver(nullptr);
+    }
 }
 
 TEST(SessionOffline, EpsilonDecayScheduleSurvivesRestore)

@@ -304,25 +304,25 @@ TEST(ShardPacking, HaloWirePacksRowsInHaloOrder)
     EXPECT_TRUE(swiftrl::packHaloWire(qio, q, {}, 3).empty());
 }
 
-TEST(ShardPacking, DecodeSliceWireInvertsPackWire)
+TEST(ShardPacking, SliceWireDecodesBackThroughQTableIo)
 {
     const QTable q = rampTable(6, 2);
+    const ShardMap map(6, 2);
     for (const auto format :
          {NumericFormat::Fp32, NumericFormat::Int32}) {
         const Workload w{Algorithm::QLearning, Sampling::Seq, format};
         const QTableIo qio(w, Hyper{});
-        const auto wire = qio.packWire(q);
-        const auto decoded = swiftrl::decodeSliceWire(
-            wire, q.entryCount(), format == NumericFormat::Fp32,
-            qio.fixedScale());
-        ASSERT_EQ(decoded.size(), q.entryCount());
-        if (format == NumericFormat::Fp32) {
-            EXPECT_EQ(std::memcmp(decoded.data(), q.values().data(),
-                                  wire.size()),
-                      0);
-        } else {
-            for (std::size_t i = 0; i < decoded.size(); ++i)
-                EXPECT_NEAR(decoded[i], q.values()[i], 1e-4f);
+        // Shard 1's slice is rows 3-5; the sharded aggregation decodes
+        // gathered slices with the same QTableIo decoder.
+        const auto wire = swiftrl::packSliceWire(qio, q, map, 1);
+        const QTable slice = qio.decodeTable(wire, 3, 2);
+        for (StateId s = 0; s < 3; ++s) {
+            for (ActionId a = 0; a < 2; ++a) {
+                if (format == NumericFormat::Fp32)
+                    EXPECT_EQ(slice.at(s, a), q.at(s + 3, a));
+                else
+                    EXPECT_NEAR(slice.at(s, a), q.at(s + 3, a), 1e-4f);
+            }
         }
     }
 }
