@@ -15,6 +15,8 @@
  *   performance threshold" — so its taxi numbers sit below the
  *   converged optimum of ~+8; we report converged quality and check
  *   the paper's actual claim: PIM quality matches CPU quality.)
+ *
+ * Exits 1 unless both |PIM - CPU| checks (frozen lake, taxi) pass.
  */
 
 #include <iostream>
@@ -134,13 +136,12 @@ main(int argc, char **argv)
 
     const double pim_lake = rows[2].mean; // tau=50
     const double cpu_lake = rows[3].mean;
+    const bool lake_on_par = std::abs(pim_lake - cpu_lake) < 0.05;
     std::cout << "\npaper claim check (PIM quality on par with CPU): "
               << "|PIM - CPU| = "
               << TextTable::num(std::abs(pim_lake - cpu_lake), 4)
               << " -> "
-              << (std::abs(pim_lake - cpu_lake) < 0.05 ? "REPRODUCED"
-                                                       : "NOT "
-                                                         "reproduced")
+              << (lake_on_par ? "REPRODUCED" : "NOT reproduced")
               << "\n\n";
 
     // --- taxi ----------------------------------------------------------
@@ -179,13 +180,12 @@ main(int argc, char **argv)
 
     const double pim_taxi = rows[0].mean;
     const double cpu_taxi = rows[1].mean;
+    const bool taxi_on_par = std::abs(pim_taxi - cpu_taxi) < 1.0;
     std::cout << "\npaper claim check (PIM quality on par with CPU): "
               << "|PIM - CPU| = "
               << TextTable::num(std::abs(pim_taxi - cpu_taxi), 2)
               << " -> "
-              << (std::abs(pim_taxi - cpu_taxi) < 1.0 ? "REPRODUCED"
-                                                      : "NOT "
-                                                        "reproduced")
+              << (taxi_on_par ? "REPRODUCED" : "NOT reproduced")
               << "\n";
-    return 0;
+    return lake_on_par && taxi_on_par ? 0 : 1;
 }

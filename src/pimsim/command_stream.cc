@@ -128,14 +128,12 @@ CommandStream::pokeChunks(
 
 void
 CommandStream::pokeBroadcast(std::size_t offset,
-                             std::span<const std::uint8_t> payload)
+                             Dpu::SharedPayload payload)
 {
     auto &dpus = _system._dpus;
     for (std::size_t i = 0; i < dpus.size(); ++i) {
-        if (_dead[i])
-            continue;
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
+        if (!_dead[i])
+            dpus[i].mramShare(offset, payload);
     }
 }
 
@@ -203,20 +201,26 @@ CommandStream::pushChunks(
 
 double
 CommandStream::pushBroadcast(std::size_t offset,
+                             Dpu::SharedPayload payload,
+                             TimeBucket bucket, std::string_view label)
+{
+    pokeBroadcast(offset, payload);
+    const double seconds =
+        _system.config().transferModel.broadcastSeconds(
+            payload ? payload->size() : 0, _liveCount);
+    return record(Phase::Broadcast, bucket, seconds, label);
+}
+
+double
+CommandStream::pushBroadcast(std::size_t offset,
                              std::span<const std::uint8_t> payload,
                              TimeBucket bucket, std::string_view label)
 {
-    auto &dpus = _system._dpus;
-    for (std::size_t i = 0; i < dpus.size(); ++i) {
-        if (_dead[i])
-            continue;
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
-    }
-    const double seconds =
-        _system.config().transferModel.broadcastSeconds(
-            payload.size(), _liveCount);
-    return record(Phase::Broadcast, bucket, seconds, label);
+    return pushBroadcast(
+        offset,
+        std::make_shared<const std::vector<std::uint8_t>>(
+            payload.begin(), payload.end()),
+        bucket, label);
 }
 
 CommandStatus

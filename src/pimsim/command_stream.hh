@@ -140,7 +140,17 @@ class CommandStream
         TimeBucket bucket = TimeBucket::CpuToPim,
         std::string_view label = "scatter");
 
-    /** Replicate one payload to every core's MRAM at @p offset. */
+    /**
+     * Replicate one payload to every live core's MRAM at @p offset.
+     * The cores share @p payload (Dpu::mramShare): each bank copies it
+     * in on its next access — for a trained core, inside its next
+     * kernel lane — so the command itself copies nothing.
+     */
+    double pushBroadcast(std::size_t offset, Dpu::SharedPayload payload,
+                         TimeBucket bucket = TimeBucket::CpuToPim,
+                         std::string_view label = "broadcast");
+
+    /** pushBroadcast of a copy of @p payload. */
     double pushBroadcast(std::size_t offset,
                          std::span<const std::uint8_t> payload,
                          TimeBucket bucket = TimeBucket::CpuToPim,
@@ -149,14 +159,15 @@ class CommandStream
     /**
      * Gather @p bytes from every core's MRAM at @p offset as read-only
      * views into the banks: @p out gets one span per core, aliasing
-     * Dpu::mramView — no payload is copied. A dropped core's span is
-     * empty (filter with isDead()); never-written bytes read as zero.
-     * A view stays valid until the next write to its bank (any later
-     * scatter, broadcast, kernel launch or poke). Reading a range past
-     * a bank's buffer end grows the bank, so a gather can also
-     * invalidate views an *earlier* gather took of that bank: a caller
-     * that holds views across two gathers must re-take the older ones
-     * (Dpu::mram) before reading them.
+     * Dpu::mramView — no payload is copied (a pending broadcast lands
+     * first). A dropped core's span is empty (filter with isDead());
+     * never-written bytes read as zero. A view stays valid until the
+     * next write to its bank (any later scatter, broadcast, kernel
+     * launch or poke). Reading a range past a bank's buffer end grows
+     * the bank, so a gather can also invalidate views an *earlier*
+     * gather took of that bank: a caller that holds views across two
+     * gathers must re-take the older ones (Dpu::mram) before reading
+     * them.
      *
      * A fault site. While the fault plan is active every received
      * chunk is checksum-verified (charged to the Recovery track);
@@ -279,11 +290,10 @@ class CommandStream
         const std::vector<std::span<const std::uint8_t>> &per_dpu);
 
     /**
-     * Replicate @p payload to every live core's MRAM at @p offset,
+     * Share @p payload with every live core's MRAM at @p offset,
      * functionally only. Restore counterpart of pushBroadcast.
      */
-    void pokeBroadcast(std::size_t offset,
-                       std::span<const std::uint8_t> payload);
+    void pokeBroadcast(std::size_t offset, Dpu::SharedPayload payload);
 
     /**
      * Adopt a checkpointed engine position: stream clock, fault-site

@@ -13,12 +13,18 @@ Dpu::Dpu(std::size_t id, std::size_t mram_capacity)
 }
 
 void
-Dpu::ensure(std::size_t end)
+Dpu::checkRange(std::size_t end, const char *what) const
 {
     if (end > _mramCapacity) {
-        SWIFTRL_FATAL("DPU ", _id, ": MRAM access up to byte ", end,
+        SWIFTRL_FATAL("DPU ", _id, ": MRAM ", what, " up to byte ", end,
                       " exceeds the ", _mramCapacity, "-byte bank");
     }
+}
+
+void
+Dpu::ensure(std::size_t end) const
+{
+    checkRange(end, "access");
     if (end > _mram.size()) {
         // Geometric growth (doubling, clamped to the bank) so a
         // sequence of boundary-crossing writes costs amortised O(1)
@@ -33,8 +39,34 @@ Dpu::ensure(std::size_t end)
 }
 
 void
+Dpu::settleSlow() const
+{
+    const std::vector<std::uint8_t> &payload = *_pending;
+    _pending = nullptr;
+    ensure(_pendingOffset + payload.size());
+    std::memcpy(_mram.data() + _pendingOffset, payload.data(),
+                payload.size());
+}
+
+void
+Dpu::mramShare(std::size_t offset, SharedPayload payload)
+{
+    if (!payload || payload->empty())
+        return;
+    const std::size_t end = offset + payload->size();
+    checkRange(end, "broadcast");
+    if (_pending && (_pendingOffset < offset ||
+                     _pendingOffset + _pending->size() > end))
+        settleSlow();
+    _payload = std::move(payload);
+    _pending = _payload.get();
+    _pendingOffset = offset;
+}
+
+void
 Dpu::mramWrite(std::size_t offset, const void *src, std::size_t bytes)
 {
+    settle();
     ensure(offset + bytes);
     std::memcpy(_mram.data() + offset, src, bytes);
 }
@@ -42,11 +74,8 @@ Dpu::mramWrite(std::size_t offset, const void *src, std::size_t bytes)
 void
 Dpu::mramRead(std::size_t offset, void *dst, std::size_t bytes) const
 {
-    if (offset + bytes > _mramCapacity) {
-        SWIFTRL_FATAL("DPU ", _id, ": MRAM read up to byte ",
-                      offset + bytes, " exceeds the ", _mramCapacity,
-                      "-byte bank");
-    }
+    checkRange(offset + bytes, "read");
+    settle();
     // Reads of never-written MRAM return zeros, like fresh DRAM in the
     // functional sense (real DRAM is undefined; zero keeps tests
     // deterministic and surfaces uninitialised-data bugs loudly).

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -24,10 +25,26 @@ namespace swiftrl::pimsim {
  * 2,000-core system does not actually reserve 128 GB of host memory.
  * Cycle accounting is the responsibility of KernelContext; this class
  * only stores the counters.
+ *
+ * A broadcast does not copy into the bank: mramShare() parks one
+ * payload, shared by every bank it is addressed to, and the bank
+ * copies it in on its next access through any accessor (mramWrite,
+ * mramRead, mramView, mram, mramLane). A kernel launch therefore pays
+ * the copy inside its own pooled lane, just before it reads the rows.
+ *
+ * Single-owner rule: a bank is touched by one thread at a time. The
+ * kernel lanes of a launch own distinct banks; everything else (the
+ * command stream's transfers, gathers, observers, the session's
+ * aggregation) runs on the enqueue thread after the host pool joins.
+ * Nothing here locks, so the rule is what keeps a pending payload's
+ * copy-in race-free.
  */
 class Dpu
 {
   public:
+    /** A broadcast payload, shared read-only by every bank it targets. */
+    using SharedPayload = std::shared_ptr<const std::vector<std::uint8_t>>;
+
     /**
      * @param id core index within the system.
      * @param mram_capacity bank size in bytes.
@@ -41,47 +58,82 @@ class Dpu
     std::size_t mramCapacity() const { return _mramCapacity; }
 
     /**
-     * Host- or DMA-side write into the MRAM bank.
-     * Fatal when the range exceeds the bank capacity (the simulated
-     * equivalent of over-allocating a 64-MB bank).
+     * Host- or DMA-side write into the MRAM bank, on top of any pending
+     * broadcast payload. Fatal when the range exceeds the bank capacity
+     * (the simulated equivalent of over-allocating a 64-MB bank).
      */
     void mramWrite(std::size_t offset, const void *src, std::size_t bytes);
 
-    /** Read from the MRAM bank; fatal on out-of-range access. */
+    /**
+     * Read from the MRAM bank, after copying a pending broadcast
+     * payload in; fatal on out-of-range access.
+     */
     void mramRead(std::size_t offset, void *dst, std::size_t bytes) const;
 
     /**
-     * Raw read-only view of MRAM bytes [offset, offset + bytes).
-     * Grows the lazy buffer (zero-filled) first, so never-written
-     * ranges read as zero exactly like mramRead. Fatal past the bank
-     * capacity.
+     * Park @p payload to land at @p offset on this bank's next access
+     * (see the class comment). A payload still pending is dropped when
+     * the new one covers its whole range — two broadcasts in a row
+     * resolve to the last — and copied in first otherwise. Fatal past
+     * the bank capacity, as the eager write would be.
+     */
+    void mramShare(std::size_t offset, SharedPayload payload);
+
+    /**
+     * Raw read-only view of MRAM bytes [offset, offset + bytes). Copies
+     * a pending payload in and grows the lazy buffer (zero-filled)
+     * first, so never-written ranges read as zero exactly like
+     * mramRead. Fatal past the bank capacity.
      *
      * Invalidation rule: treat the view as dead after the next write
-     * to this bank (mramWrite), and after any later mramView — a
-     * gather included — reaching past the current buffer end: either
-     * may grow and reallocate the buffer. A write inside the buffer
-     * only changes the viewed bytes, but no caller may rely on that.
+     * to this bank (mramWrite, or a broadcast: its payload lands on the
+     * next access), and after any later access — mramView, mramLane,
+     * a gather — reaching past the current buffer end: either may
+     * grow and reallocate the buffer. A write inside the buffer only
+     * changes the viewed bytes, but no caller may rely on that.
      *
-     * Callers: the batch interpreter reads the transition region in
-     * place during a launch, and CommandStream::gather hands these
-     * views out as the gathered payloads, which the session's
-     * aggregation decodes in place before the next broadcast.
+     * Callers: CommandStream::gather hands these views out as the
+     * gathered payloads, which the session's aggregation decodes in
+     * place before the next broadcast.
      */
     const std::uint8_t *
     mramView(std::size_t offset, std::size_t bytes)
     {
+        settle();
         ensure(offset + bytes);
         return _mram.data() + offset;
     }
 
     /**
-     * The bank's current lazy buffer: every byte written or viewed so
-     * far, starting at offset 0. Never grows the bank and charges
-     * nothing; same invalidation rule as mramView. Lets a caller
-     * re-take a view after a later access grew the bank, or check
-     * that an old view still lies inside it.
+     * The bank's current lazy buffer, pending payload copied in: every
+     * byte written or viewed so far, starting at offset 0. Never grows
+     * the bank past that and charges nothing; same invalidation rule as
+     * mramView. Lets a caller re-take a view after a later access grew
+     * the bank, or check that an old view still lies inside it.
      */
-    std::span<const std::uint8_t> mram() const { return _mram; }
+    std::span<const std::uint8_t>
+    mram() const
+    {
+        settle();
+        return _mram;
+    }
+
+    /**
+     * Mutable view of the whole bank, grown to cover [0, @p end) and
+     * with any pending payload copied in: the kernel lanes' accessor.
+     * A lane asks once for the end of every region it touches, then
+     * trains on its Q region and counts visits in place — no WRAM
+     * image — while charging the modelled DMA separately
+     * (KernelContext::chargeDmaSpanBulk). Same invalidation rule as
+     * mramView; the lane's own single pass never outlives it.
+     */
+    std::span<std::uint8_t>
+    mramLane(std::size_t end)
+    {
+        settle();
+        ensure(end);
+        return _mram;
+    }
 
     /** Total cycles this core has consumed. */
     Cycles cycles() const { return _cycles; }
@@ -113,12 +165,46 @@ class Dpu
     void resetStats();
 
   private:
+    /** Fatal when [0, end) runs past the bank capacity. */
+    void checkRange(std::size_t end, const char *what) const;
+
     /** Grow the lazy buffer to cover [0, end); fatal past capacity. */
-    void ensure(std::size_t end);
+    void ensure(std::size_t end) const;
+
+    /** Copy a pending broadcast payload in. */
+    void
+    settle() const
+    {
+        if (_pending)
+            settleSlow();
+    }
+
+    void settleSlow() const;
 
     std::size_t _id;
     std::size_t _mramCapacity;
-    std::vector<std::uint8_t> _mram;
+
+    // mutable: the const readers (mramRead, mram) land a pending
+    // payload first. That changes where the bytes live, never what
+    // the bank reads as, and the single-owner rule (class comment)
+    // keeps it race-free: no two threads touch one bank at a time.
+
+    /** The lazy bank buffer. */
+    mutable std::vector<std::uint8_t> _mram;
+
+    /**
+     * The last broadcast payload, kept until the next one replaces it
+     * so that landing it (on a kernel lane's thread) never touches the
+     * reference count every bank shares.
+     */
+    SharedPayload _payload;
+
+    /** _payload while it is not yet copied in, else null. */
+    mutable const std::vector<std::uint8_t> *_pending = nullptr;
+
+    /** MRAM offset _pending lands at. */
+    std::size_t _pendingOffset = 0;
+
     Cycles _cycles = 0;
     std::array<std::uint64_t, kNumOpClasses> _opCounts{};
     std::uint64_t _dmaBytes = 0;

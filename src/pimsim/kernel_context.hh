@@ -502,10 +502,11 @@ class BasicKernelContext
      * 2,048-byte piece split, same per-piece tail padding) without
      * moving any data. Every transfer pads and splits independently,
      * so the per-transfer totals are exact integers that scale by
-     * multiplication. The batch interpreter reads transitions through
-     * a raw MRAM view (Dpu::mramView) and accounts the modelled
-     * transfers here — a whole run of staging-block misses or
-     * per-record 16-byte fetches (RANDOM sampling) in one call.
+     * multiplication. The batch interpreter trains on a raw MRAM view
+     * of its bank (Dpu::mramLane) and accounts the modelled transfers
+     * here — the Q, halo and visit-count DMA of each launch, and a
+     * whole run of staging-block misses or per-record 16-byte fetches
+     * (RANDOM sampling) in one call.
      */
     void
     chargeDmaSpanBulk(std::size_t bytes, std::uint64_t times)

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -341,13 +344,12 @@ shapeOf(const RecordFields &f, const Ops &o)
 
 /**
  * Decode a lane's chunk once into @p recs and return its terminal
- * record count. Transitions are read straight from the MRAM view:
- * the region is read-only for the whole launch (the kernel's only
- * MRAM writes are the Q and visit writebacks, to other regions), so
- * the bytes match what per-record DMA would copy and the per-step
- * fetch reduces to an indexed load. Decode is unpriced interpreter
- * work — its charges are retired per record in bulk — so this moves
- * no modelled number.
+ * record count. Transitions are read straight from the lane's bank
+ * view: the region is read-only for the whole launch (the lane writes
+ * only its Q and visit regions), so the bytes match what per-record
+ * DMA would copy and the per-step fetch reduces to an indexed load.
+ * Decode is unpriced interpreter work — its charges are retired per
+ * record in bulk — so this moves no modelled number.
  */
 std::size_t
 decodeChunk(const std::uint8_t *data, std::size_t n,
@@ -528,7 +530,7 @@ struct Tasklet
  * tasklet; each tasklet walks its own in the workload's sampling
  * order with its own LCG stream and staging window, and updates run
  * round-robin, one per tasklet per turn, over the lane's shared Q
- * image — the multi-tasklet kernel's interleaving, which the shared
+ * region — the multi-tasklet kernel's interleaving, which the shared
  * table makes observable. With one tasklet this is the
  * single-tasklet kernel plus visit counting.
  */
@@ -655,19 +657,45 @@ retireTally(pimsim::KernelContext &ctx, const KernelParams &p,
 }
 
 /**
+ * Typed in-place view of @p count words at MRAM @p offset of a lane's
+ * bank (Dpu::mramLane). The offset must be aligned for T — the bank
+ * buffer itself comes from the default allocator, aligned for every
+ * word type — and the words must lie inside the bank.
+ */
+template <typename T>
+T *
+laneWords(std::span<std::uint8_t> bank, std::size_t offset,
+          std::size_t count)
+{
+    SWIFTRL_ASSERT(offset % alignof(T) == 0 &&
+                       reinterpret_cast<std::uintptr_t>(bank.data()) %
+                               alignof(T) ==
+                           0,
+                   "lane view at MRAM offset ", offset,
+                   " is not aligned for its ", sizeof(T), "-byte words");
+    SWIFTRL_ASSERT(offset + count * sizeof(T) <= bank.size(),
+                   "lane view past the bank it was taken from");
+    return reinterpret_cast<T *>(bank.data() + offset);
+}
+
+/**
  * Batch training body: retires every lane of the cohort chunk, one
  * lane at a time. Each lane runs fused, back to back — preamble
- * charges, training loop, tally retirement, Q writeback, LCG store —
- * through one Q image (and one visit table) reused by every lane, so
- * the working set is one lane's, not the chunk's: a taxi chunk of 250
- * lanes touches one 12 KB image instead of 3 MB of cold ones. Lanes
- * are independent (own Q slice, walkers, LCG streams) and charges are
- * integer sums, so this order is bit-identical to per-core
- * interpretation; divergent chunk lengths need no masking, as each
- * lane's loop is simply its own length. Dead cores are already
- * excluded from the cohort by CommandStream::launchBatch. @p Ops
- * picks the functional provider (LaneOps, or LaneOpsFastDiv for the
- * division-heavy INT32 rules).
+ * charges, training loop, tally retirement, writeback charges, LCG
+ * store — directly on its own MRAM bank: the Q region (plus, sharded,
+ * the halo right behind it) is trained in place and visits are
+ * counted in place, while the DMA the DPU program would do (Q in,
+ * halo in, Q out, visits out) is charged piece for piece through
+ * chargeDmaSpanBulk. Training in place is exact: the DPU program
+ * copies the region into WRAM, updates it and copies the owned part
+ * back, and only owned rows are ever updated — the halo rows are
+ * read-only. Lanes are independent (own bank, walkers, LCG streams)
+ * and charges are integer sums, so this order is bit-identical to
+ * per-core interpretation; divergent chunk lengths need no masking,
+ * as each lane's loop is simply its own length. Dead cores are
+ * already excluded from the cohort by CommandStream::launchBatch.
+ * @p Ops picks the functional provider (LaneOps, or LaneOpsFastDiv
+ * for the division-heavy INT32 rules).
  */
 template <typename QWord, typename Ops, typename UpdateFn>
 void
@@ -679,82 +707,77 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
     SWIFTRL_ASSERT(!sharded || !p.trackVisits,
                    "visit tracking is incompatible with sharded "
                    "Q-tables");
-    // In sharded mode the WRAM table is [owned slice | halo rows]:
-    // the slice is read-write and DMA'd back, the halo is a read-only
-    // snapshot of remote next-state rows, refreshed by the host each
-    // sync round. Record state ids arrive pre-localised to this
-    // layout, so the update rules are oblivious to it.
+    // In sharded mode the lane's table is [owned slice | halo rows]:
+    // the slice is read-write and written back, the halo is a
+    // read-only snapshot of remote next-state rows, refreshed by the
+    // host each sync round. Record state ids arrive pre-localised to
+    // this layout, so the update rules are oblivious to it.
     const std::size_t na = static_cast<std::size_t>(p.numActions);
     const std::size_t own_entries =
         (sharded ? p.sliceRows : static_cast<std::size_t>(p.numStates)) *
         na;
     const std::size_t own_bytes = own_entries * sizeof(QWord);
-    const std::size_t lanes = bctx.lanes();
-    const auto halo_rows_of = [&](std::size_t core) {
-        return sharded ? (*p.haloRows)[core] : std::size_t{0};
-    };
+    SWIFTRL_ASSERT(!sharded || p.haloOffset == p.qOffset + own_bytes,
+                   "sharded lanes train on [slice | halo] in place: the "
+                   "halo must directly follow the slice");
 
-    // A core with an empty chunk or a non-positive episode budget
-    // returns before charging anything, so such lanes are skipped
-    // entirely.
-    std::size_t max_entries = 0;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        const std::size_t core = bctx.dpuId(i);
-        SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
-                       "missing chunk table for core ", core);
-        SWIFTRL_ASSERT(p.lcgStates &&
-                           p.lcgStates->size() >= (core + 1) * p.tasklets,
-                       "missing LCG state for core ", core);
-        if ((*p.chunkCounts)[core] == 0 || p.episodes <= 0)
-            continue;
-        SWIFTRL_ASSERT(!sharded ||
-                           (p.haloRows && core < p.haloRows->size()),
-                       "missing halo table for core ", core);
-        max_entries =
-            std::max(max_entries, own_entries + halo_rows_of(core) * na);
-    }
-    if (max_entries == 0)
-        return;
-
-    const auto shapes =
-        calibrateShapes<QWord>(p, sarsa, epsilon_milli, update);
-    QWord *const q = bctx.scratch().template alloc<QWord>(max_entries);
-    std::uint32_t *const visits =
-        p.trackVisits
-            ? bctx.scratch().template alloc<std::uint32_t>(max_entries)
-            : nullptr;
+    std::optional<std::array<ShapeProfile, kNumShapes>> shapes;
     const bool hot_path = p.tasklets == 1 && !p.trackVisits;
     std::vector<RecordFields> recs;
     std::vector<std::uint32_t> order;
     std::vector<Tasklet<Ops>> tasklets;
 
-    for (std::size_t i = 0; i < lanes; ++i) {
+    for (std::size_t i = 0; i < bctx.lanes(); ++i) {
         pimsim::KernelContext &ctx = bctx.lane(i);
         const std::size_t core = ctx.dpuId();
+        SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
+                       "missing chunk table for core ", core);
+        SWIFTRL_ASSERT(p.lcgStates &&
+                           p.lcgStates->size() >= (core + 1) * p.tasklets,
+                       "missing LCG state for core ", core);
+        // A core with an empty chunk or a non-positive episode budget
+        // returns before charging anything, so such lanes are skipped
+        // entirely.
         const std::size_t n = (*p.chunkCounts)[core];
         if (n == 0 || p.episodes <= 0)
             continue;
+        SWIFTRL_ASSERT(!sharded ||
+                           (p.haloRows && core < p.haloRows->size()),
+                       "missing halo table for core ", core);
+        if (!shapes)
+            shapes = calibrateShapes<QWord>(p, sarsa, epsilon_milli,
+                                            update);
+
+        // One bank view covering every region the lane touches, taken
+        // before any pointer into it (a later growth would move them).
+        const std::size_t halo_rows = sharded ? (*p.haloRows)[core] : 0;
+        const std::size_t halo_bytes = halo_rows * na * sizeof(QWord);
+        const std::size_t q_entries = own_entries + halo_rows * na;
+        const std::size_t visit_bytes = q_entries * sizeof(std::uint32_t);
+        const std::size_t data_bytes = n * kTransitionBytes;
+        std::size_t end = std::max(p.qOffset + own_bytes + halo_bytes,
+                                   p.dataOffset + data_bytes);
+        if (p.trackVisits)
+            end = std::max(end, p.visitsOffset + visit_bytes);
+        const std::span<std::uint8_t> bank = bctx.dpu(i).mramLane(end);
+        QWord *const q = laneWords<QWord>(bank, p.qOffset, q_entries);
 
         // Preamble, charge for charge as the kernel's: Q-table WRAM
-        // footprint and inbound DMA (the DMA overwrites every entry
-        // of the reused image), then the zeroed visit counters —
+        // footprint and inbound DMA, then the zeroed visit counters —
         // weights reflect the current round's coverage.
-        const std::size_t halo_rows = halo_rows_of(core);
-        const std::size_t q_entries = own_entries + halo_rows * na;
         ctx.wramAlloc(q_entries * sizeof(QWord));
-        ctx.mramToWram(p.qOffset, q, own_bytes);
-        if (halo_rows > 0) {
-            ctx.mramToWram(p.haloOffset, q + own_entries,
-                           halo_rows * na * sizeof(QWord));
-        }
-        if (visits) {
-            ctx.wramAlloc(q_entries * sizeof(std::uint32_t));
+        ctx.chargeDmaSpanBulk(own_bytes, 1);
+        ctx.chargeDmaSpanBulk(halo_bytes, 1);
+        std::uint32_t *visits = nullptr;
+        if (p.trackVisits) {
+            visits = laneWords<std::uint32_t>(bank, p.visitsOffset,
+                                              q_entries);
+            ctx.wramAlloc(visit_bytes);
             std::fill_n(visits, q_entries, 0u);
         }
 
-        const std::size_t terminal_records = decodeChunk(
-            bctx.dpu(i).mramView(p.dataOffset, n * kTransitionBytes), n,
-            recs);
+        const std::size_t terminal_records =
+            decodeChunk(bank.data() + p.dataOffset, n, recs);
         std::uint32_t *const lcg = p.lcgStates->data() + core * p.tasklets;
         Tally tally{};
         if (hot_path) {
@@ -771,15 +794,14 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
             trainInterleaved<QWord>(ctx, p, recs, lcg, order, tasklets,
                                     q, visits, tally, update);
         }
-        retireTally(ctx, p, shapes, tally);
+        retireTally(ctx, p, *shapes, tally);
 
-        // Only the owned slice is written back; halo rows are a stale
-        // read-only snapshot the host refreshes from the aggregate.
-        ctx.wramToMram(p.qOffset, q, own_bytes);
-        if (visits) {
-            ctx.wramToMram(p.visitsOffset, visits,
-                           q_entries * sizeof(std::uint32_t));
-        }
+        // Writeback DMA: only the owned slice goes back (halo rows
+        // are a stale read-only snapshot the host refreshes from the
+        // aggregate), then the visit counters.
+        ctx.chargeDmaSpanBulk(own_bytes, 1);
+        if (visits)
+            ctx.chargeDmaSpanBulk(visit_bytes, 1);
     }
 }
 

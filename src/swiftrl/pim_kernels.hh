@@ -16,6 +16,10 @@
  * Functional results are bit-identical to rlcore::trainCpuReference by
  * construction — both instantiate the same templates from
  * rlcore/update_rules.hh.
+ *
+ * The simulator charges steps 1 and 4 as the DPU program's DMA but
+ * moves no bytes for them: each lane trains on its Q region in place
+ * in the MRAM bank (see runTrainingKernelBatch).
  */
 
 #ifndef SWIFTRL_SWIFTRL_PIM_KERNELS_HH
@@ -92,12 +96,16 @@ struct KernelParams
      * holds the whole table. In sharded mode the host pre-localises
      * every record's state ids — an owned state becomes its slice
      * row, a remote next state becomes sliceRows + its halo index —
-     * so the update rules run unchanged against the WRAM buffer
+     * so the update rules run unchanged against the table
      * [slice rows | halo rows]. Incompatible with trackVisits.
      */
     std::size_t sliceRows = 0;
 
-    /** MRAM byte offset of the read-only halo region (sharded). */
+    /**
+     * MRAM byte offset of the read-only halo region (sharded). Must
+     * directly follow the slice (qOffset + the slice's bytes): lanes
+     * train on [slice | halo] in place.
+     */
     std::size_t haloOffset = 0;
 
     /** Per-core halo row counts (sharded mode only). */
@@ -110,6 +118,10 @@ struct KernelParams
  * numeric format and action count, then trains every lane of the
  * cohort — one lane at a time — instead of interpreting the kernel
  * once per core (see docs/PERFORMANCE.md, "Batch interpretation").
+ *
+ * Each lane trains on its own bank in place (Dpu::mramLane): no
+ * WRAM image is copied in or out, while the DMA the DPU program would
+ * do is charged piece for piece.
  *
  * Functionally and in every modelled quantity — per-core cycles, op
  * counts, DMA bytes, Q-tables, visit counts, LCG streams — the result

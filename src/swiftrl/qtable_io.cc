@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "pimsim/pim_system.hh"
 
@@ -51,9 +52,10 @@ QTableIo::initQTables(pimsim::CommandStream &stream, StateId ns,
     const std::size_t q_bytes = static_cast<std::size_t>(ns) *
                                 static_cast<std::size_t>(na) *
                                 rlcore::kQWireBytesPerEntry;
-    const std::vector<std::uint8_t> zeros(q_bytes, 0);
-    stream.pushBroadcast(qOffset(), zeros, TimeBucket::CpuToPim,
-                         "broadcast:qinit");
+    stream.pushBroadcast(
+        qOffset(),
+        std::make_shared<const std::vector<std::uint8_t>>(q_bytes, 0),
+        TimeBucket::CpuToPim, "broadcast:qinit");
 }
 
 void
@@ -84,27 +86,85 @@ QTableIo::gatherWires(pimsim::CommandStream &stream,
         });
 }
 
+namespace {
+
+/** Banks whose entries one pass of the mean adds. */
+constexpr std::size_t kBanksPerPass = 8;
+
+/**
+ * out[i] += decode(bank, i) over every bank of @p banks, in ascending
+ * bank order per entry. Each pass over the entries adds up to
+ * kBanksPerPass banks in a register, so the entries are loaded and
+ * stored once per pass instead of once per bank; the float additions
+ * per entry are the same ones in the same order, so the sum is
+ * bit-identical to one bank per pass.
+ */
+template <typename Decode>
+void
+addBanks(std::span<const std::uint8_t *const> banks, std::span<float> out,
+         Decode decode)
+{
+    std::size_t b = 0;
+    for (; b + kBanksPerPass <= banks.size(); b += kBanksPerPass) {
+        const std::uint8_t *const *pass = banks.data() + b;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            float acc = out[i];
+            for (std::size_t k = 0; k < kBanksPerPass; ++k)
+                acc += decode(pass[k], i);
+            out[i] = acc;
+        }
+    }
+    if (b == banks.size())
+        return;
+    const std::span<const std::uint8_t *const> rest = banks.subspan(b);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        float acc = out[i];
+        for (const std::uint8_t *bank : rest)
+            acc += decode(bank, i);
+        out[i] = acc;
+    }
+}
+
+} // namespace
+
 std::size_t
 QTableIo::meanOfWires(
     std::span<const std::span<const std::uint8_t>> group,
     std::span<float> out) const
 {
-    std::fill(out.begin(), out.end(), 0.0f);
-    std::size_t live = 0;
+    std::vector<const std::uint8_t *> live;
+    live.reserve(group.size());
     for (const auto &wire : group) {
         if (wire.empty())
             continue;
         SWIFTRL_ASSERT(wire.size() ==
                            out.size() * rlcore::kQWireBytesPerEntry,
                        "gathered Q wire size mismatch");
-        decodeWire(wire, [out](std::size_t i, float v) { out[i] += v; });
-        ++live;
+        live.push_back(wire.data());
     }
-    SWIFTRL_ASSERT(live > 0, "mean over a group with no live core");
-    const float inv = 1.0f / static_cast<float>(live);
+    SWIFTRL_ASSERT(!live.empty(), "mean over a group with no live core");
+    std::fill(out.begin(), out.end(), 0.0f);
+    // The same per-entry decode as decodeWire.
+    if (_workload.format == NumericFormat::Fp32) {
+        addBanks(live, out, [](const std::uint8_t *bank, std::size_t i) {
+            float v;
+            std::memcpy(&v, bank + i * sizeof v, sizeof v);
+            return v;
+        });
+    } else {
+        const double scale = static_cast<double>(fixedScale());
+        addBanks(live, out,
+                 [scale](const std::uint8_t *bank, std::size_t i) {
+                     std::int32_t raw;
+                     std::memcpy(&raw, bank + i * sizeof raw, sizeof raw);
+                     return static_cast<float>(
+                         static_cast<double>(raw) / scale);
+                 });
+    }
+    const float inv = 1.0f / static_cast<float>(live.size());
     for (float &v : out)
         v *= inv;
-    return live;
+    return live.size();
 }
 
 QTable
@@ -139,8 +199,11 @@ QTableIo::broadcastQTable(pimsim::CommandStream &stream,
                           std::string_view label) const
 {
     const std::size_t entries = q.entryCount();
-    const std::vector<std::uint8_t> bytes = packWire(q);
-    stream.pushBroadcast(qOffset(), bytes, bucket, label);
+    // Packed once; every live bank shares this one payload.
+    stream.pushBroadcast(
+        qOffset(),
+        std::make_shared<const std::vector<std::uint8_t>>(packWire(q)),
+        bucket, label);
     // Re-quantisation back to raw fixed point happens on-core after
     // the broadcast lands.
     const double convert =

@@ -124,13 +124,15 @@ class QTableIo
     }
 
     /**
-     * Fused decode-and-mean of one gathered core group: walks the
-     * group's live cores (non-empty views) in ascending order, adds
-     * each view's decoded entries into @p out (zeroed first), then
-     * scales once by 1/live — exactly QTable::average's per-entry
-     * operations over the decoded tables, so the result is
-     * bit-identical to it, without materialising any table.
-     * Every live view must hold out.size() entries.
+     * Fused decode-and-mean of one gathered core group: adds the
+     * decoded entries of the group's live cores (non-empty views) into
+     * @p out (zeroed first), eight banks per pass over the entries but
+     * in ascending core order per entry, then scales once by 1/live —
+     * exactly QTable::average's per-entry operations over the decoded
+     * tables, so the result is bit-identical to it, without
+     * materialising any table. Serial: the mean is not split over the
+     * host pool (docs/PERFORMANCE.md). Every live view must hold
+     * out.size() entries.
      * @return the number of live cores averaged (at least one).
      */
     std::size_t
@@ -145,7 +147,9 @@ class QTableIo
 
     /**
      * Broadcast one Q-table to every core's MRAM Q region, including
-     * the on-core requantise step, charged to @p bucket.
+     * the on-core requantise step, charged to @p bucket. The wire is
+     * packed once into a payload every live bank shares; each bank
+     * copies it in on its next access (Dpu::mramShare).
      */
     void broadcastQTable(pimsim::CommandStream &stream,
                          const rlcore::QTable &q,

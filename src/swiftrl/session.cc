@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -254,24 +255,18 @@ TrainerSession::setupShardLayout()
     _sliceEntries =
         _sliceRows * static_cast<std::size_t>(_numActions);
 
-    // Sharded MRAM layout: slice | data | halo, each region 8-byte
-    // aligned. The data and halo offsets are global (identical on
-    // every core) and sized for the worst case — after dropouts a
-    // lone surviving replica can inherit its shard's entire routing
-    // share, and a fixed halo offset keeps redistribution from
-    // relayouting the bank.
-    const std::size_t slice_bytes =
-        _sliceEntries * rlcore::kQWireBytesPerEntry;
-    _dataOffset = (slice_bytes + 7) / 8 * 8;
-    const std::size_t data_end =
-        _dataOffset +
-        _activeData->size() * sizeof(rlcore::PackedTransition);
-    _haloOffset = (data_end + 7) / 8 * 8;
-
-    const std::size_t demand = shardedMramDemandBound(
+    // Sharded MRAM layout: slice | halo | data (shardedMramLayout).
+    // The halo follows the slice directly, so a kernel lane trains on
+    // [slice | halo] in place; it and the data region are reserved at
+    // their worst case with global offsets — after dropouts a lone
+    // surviving replica can inherit its shard's entire routing share,
+    // and fixed offsets keep redistribution from relayouting the bank.
+    const ShardedMramLayout layout = shardedMramLayout(
         _numStates, _numActions, _config.shards, _activeData->size());
-    if (demand > _system.config().mramBytesPerDpu)
-        SWIFTRL_FATAL("sharded layout needs ", demand,
+    _haloOffset = layout.haloOffset;
+    _dataOffset = layout.dataOffset;
+    if (layout.end > _system.config().mramBytesPerDpu)
+        SWIFTRL_FATAL("sharded layout needs ", layout.end,
                       " bytes of MRAM per core but banks hold ",
                       _system.config().mramBytesPerDpu,
                       "; raise the shard count or shrink the dataset");
@@ -321,6 +316,11 @@ TrainerSession::repartitionSharded()
             collectHalo(*_activeData, _routing, _plan->map,
                         _plan->shardOfCore[i], _firsts[i], _counts[i]);
         _haloRows[i] = _haloStates[i].size();
+        SWIFTRL_ASSERT(_haloOffset + _haloRows[i] *
+                                   static_cast<std::size_t>(_numActions) *
+                                   rlcore::kQWireBytesPerEntry <=
+                           _dataOffset,
+                       "core ", i, ": halo overruns its reserved region");
     }
 }
 
@@ -895,8 +895,10 @@ TrainerSession::adopt(const SessionCheckpoint &ck)
     // sessions rebuild per-core slices (and halos) instead, once
     // restoreOffline has re-derived the shard layout.
     if (_config.shards == 0) {
-        const auto wire = _qio.packWire(_aggregated);
-        _stream->pokeBroadcast(_qio.qOffset(), wire);
+        _stream->pokeBroadcast(
+            _qio.qOffset(),
+            std::make_shared<const std::vector<std::uint8_t>>(
+                _qio.packWire(_aggregated)));
     }
     // The visit-count region (weighted aggregation) needs no restore:
     // the kernel overwrites it wholesale on every launch before the

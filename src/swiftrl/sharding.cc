@@ -162,8 +162,8 @@ packLocalizedChunk(const Dataset &data, const ShardRouting &routing,
         }
         // Terminal records keep local row 0: the update rules form
         // the next-state row pointer before branching on the flag,
-        // so the id must stay inside the WRAM buffer even though its
-        // value is never read.
+        // so the id must stay inside the [slice | halo] table even
+        // though its value is never read.
         std::uint32_t bits = static_cast<std::uint32_t>(local_next);
         SWIFTRL_ASSERT((bits & PackedTransition::kTerminalBit) == 0,
                        "local row collides with the terminal flag bit");
@@ -214,27 +214,33 @@ packHaloWire(const QTableIo &qio, const QTable &aggregated,
     return qio.packWire(rows);
 }
 
+ShardedMramLayout
+shardedMramLayout(StateId num_states, ActionId num_actions,
+                  std::size_t num_shards, std::size_t transitions)
+{
+    SWIFTRL_ASSERT(num_states > 0 && num_actions > 0 && num_shards > 0,
+                   "sharded layout needs a real shape");
+    const std::size_t ns = static_cast<std::size_t>(num_states);
+    const std::size_t na = static_cast<std::size_t>(num_actions);
+    const std::size_t rows = (ns + num_shards - 1) / num_shards;
+    ShardedMramLayout layout;
+    layout.haloOffset = rows * na * rlcore::kQWireBytesPerEntry;
+    // Worst-case halo: every transition names a distinct remote row.
+    const std::size_t halo_bytes =
+        std::min(transitions, ns) * na * rlcore::kQWireBytesPerEntry;
+    layout.dataOffset = align8(layout.haloOffset + halo_bytes);
+    layout.end =
+        layout.dataOffset + transitions * sizeof(PackedTransition);
+    return layout;
+}
+
 std::size_t
 shardedMramDemandBound(StateId num_states, ActionId num_actions,
                        std::size_t num_shards, std::size_t transitions)
 {
-    SWIFTRL_ASSERT(num_states > 0 && num_actions > 0 && num_shards > 0,
-                   "demand bound needs a real shape");
-    const std::size_t ns = static_cast<std::size_t>(num_states);
-    const std::size_t na = static_cast<std::size_t>(num_actions);
-    const std::size_t rows = (ns + num_shards - 1) / num_shards;
-    const std::size_t slice_bytes =
-        rows * na * rlcore::kQWireBytesPerEntry;
-    // The data region is laid out for the *whole* dataset: after
-    // dropouts a lone surviving replica can inherit its shard's
-    // entire routing share, and a globally fixed halo offset keeps
-    // every core's layout identical.
-    const std::size_t data_end =
-        align8(slice_bytes) + transitions * sizeof(PackedTransition);
-    // Worst-case halo: every transition names a distinct remote row.
-    const std::size_t halo_bytes =
-        std::min(transitions, ns) * na * rlcore::kQWireBytesPerEntry;
-    return align8(data_end) + halo_bytes;
+    return shardedMramLayout(num_states, num_actions, num_shards,
+                             transitions)
+        .end;
 }
 
 } // namespace swiftrl

@@ -98,7 +98,7 @@ collectHalo(const rlcore::Dataset &data, const ShardRouting &routing,
 
 /**
  * Wire-pack routing.order[first .. first + count) for a core of
- * @p shard with state ids localized to its WRAM layout
+ * @p shard with state ids localized to its Q layout
  * [slice rows | halo rows]: an owned state s becomes row
  * s - map.firstState(shard); a remote non-terminal next state
  * becomes rowsPerShard + its index in @p halo; a terminal next
@@ -134,11 +134,35 @@ packHaloWire(const QTableIo &qio, const rlcore::QTable &aggregated,
              rlcore::ActionId num_actions);
 
 /**
+ * Per-core MRAM layout of a sharded run: slice | halo | data, the same
+ * offsets on every core. The halo directly follows the slice, so the
+ * kernel lanes train on [slice | halo] in place; it is reserved at its
+ * worst case (every transition naming a distinct remote row). The
+ * data region starts at the next 8-byte boundary and is reserved for
+ * the whole dataset: after dropouts a lone surviving replica can
+ * inherit its shard's entire routing share.
+ */
+struct ShardedMramLayout
+{
+    /** Halo region offset: the slice's byte size. */
+    std::size_t haloOffset = 0;
+
+    /** Transition region offset. */
+    std::size_t dataOffset = 0;
+
+    /** End of the transition region: the per-core MRAM demand. */
+    std::size_t end = 0;
+};
+
+/** The layout of a sharded run over @p transitions transitions. */
+ShardedMramLayout shardedMramLayout(rlcore::StateId num_states,
+                                    rlcore::ActionId num_actions,
+                                    std::size_t num_shards,
+                                    std::size_t transitions);
+
+/**
  * Conservative per-core MRAM demand upper bound for a sharded run:
- * slice + a data region reserved for the whole dataset (after
- * dropouts one surviving replica can inherit its shard's entire
- * routing share) + the worst-case halo (every transition naming a
- * distinct remote row). Embedder-facing callers compare this
+ * shardedMramLayout(...).end. Embedder-facing callers compare this
  * against PimConfig::mramBytesPerDpu before constructing a session.
  */
 std::size_t shardedMramDemandBound(rlcore::StateId num_states,

@@ -11,11 +11,14 @@
  * weighted aggregation, sharded slices with per-core halo rows, and
  * cohorts with dead cores formed by the launch engine under a fault
  * plan. (Host-pool invariance of whole training runs, which decides
- * how cohorts are chunked, is test_determinism's.) A scratch guard
- * pins the per-lane fusion: one chunk's working set is one lane's Q
- * image, however many lanes it holds.
+ * how cohorts are chunked, is test_determinism's.) Sharded cases use
+ * the session's slice | halo | data bank layout, so the batch lanes
+ * train on [slice | halo] in place while the oracle copies both into
+ * WRAM; the halo rows must come out untouched. A scratch guard pins
+ * the in-place lanes: a chunk's scratch holds no Q image at all.
  */
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -64,7 +67,6 @@ using swiftrl::rlcore::Sampling;
 // --- kernel-level parity matrix ---------------------------------------
 
 constexpr std::size_t kQOffset = 0;
-constexpr std::size_t kHaloOffset = 16 * 1024;
 constexpr std::size_t kVisitsOffset = 32 * 1024;
 constexpr std::size_t kDataOffset = 64 * 1024;
 constexpr std::size_t kWramBytes = 64 * 1024;
@@ -92,6 +94,7 @@ struct CoreObs
     std::uint64_t dma = 0;
     std::vector<std::uint8_t> q;
     std::vector<std::uint8_t> visits;
+    std::vector<std::uint8_t> halo;
 };
 
 struct KernelRun
@@ -145,6 +148,35 @@ class KernelParity : public ::testing::Test
         return c.sliceRows ? c.halo[core] : 0;
     }
 
+    /** Sharded: the halo directly follows the slice. */
+    std::size_t
+    haloOffset(const KernelCase &c) const
+    {
+        return kQOffset + ownRows(c) * _na * 4;
+    }
+
+    /**
+     * Sharded: slice | halo | data, the data region 8-byte aligned
+     * past the largest halo (the session reserves the worst case).
+     */
+    std::size_t
+    dataOffset(const KernelCase &c) const
+    {
+        if (!c.sliceRows)
+            return kDataOffset;
+        std::size_t widest = 0;
+        for (const std::size_t rows : c.halo)
+            widest = std::max(widest, rows);
+        return (haloOffset(c) + widest * _na * 4 + 7) / 8 * 8;
+    }
+
+    /** The halo rows core @p i starts with. */
+    std::vector<std::uint8_t>
+    haloWords(const KernelCase &c, std::size_t i) const
+    {
+        return qWords(c, haloRows(c, i), i + 11);
+    }
+
     /** Small non-zero Q words, valid in every numeric format. */
     std::vector<std::uint8_t>
     qWords(const KernelCase &c, std::size_t rows, std::size_t salt) const
@@ -192,12 +224,12 @@ class KernelParity : public ::testing::Test
             const auto q = qWords(c, ownRows(c), i);
             d.mramWrite(kQOffset, q.data(), q.size());
             if (haloRows(c, i) > 0) {
-                const auto h = qWords(c, haloRows(c, i), i + 11);
-                d.mramWrite(kHaloOffset, h.data(), h.size());
+                const auto h = haloWords(c, i);
+                d.mramWrite(haloOffset(c), h.data(), h.size());
             }
             const auto bytes = chunk(c, i);
             if (!bytes.empty())
-                d.mramWrite(kDataOffset, bytes.data(), bytes.size());
+                d.mramWrite(dataOffset(c), bytes.data(), bytes.size());
         }
         return dpus;
     }
@@ -222,7 +254,7 @@ class KernelParity : public ::testing::Test
         p.numStates = _ns;
         p.numActions = static_cast<swiftrl::rlcore::ActionId>(_na);
         p.qOffset = kQOffset;
-        p.dataOffset = kDataOffset;
+        p.dataOffset = dataOffset(c);
         p.trackVisits = c.trackVisits;
         p.visitsOffset = kVisitsOffset;
         p.episodes = kEpisodes;
@@ -233,7 +265,7 @@ class KernelParity : public ::testing::Test
         // tasklet sub-chunks that straddle block boundaries.
         p.blockTransitions = 32;
         p.sliceRows = c.sliceRows;
-        p.haloOffset = kHaloOffset;
+        p.haloOffset = haloOffset(c);
         p.haloRows = &halo;
         return p;
     }
@@ -257,6 +289,8 @@ class KernelParity : public ::testing::Test
                 dpus[i].mramRead(kVisitsOffset, o.visits.data(),
                                  o.visits.size());
             }
+            o.halo.resize(haloRows(c, i) * _na * 4);
+            dpus[i].mramRead(haloOffset(c), o.halo.data(), o.halo.size());
             run.cores.push_back(std::move(o));
         }
         return run;
@@ -322,6 +356,9 @@ class KernelParity : public ::testing::Test
             EXPECT_EQ(b.dma, o.dma);
             EXPECT_EQ(b.q, o.q);
             EXPECT_EQ(b.visits, o.visits);
+            // Halo rows are read-only: in place, they stay as seeded.
+            EXPECT_EQ(b.halo, o.halo);
+            EXPECT_EQ(b.halo, haloWords(c, i));
             total += o.cycles;
             // An empty chunk charges nothing at all.
             if (c.counts[i] == 0) {
@@ -393,16 +430,19 @@ TEST_F(KernelParity, VisitTrackingMatchesOracle)
 
 TEST_F(KernelParity, ShardedHaloRowsMatchOracle)
 {
-    // Every lane has its own halo row count, so the per-lane Q image
-    // geometry differs across the cohort; the image is reused.
+    // Every lane has its own halo row count, so the per-lane
+    // [slice | halo] geometry differs across the cohort, and the
+    // data region sits past the widest halo.
     for (const Workload &w : swiftrl::extendedWorkloads()) {
         for (const unsigned t : {1u, 3u}) {
-            KernelCase c;
-            c.workload = w;
-            c.tasklets = t;
-            c.sliceRows = 8;
-            SCOPED_TRACE(label(c));
-            expectParity(c);
+            for (const std::size_t rows : {8u, 5u}) {
+                KernelCase c;
+                c.workload = w;
+                c.tasklets = t;
+                c.sliceRows = rows;
+                SCOPED_TRACE(label(c) + " rows=" + std::to_string(rows));
+                expectParity(c);
+            }
         }
     }
 }
@@ -529,14 +569,15 @@ TEST_F(EngineParity, LaunchBatchMatchesPerCoreLaunchUnderFaults)
     }
 }
 
-// --- per-lane fusion guard --------------------------------------------
+// --- in-place lane guard ----------------------------------------------
 
-TEST(BatchScratch, ChunkHoldsOneLaneImage)
+TEST(BatchScratch, ChunkScratchHoldsNoQImage)
 {
-    // A taxi-shaped chunk: 250 lanes of a 500 x 6 table (12 KB image)
-    // training 50 records each. Fused lanes reuse one Q image, so the
-    // chunk's scratch stays at one image plus a staging block and
-    // the arena's slab slack — not 250 images (3 MB).
+    // A taxi-shaped chunk: 250 lanes of a 500 x 6 table (12 KB)
+    // training 50 records each. Lanes train on their banks in place,
+    // so the chunk's scratch holds no Q image at all — at most a
+    // staging block, inside the arena's slab slack — not one image
+    // (12 KB) and certainly not 250 of them (3 MB).
     auto env = swiftrl::rlenv::makeEnvironment("taxi");
     constexpr std::size_t kLanes = 250;
     constexpr std::size_t kPerLane = 50;
@@ -575,7 +616,9 @@ TEST(BatchScratch, ChunkHoldsOneLaneImage)
 
     const std::size_t staging =
         p.blockTransitions * swiftrl::kTransitionBytes;
-    EXPECT_LE(scratch.capacityBytes(), q_bytes + staging + 64 * 1024);
+    EXPECT_LE(scratch.usedBytes(), staging);
+    EXPECT_LT(scratch.usedBytes(), q_bytes);
+    EXPECT_LE(scratch.capacityBytes(), staging + 64 * 1024);
     EXPECT_GT(bctx.lane(kLanes - 1).cycles(), 0u);
 }
 

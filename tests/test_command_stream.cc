@@ -11,6 +11,9 @@
  *    core, zeros for never-written MRAM, and under a fault plan the
  *    same sites, charges and events as a copying gather, with a
  *    corrupted chunk flipped on a scratch copy, never in the bank;
+ *  - a broadcast parks one shared payload on every live bank, which
+ *    lands on the bank's next access through any accessor, under any
+ *    later write, and never on a dead core;
  *  - the trainer's reported TimeBreakdown is derived from — and hence
  *    always agrees with — its result timeline;
  *  - the exported Chrome trace JSON holds one "X" slice per command,
@@ -20,8 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <sstream>
 
+#include "swiftrl/pim_kernels.hh"
 #include "swiftrl/swiftrl.hh"
 
 namespace {
@@ -31,6 +37,7 @@ using swiftrl::PimTrainConfig;
 using swiftrl::PimTrainer;
 using swiftrl::Workload;
 using swiftrl::pimsim::CommandStream;
+using swiftrl::pimsim::Dpu;
 using swiftrl::pimsim::Phase;
 using swiftrl::pimsim::PimConfig;
 using swiftrl::pimsim::PimSystem;
@@ -288,6 +295,162 @@ TEST(CommandStreamGather, CleanFaultyPlanGatherRecordsChecksumVerify)
     EXPECT_EQ(status.seconds, transfer + verify);
     for (const auto &view : out)
         EXPECT_TRUE(std::ranges::equal(view, payload));
+}
+
+// --- shared broadcast payloads ---------------------------------------
+
+/** @p bytes of @p dpu from offset 0, read with mramRead. */
+std::vector<std::uint8_t>
+readBank(const Dpu &dpu, std::size_t bytes)
+{
+    std::vector<std::uint8_t> out(bytes);
+    dpu.mramRead(0, out.data(), bytes);
+    return out;
+}
+
+/** A bank holding @p old at offset 0 with @p payload pending over it. */
+std::unique_ptr<Dpu>
+bankWithPending(const std::vector<std::uint8_t> &old,
+                const std::vector<std::uint8_t> &payload)
+{
+    auto dpu = std::make_unique<Dpu>(0, 1u << 20);
+    dpu->mramWrite(0, old.data(), old.size());
+    dpu->mramShare(
+        0, std::make_shared<const std::vector<std::uint8_t>>(payload));
+    return dpu;
+}
+
+TEST(CommandStreamBroadcast, PendingPayloadIsVisibleThroughEveryAccessor)
+{
+    // A fresh bank per accessor: the first access lands the payload,
+    // so each accessor must land it on its own.
+    const auto old = pattern(96, 1);
+    const auto payload = pattern(64, 100);
+    auto expected = payload;
+    expected.insert(expected.end(), old.begin() + 64, old.end());
+
+    EXPECT_EQ(readBank(*bankWithPending(old, payload), 96), expected)
+        << "mramRead";
+    {
+        auto dpu = bankWithPending(old, payload);
+        const std::uint8_t *view = dpu->mramView(0, 96);
+        EXPECT_TRUE(std::ranges::equal(std::span(view, 96), expected))
+            << "mramView";
+    }
+    {
+        auto dpu = bankWithPending(old, payload);
+        const auto bank = dpu->mram();
+        ASSERT_GE(bank.size(), 96u);
+        EXPECT_TRUE(std::ranges::equal(bank.first(96), expected))
+            << "mram";
+    }
+    {
+        auto dpu = bankWithPending(old, payload);
+        const auto bank = dpu->mramLane(96);
+        ASSERT_GE(bank.size(), 96u);
+        EXPECT_TRUE(std::ranges::equal(bank.first(96), expected))
+            << "mramLane";
+    }
+}
+
+TEST(CommandStreamBroadcast, PartialWriteLandsOnTopOfPendingPayload)
+{
+    auto dpu = bankWithPending(pattern(64, 1), pattern(64, 100));
+    const auto patch = pattern(8, 200);
+    dpu->mramWrite(16, patch.data(), patch.size());
+
+    auto expected = pattern(64, 100);
+    std::copy(patch.begin(), patch.end(), expected.begin() + 16);
+    EXPECT_EQ(readBank(*dpu, 64), expected);
+}
+
+TEST(CommandStreamBroadcast, TwoBroadcastsResolveToTheLast)
+{
+    auto system = makeSystem(2);
+    CommandStream stream(system);
+    stream.pushBroadcast(0, pattern(64, 1));
+    stream.pushBroadcast(0, pattern(64, 50));
+    // A narrower third broadcast cannot drop the one it only partly
+    // covers: that one lands first, the new bytes on top.
+    stream.pushBroadcast(8, pattern(16, 150));
+
+    auto expected = pattern(64, 50);
+    const auto top = pattern(16, 150);
+    std::copy(top.begin(), top.end(), expected.begin() + 8);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(readBank(system.dpu(i), 64), expected) << "core " << i;
+}
+
+TEST(CommandStreamBroadcast, DeadCoreNeverReceivesThePayload)
+{
+    auto system = makeFaultySystem(
+        {{FaultKind::PermanentDropout, /*site=*/0, /*dpu=*/2}});
+    CommandStream stream(system);
+    const auto before = pattern(64, 7);
+    stream.pushBroadcast(0, before);
+    ASSERT_FALSE(stream
+                     .launch([](swiftrl::pimsim::KernelContext &ctx) {
+                         ctx.aluOps(1);
+                     })
+                     .ok());
+    ASSERT_TRUE(stream.isDead(2));
+
+    const auto after = pattern(64, 70);
+    stream.pushBroadcast(0, after);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(readBank(system.dpu(i), 64), i == 2 ? before : after)
+            << "core " << i;
+    }
+}
+
+TEST(CommandStreamBroadcast, SkippedLaneGathersTheBroadcastBytes)
+{
+    // Core 1 has an empty chunk, so its kernel lane never touches its
+    // bank; the payload lands at the gather instead. Cores 0 and 2
+    // train on the payload in place.
+    swiftrl::rlenv::FrozenLake env(true);
+    const auto data = collectRandomDataset(env, 200, 5);
+    auto system = makeSystem(3);
+    CommandStream stream(system);
+
+    const std::size_t q_bytes = 16 * 4 * 4;
+    std::vector<float> q(16 * 4);
+    for (std::size_t k = 0; k < q.size(); ++k)
+        q[k] = 0.125f * static_cast<float>(k % 5);
+    std::vector<std::uint8_t> wire(q_bytes);
+    std::memcpy(wire.data(), q.data(), q_bytes);
+    stream.pushBroadcast(0, wire);
+
+    const std::size_t data_offset = 4096;
+    const auto chunk = data.packFp32(0, 100);
+    std::vector<std::span<const std::uint8_t>> chunks{chunk, {}, chunk};
+    stream.pokeChunks(data_offset, chunks);
+
+    std::vector<std::size_t> counts{100, 0, 100};
+    std::vector<std::uint32_t> lcg{1, 2, 3};
+    swiftrl::KernelParams p;
+    p.workload = Workload{Algorithm::QLearning, Sampling::Seq,
+                          NumericFormat::Fp32};
+    p.numStates = 16;
+    p.numActions = 4;
+    p.qOffset = 0;
+    p.dataOffset = data_offset;
+    p.episodes = 2;
+    p.chunkCounts = &counts;
+    p.lcgStates = &lcg;
+    ASSERT_TRUE(stream
+                    .launchBatch([&p](swiftrl::pimsim::BatchKernelContext
+                                          &bctx) {
+                        swiftrl::runTrainingKernelBatch(bctx, p);
+                    })
+                    .ok());
+    EXPECT_EQ(system.dpu(1).cycles(), 0u);
+
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(0, q_bytes, out).ok());
+    EXPECT_TRUE(std::ranges::equal(out[1], wire));
+    EXPECT_FALSE(std::ranges::equal(out[0], wire));
+    EXPECT_TRUE(std::ranges::equal(out[0], out[2]));
 }
 
 TEST(CommandStream, HostReduceAndOnCoreComputeAdvanceTheClock)
