@@ -95,6 +95,27 @@ main(void)
     CHECK(swiftrl_session_create("{\"env\": \"frozenlake\","
                                  " \"tau\": 0}",
                                  &session) == SWIFTRL_ERR_PARSE);
+    /* Hyper-parameters outside [0, 1] and integers that are
+     * fractional or do not fit their field are refused, not cast. */
+    CHECK(swiftrl_session_create("{\"env\": \"frozenlake\","
+                                 " \"algo\": \"sarsa\","
+                                 " \"epsilon\": 1e10}",
+                                 &session) == SWIFTRL_ERR_PARSE);
+    CHECK(strstr(swiftrl_last_error(), "hyper.epsilon") != NULL);
+    CHECK(swiftrl_session_create("{\"env\": \"frozenlake\","
+                                 " \"alpha\": -1}",
+                                 &session) == SWIFTRL_ERR_PARSE);
+    CHECK(strstr(swiftrl_last_error(), "hyper.alpha") != NULL);
+    CHECK(swiftrl_session_create("{\"env\": \"frozenlake\","
+                                 " \"cores\": 1e300}",
+                                 &session) == SWIFTRL_ERR_PARSE);
+    CHECK(swiftrl_session_create("{\"env\": \"frozenlake\","
+                                 " \"episodes\": 4294967297}",
+                                 &session) == SWIFTRL_ERR_PARSE);
+    CHECK(swiftrl_session_create("{\"env\": \"frozenlake\","
+                                 " \"tau\": 2.5}",
+                                 &session) == SWIFTRL_ERR_PARSE);
+    CHECK(session == NULL);
     CHECK(swiftrl_session_step(NULL, NULL) ==
           SWIFTRL_ERR_INVALID_ARGUMENT);
 

@@ -28,9 +28,13 @@
  * and reports, because an embedder's bad input must never kill the
  * embedding process.
  *
- * Training params_json keys (all optional unless noted):
+ * Training params_json keys (all optional unless noted). Integer
+ * keys must hold integral numbers that fit their field; a fractional
+ * or out-of-range value is SWIFTRL_ERR_PARSE, never truncated:
  *   "env"            (required) "frozenlake" | "frozenlake-det" |
- *                    "taxi" | "cliffwalking"
+ *                    "taxi" | "cliffwalking", or a procedural spec:
+ *                    "lake:<side>" | "lake:<side>:det" (N x N lake),
+ *                    "mptaxi:<side>x<P>" (multi-passenger taxi)
  *   "cores"          PIM cores to train on            (default 125)
  *   "host_threads"   simulation host threads; 0 = all (default 0)
  *   "transitions"    offline dataset size         (default 16384)
@@ -38,13 +42,24 @@
  *   "algo"           "qlearning" | "sarsa"     (default "qlearning")
  *   "sampling"       "seq" | "ran" | "str"          (default "seq")
  *   "format"         "fp32" | "int32"              (default "fp32")
- *   "alpha" "gamma" "epsilon" "episodes" "stride" "seed"
- *                    hyper-parameters      (paper defaults, Sec 4.1)
- *   "tau"            synchronisation period            (default 50)
- *   "block_transitions"  staging block size           (default 128)
+ *   "alpha" "gamma" "epsilon"
+ *                    learning rate, discount, SARSA exploration;
+ *                    each finite and in [0, 1]
+ *                                (default 0.1, 0.95, 0.05; Sec 4.1)
+ *   "episodes"       training episodes, >= 1           (default 2000)
+ *   "stride"         STR sampling stride, >= 1           (default 4)
+ *   "seed"           training (LCG) seed                (default 42)
+ *   "tau"            synchronisation period, >= 1      (default 50)
+ *   "block_transitions"  staging block size, >= 1     (default 128)
  *   "tasklets"       threads per core, 1..24            (default 1)
  *   "weighted"       visit-weighted aggregation     (default false)
- *   "epsilon_decay"  per-round epsilon multiplier     (default 1.0)
+ *   "epsilon_decay"  per-round epsilon multiplier, in (0, 1]
+ *                                                     (default 1.0)
+ *   "shards"         Q-table shards for large state spaces; 0 =
+ *                    whole-table replication; not with "weighted";
+ *                    at most "cores" and the env's state count, and
+ *                    each core's slice must fit its MRAM bank
+ *                                                       (default 0)
  *
  * Serving serving_json keys (both optional; NULL json = defaults):
  *   "max_batch"      queries per batch                 (default 64)

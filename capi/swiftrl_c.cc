@@ -7,15 +7,18 @@
  * The one design rule of this layer: *validate, then call*. The C++
  * layer treats invalid configuration as a programming error and
  * aborts (SWIFTRL_FATAL); here every input crosses a trust boundary,
- * so each entry point re-checks what the C++ constructors would be
- * fatal about — JSON shape, enum spellings, numeric ranges,
- * checkpoint identity — and turns the failure into a status code
- * plus a thread-local message before any fatal path is reachable.
+ * so each entry point checks what the C++ layer would be fatal about
+ * — JSON shape, enum spellings, integer ranges, the session config
+ * (through the same sessionConfigInvalidReason the constructors
+ * use), checkpoint identity — and turns the failure into a status
+ * code plus a thread-local message before any fatal path is
+ * reachable.
  */
 
 #include "capi/swiftrl.h"
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -98,6 +101,25 @@ parseEnum(const std::string &value,
     return false;
 }
 
+/** Read integer member @p key into @p out (kept when absent); false
+ *  with @p reason when the value is fractional or does not fit. */
+template <typename T>
+bool
+readInteger(const swiftrl::json::JsonValue &doc, const char *key,
+            T &out, std::string &reason)
+{
+    const auto v = doc.integerOr<T>(key, out);
+    if (!v) {
+        reason = std::string("params_json: \"") + key +
+                 "\" must be an integer in [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]";
+        return false;
+    }
+    out = *v;
+    return true;
+}
+
 /** Parse + validate params_json into @p params; false + reason on
  *  any problem the C++ layer would abort over. */
 bool
@@ -158,29 +180,35 @@ parseTrainParams(const char *params_json, TrainParams &params,
     params.numStates = probe_env->numStates();
     params.numActions = probe_env->numActions();
 
-    const long cores = doc->intOr("cores", 125);
-    const long host_threads = doc->intOr("host_threads", 0);
-    const long transitions = doc->intOr("transitions", 16384);
-    if (cores < 1) {
-        reason = "params_json: \"cores\" must be >= 1";
+    auto &session = params.session;
+    auto &hyper = session.hyper;
+    if (!readInteger(*doc, "cores", params.cores, reason) ||
+        !readInteger(*doc, "host_threads", params.hostThreads,
+                     reason) ||
+        !readInteger(*doc, "transitions", params.transitions,
+                     reason) ||
+        !readInteger(*doc, "collect_seed", params.collectSeed,
+                     reason) ||
+        !readInteger(*doc, "episodes", hyper.episodes, reason) ||
+        !readInteger(*doc, "stride", hyper.stride, reason) ||
+        !readInteger(*doc, "seed", hyper.seed, reason) ||
+        !readInteger(*doc, "tau", session.tau, reason) ||
+        !readInteger(*doc, "block_transitions",
+                     session.blockTransitions, reason) ||
+        !readInteger(*doc, "tasklets", session.tasklets, reason) ||
+        !readInteger(*doc, "shards", session.shards, reason))
         return false;
-    }
-    if (host_threads < 0) {
-        reason = "params_json: \"host_threads\" must be >= 0";
+    if (params.cores < 1) {
+        reason = "params_json: \"cores\" must be >= 1";
         return false;
     }
     // transitions < cores is fine: partitionDataset hands the excess
     // cores empty chunks, and empty chunks train zero episodes of
     // nothing — only a fully empty dataset is meaningless.
-    if (transitions < 1) {
+    if (params.transitions < 1) {
         reason = "params_json: \"transitions\" must be >= 1";
         return false;
     }
-    params.cores = static_cast<std::size_t>(cores);
-    params.hostThreads = static_cast<unsigned>(host_threads);
-    params.transitions = static_cast<std::size_t>(transitions);
-    params.collectSeed =
-        static_cast<std::uint64_t>(doc->intOr("collect_seed", 1234));
 
     int tag = 0;
     const std::string algo = doc->stringOr("algo", "qlearning");
@@ -192,7 +220,7 @@ parseTrainParams(const char *params_json, TrainParams &params,
         reason = "params_json: \"algo\" must be qlearning or sarsa";
         return false;
     }
-    params.session.workload.algo = rlcore::Algorithm(tag);
+    session.workload.algo = rlcore::Algorithm(tag);
 
     const std::string sampling = doc->stringOr("sampling", "seq");
     if (!parseEnum(sampling,
@@ -203,7 +231,7 @@ parseTrainParams(const char *params_json, TrainParams &params,
         reason = "params_json: \"sampling\" must be seq, ran, or str";
         return false;
     }
-    params.session.workload.sampling = rlcore::Sampling(tag);
+    session.workload.sampling = rlcore::Sampling(tag);
 
     const std::string format = doc->stringOr("format", "fp32");
     if (!parseEnum(format,
@@ -213,84 +241,37 @@ parseTrainParams(const char *params_json, TrainParams &params,
         reason = "params_json: \"format\" must be fp32 or int32";
         return false;
     }
-    params.session.workload.format = rlcore::NumericFormat(tag);
+    session.workload.format = rlcore::NumericFormat(tag);
 
-    auto &hyper = params.session.hyper;
     hyper.alpha =
         static_cast<float>(doc->numberOr("alpha", hyper.alpha));
     hyper.gamma =
         static_cast<float>(doc->numberOr("gamma", hyper.gamma));
     hyper.epsilon =
         static_cast<float>(doc->numberOr("epsilon", hyper.epsilon));
-    hyper.episodes =
-        static_cast<int>(doc->intOr("episodes", hyper.episodes));
-    hyper.stride =
-        static_cast<int>(doc->intOr("stride", hyper.stride));
-    hyper.seed =
-        static_cast<std::uint64_t>(doc->intOr("seed", 42));
-    if (hyper.episodes <= 0) {
-        reason = "params_json: \"episodes\" must be >= 1";
-        return false;
-    }
-    if (hyper.stride <= 0) {
-        reason = "params_json: \"stride\" must be >= 1";
-        return false;
-    }
+    session.weightedAggregation = doc->boolOr("weighted", false);
+    session.epsilonDecay =
+        static_cast<float>(doc->numberOr("epsilon_decay", 1.0));
 
-    params.session.tau =
-        static_cast<int>(doc->intOr("tau", params.session.tau));
-    if (params.session.tau <= 0) {
-        reason = "params_json: \"tau\" must be >= 1";
+    const std::string why = swiftrl::sessionConfigInvalidReason(session);
+    if (!why.empty()) {
+        reason = "params_json: " + why;
         return false;
     }
-    const long block = doc->intOr("block_transitions", 128);
-    if (block < 1) {
-        reason = "params_json: \"block_transitions\" must be >= 1";
-        return false;
-    }
-    params.session.blockTransitions =
-        static_cast<std::size_t>(block);
-    const long tasklets = doc->intOr("tasklets", 1);
-    if (tasklets < 1 || tasklets > 24) {
-        reason = "params_json: \"tasklets\" must be in 1..24";
-        return false;
-    }
-    params.session.tasklets = static_cast<unsigned>(tasklets);
-    params.session.weightedAggregation =
-        doc->boolOr("weighted", false);
-    params.session.epsilonDecay = static_cast<float>(
-        doc->numberOr("epsilon_decay", 1.0));
-    if (!(params.session.epsilonDecay > 0.0f) ||
-        params.session.epsilonDecay > 1.0f) {
-        reason = "params_json: \"epsilon_decay\" must be in (0, 1]";
-        return false;
-    }
-
-    const long shards = doc->intOr("shards", 0);
-    if (shards < 0) {
-        reason = "params_json: \"shards\" must be >= 0";
-        return false;
-    }
-    params.session.shards = static_cast<std::size_t>(shards);
-    if (params.session.shards > 0) {
-        // Everything TrainerSession would be fatal about, rechecked
-        // here so an embedder gets a status code instead of abort():
-        // mode compatibility, plan validity, and the conservative
-        // MRAM demand bound against the default bank size.
-        if (params.session.weightedAggregation) {
-            reason = "params_json: \"shards\" and \"weighted\" are "
-                     "incompatible";
-            return false;
-        }
+    if (session.shards > 0) {
+        // What beginOffline would be fatal about, checked here so an
+        // embedder gets a status code instead of abort(): plan
+        // validity and the conservative MRAM demand bound against the
+        // default bank size.
         const std::string plan_reason = swiftrl::shardPlanInvalidReason(
-            params.numStates, params.session.shards, params.cores);
+            params.numStates, session.shards, params.cores);
         if (!plan_reason.empty()) {
             reason = "params_json: \"shards\": " + plan_reason;
             return false;
         }
         const std::size_t demand = swiftrl::shardedMramDemandBound(
-            params.numStates, params.numActions,
-            params.session.shards, params.transitions);
+            params.numStates, params.numActions, session.shards,
+            params.transitions);
         const std::size_t bank =
             swiftrl::pimsim::PimConfig{}.mramBytesPerDpu;
         if (demand > bank) {
@@ -302,7 +283,6 @@ parseTrainParams(const char *params_json, TrainParams &params,
             return false;
         }
     }
-    params.session.streaming = false;
     return true;
 }
 
@@ -572,17 +552,19 @@ swiftrl_policy_load(const char *q_table_path,
                                 "\"");
             (void)value;
         }
-        const long max_batch = doc->intOr("max_batch", 64);
+        const auto max_batch =
+            doc->integerOr<std::size_t>("max_batch", 64);
         const double max_wait =
             doc->numberOr("max_wait_sec", 100e-6);
-        if (max_batch < 1)
+        if (!max_batch || *max_batch < 1)
             return fail(SWIFTRL_ERR_PARSE,
-                        "serving_json: \"max_batch\" must be >= 1");
+                        "serving_json: \"max_batch\" must be an "
+                        "integer >= 1");
         if (max_wait < 0.0)
             return fail(SWIFTRL_ERR_PARSE,
                         "serving_json: \"max_wait_sec\" must be "
                         ">= 0");
-        config.maxBatch = static_cast<std::size_t>(max_batch);
+        config.maxBatch = *max_batch;
         config.maxWaitSec = max_wait;
     }
 

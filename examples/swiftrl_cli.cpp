@@ -538,9 +538,6 @@ main(int argc, char **argv)
     // procedurally scaled environments (--env lake:64, mptaxi:8x3)
     // whose tables outgrow whole-table replication.
     cfg.shards = static_cast<std::size_t>(flags.getInt("shards", 0));
-    if (cfg.shards > 0 && cfg.weightedAggregation)
-        SWIFTRL_FATAL("--shards and --weighted are incompatible "
-                      "(sharded aggregation has no visit counts)");
     cfg.retry = retry;
     cfg.metrics = want_metrics ? &metrics : nullptr;
 

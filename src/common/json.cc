@@ -55,14 +55,6 @@ JsonValue::numberOr(std::string_view key, double fallback) const
     return (v && v->isNumber()) ? v->number : fallback;
 }
 
-long
-JsonValue::intOr(std::string_view key, long fallback) const
-{
-    const JsonValue *v = find(key);
-    return (v && v->isNumber()) ? static_cast<long>(v->number)
-                                : fallback;
-}
-
 bool
 JsonValue::boolOr(std::string_view key, bool fallback) const
 {

@@ -27,7 +27,10 @@
 #ifndef SWIFTRL_COMMON_JSON_HH
 #define SWIFTRL_COMMON_JSON_HH
 
+#include <cmath>
+#include <concepts>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -84,8 +87,29 @@ class JsonValue
     /** Member as double, or @p fallback when absent/not a number. */
     double numberOr(std::string_view key, double fallback) const;
 
-    /** Member as long, or @p fallback when absent/not a number. */
-    long intOr(std::string_view key, long fallback) const;
+    /**
+     * Checked integer member read: @p fallback when absent/not a
+     * number, the value when it is integral and fits T, and
+     * std::nullopt when it is fractional or outside T's range (a
+     * plain cast of such a double to an integer is undefined).
+     */
+    template <std::integral T>
+    std::optional<T>
+    integerOr(std::string_view key, T fallback) const
+    {
+        const JsonValue *v = find(key);
+        if (!v || !v->isNumber())
+            return fallback;
+        // T's range is [min, 2^digits); both bounds are exact doubles.
+        const double x = v->number;
+        const double lo = static_cast<double>(
+            std::numeric_limits<T>::min());
+        const double hi =
+            std::ldexp(1.0, std::numeric_limits<T>::digits);
+        if (!(x >= lo && x < hi) || std::trunc(x) != x)
+            return std::nullopt;
+        return static_cast<T>(x);
+    }
 
     /** Member as bool, or @p fallback when absent/not a bool. */
     bool boolOr(std::string_view key, bool fallback) const;

@@ -1,12 +1,15 @@
 #include "fleet/job_spec.hh"
 
+#include <concepts>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "rlcore/trainers.hh"
+#include "swiftrl/session.hh"
 
 namespace swiftrl::fleet {
 
@@ -37,11 +40,28 @@ rejectUnknownKeys(const json::JsonValue &object,
     }
 }
 
-long
-positiveInt(const json::JsonValue &object, const char *key,
-            long fallback, const char *where)
+/** Integer member @p key that fits T, or @p fallback when absent;
+ *  fatal on a fractional or out-of-range value. */
+template <std::integral T>
+T
+integerField(const json::JsonValue &object, const char *key,
+             T fallback, const std::string &where)
 {
-    const long v = object.intOr(key, fallback);
+    const auto v = object.integerOr<T>(key, fallback);
+    if (!v)
+        SWIFTRL_FATAL("fleet spec: ", where, ".", key,
+                      " must be an integer in [",
+                      std::numeric_limits<T>::min(), ", ",
+                      std::numeric_limits<T>::max(), "]");
+    return *v;
+}
+
+template <std::integral T>
+T
+positiveInt(const json::JsonValue &object, const char *key,
+            T fallback, const std::string &where)
+{
+    const T v = integerField<T>(object, key, fallback, where);
     if (v <= 0)
         SWIFTRL_FATAL("fleet spec: ", where, ".", key,
                       " must be positive, got ", v);
@@ -70,19 +90,17 @@ parseJob(const json::JsonValue &j, std::size_t index)
     if (spec.tenant.empty())
         SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\" needs a "
                       "non-empty \"tenant\"");
-    spec.priority = static_cast<int>(j.intOr("priority", 0));
+    spec.priority = integerField<int>(j, "priority", 0, where);
     spec.arrivalSec = j.numberOr("arrival_sec", 0.0);
     if (spec.arrivalSec < 0.0)
         SWIFTRL_FATAL("fleet spec: job \"", spec.id,
                       "\" arrival_sec must be >= 0");
-    spec.ranks = static_cast<std::size_t>(
-        positiveInt(j, "ranks", 1, where.c_str()));
-    const long min_ranks = j.intOr("min_ranks", 0);
-    if (min_ranks < 0 ||
-        static_cast<std::size_t>(min_ranks) > spec.ranks)
+    spec.ranks = positiveInt<std::size_t>(j, "ranks", 1, where);
+    spec.minRanks =
+        integerField<std::size_t>(j, "min_ranks", 0, where);
+    if (spec.minRanks > spec.ranks)
         SWIFTRL_FATAL("fleet spec: job \"", spec.id,
                       "\" min_ranks must be in [0, ranks]");
-    spec.minRanks = static_cast<std::size_t>(min_ranks);
     spec.env = j.stringOr("env", "frozenlake");
     spec.workload.algo =
         rlcore::parseAlgorithm(j.stringOr("algo", "qlearning"));
@@ -90,16 +108,13 @@ parseJob(const json::JsonValue &j, std::size_t index)
         rlcore::parseSampling(j.stringOr("sampling", "seq"));
     spec.workload.format =
         rlcore::parseNumericFormat(j.stringOr("format", "int32"));
-    spec.hyper.episodes = static_cast<int>(
-        positiveInt(j, "episodes", 100, where.c_str()));
-    spec.tau =
-        static_cast<int>(positiveInt(j, "tau", 50, where.c_str()));
+    spec.hyper.episodes = integerField<int>(j, "episodes", 100, where);
+    spec.tau = integerField<int>(j, "tau", 50, where);
     if (spec.tau > spec.hyper.episodes)
         spec.tau = spec.hyper.episodes;
-    spec.transitions = static_cast<std::size_t>(
-        positiveInt(j, "transitions", 20'000, where.c_str()));
-    spec.tasklets = static_cast<unsigned>(
-        positiveInt(j, "tasklets", 1, where.c_str()));
+    spec.transitions =
+        positiveInt<std::size_t>(j, "transitions", 20'000, where);
+    spec.tasklets = integerField<unsigned>(j, "tasklets", 1, where);
     spec.hyper.alpha = static_cast<float>(j.numberOr("alpha", 0.1));
     spec.hyper.gamma = static_cast<float>(j.numberOr("gamma", 0.95));
     spec.hyper.epsilon =
@@ -108,14 +123,29 @@ parseJob(const json::JsonValue &j, std::size_t index)
     // the collection seed directly and the training seed at +41, so
     // a fleet job and a standalone CLI run of the same spec draw the
     // same datasets and LCG streams.
-    const auto seed =
-        static_cast<std::uint64_t>(j.intOr("seed", 1));
+    const auto seed = integerField<std::uint64_t>(j, "seed", 1, where);
     spec.collectSeed = seed;
     spec.hyper.seed = seed + 41;
+
+    const std::string why =
+        sessionConfigInvalidReason(sessionConfigFor(spec));
+    if (!why.empty())
+        SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\": ", why);
     return spec;
 }
 
 } // namespace
+
+SessionConfig
+sessionConfigFor(const JobSpec &spec)
+{
+    SessionConfig cfg;
+    cfg.workload = spec.workload;
+    cfg.hyper = spec.hyper;
+    cfg.tau = spec.tau;
+    cfg.tasklets = spec.tasklets;
+    return cfg;
+}
 
 FleetSpec
 parseFleetSpec(const std::string &json_text)
@@ -137,12 +167,12 @@ parseFleetSpec(const std::string &json_text)
         static const std::set<std::string> kFleetKeys = {
             "ranks", "dpus_per_rank", "quantum_rounds"};
         rejectUnknownKeys(*fleet, kFleetKeys, "\"fleet\"");
-        spec.config.totalRanks = static_cast<std::size_t>(
-            positiveInt(*fleet, "ranks", 8, "fleet"));
-        spec.config.dpusPerRank = static_cast<std::size_t>(
-            positiveInt(*fleet, "dpus_per_rank", 8, "fleet"));
-        spec.config.quantumRounds = static_cast<int>(
-            positiveInt(*fleet, "quantum_rounds", 4, "fleet"));
+        spec.config.totalRanks =
+            positiveInt<std::size_t>(*fleet, "ranks", 8, "fleet");
+        spec.config.dpusPerRank = positiveInt<std::size_t>(
+            *fleet, "dpus_per_rank", 8, "fleet");
+        spec.config.quantumRounds =
+            positiveInt<int>(*fleet, "quantum_rounds", 4, "fleet");
     }
 
     if (const auto *tenants = doc->find("tenants")) {

@@ -39,6 +39,8 @@
 
 namespace swiftrl {
 
+struct SessionConfig;
+
 namespace telemetry {
 class MetricRegistry;
 }
@@ -94,6 +96,10 @@ struct JobSpec
         return minRanks == 0 ? ranks : minRanks;
     }
 };
+
+/** The session configuration @p spec trains with (the fleet
+ *  scheduler builds every grant's session from it). */
+SessionConfig sessionConfigFor(const JobSpec &spec);
 
 /** The shared fleet and the scheduling policy knobs. */
 struct FleetConfig
@@ -151,7 +157,9 @@ struct FleetSpec
 /**
  * Parse the operator JSON document (schema in docs/SCHEDULER.md).
  * Fatal on malformed JSON, unknown keys, duplicate job ids, or
- * out-of-range values — the operator surface fails loudly.
+ * out-of-range values — the operator surface fails loudly. Each job's
+ * session config is checked here (sessionConfigInvalidReason), so a
+ * bad job fails before the scheduler runs any other.
  */
 FleetSpec parseFleetSpec(const std::string &json_text);
 

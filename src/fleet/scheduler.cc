@@ -160,17 +160,6 @@ struct RunState
     }
 };
 
-SessionConfig
-sessionConfigFor(const JobSpec &spec)
-{
-    SessionConfig cfg;
-    cfg.workload = spec.workload;
-    cfg.hyper = spec.hyper;
-    cfg.tau = spec.tau;
-    cfg.tasklets = spec.tasklets;
-    return cfg;
-}
-
 /** ceil(ranks / granted): the gang time-multiplexing factor. */
 double
 dilationFor(const JobSpec &spec, std::size_t granted)
@@ -555,12 +544,7 @@ FleetScheduler::runStandalone(const JobSpec &job,
     const auto data = rlcore::collectRandomDataset(
         *env, job.transitions, job.collectSeed);
 
-    PimTrainConfig cfg;
-    cfg.workload = job.workload;
-    cfg.hyper = job.hyper;
-    cfg.tau = job.tau;
-    cfg.tasklets = job.tasklets;
-    PimTrainer trainer(system, cfg);
+    PimTrainer trainer(system, sessionConfigFor(job));
     return trainer.train(data, env->numStates(), env->numActions());
 }
 

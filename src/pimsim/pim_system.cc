@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "pimsim/command_stream.hh"
 #include "pimsim/host_pool.hh"
 
 namespace swiftrl::pimsim {
@@ -58,63 +57,6 @@ unsigned
 PimSystem::hostThreadCount() const
 {
     return _pool->threadCount();
-}
-
-CommandStream &
-PimSystem::defaultStream()
-{
-    if (!_defaultStream)
-        _defaultStream = std::make_unique<CommandStream>(*this);
-    return *_defaultStream;
-}
-
-double
-PimSystem::pushChunks(std::size_t offset,
-                      const std::vector<std::span<const std::uint8_t>>
-                          &per_dpu)
-{
-    return defaultStream().pushChunks(offset, per_dpu);
-}
-
-double
-PimSystem::pushBroadcast(std::size_t offset,
-                         std::span<const std::uint8_t> payload)
-{
-    return defaultStream().pushBroadcast(offset, payload);
-}
-
-double
-PimSystem::gather(std::size_t offset, std::size_t bytes,
-                  std::vector<std::vector<std::uint8_t>> &out)
-{
-    std::vector<std::span<const std::uint8_t>> views;
-    const CommandStatus status =
-        defaultStream().gather(offset, bytes, views);
-    if (!status.ok())
-        SWIFTRL_FATAL("gather failed (", faultKindName(
-                          status.error->kind),
-                      " at fault site ", status.error->site,
-                      ") and the blocking API has no recovery path; "
-                      "drive a CommandStream with a RetryPolicy");
-    // Copy out of the bank views; dropped cores stay zero-filled.
-    out.assign(views.size(), std::vector<std::uint8_t>(bytes));
-    for (std::size_t i = 0; i < views.size(); ++i)
-        std::copy(views[i].begin(), views[i].end(), out[i].begin());
-    return status.seconds;
-}
-
-double
-PimSystem::launch(const KernelFn &kernel, unsigned tasklets)
-{
-    const CommandStatus status =
-        defaultStream().launch(kernel, tasklets);
-    if (!status.ok())
-        SWIFTRL_FATAL("kernel launch failed (", faultKindName(
-                          status.error->kind),
-                      " at fault site ", status.error->site,
-                      ") and the blocking API has no recovery path; "
-                      "drive a CommandStream with a RetryPolicy");
-    return status.seconds;
 }
 
 Cycles

@@ -80,14 +80,6 @@ TransferModel::haloPackSeconds(std::size_t halo_entries) const
     return haloPackSecPerEntry * static_cast<double>(halo_entries);
 }
 
-double
-TransferModel::syncRoundSeconds(std::size_t bytes_per_dpu,
-                                std::size_t num_dpus) const
-{
-    return pimToCpuSeconds(bytes_per_dpu, num_dpus) +
-           broadcastSeconds(bytes_per_dpu, num_dpus);
-}
-
 void
 validate(const TransferModel &model)
 {

@@ -121,15 +121,6 @@ struct TransferModel
      */
     double haloPackSeconds(std::size_t halo_entries) const;
 
-    /**
-     * Time for one inter-PIM-core synchronisation round: gather
-     * @p bytes_per_dpu from every DPU, reduce on the host, broadcast
-     * the reduced payload back. This is the Comm_rounds cost of
-     * SwiftRL Sec. 4.2/4.3.
-     */
-    double syncRoundSeconds(std::size_t bytes_per_dpu,
-                            std::size_t num_dpus) const;
-
   private:
     /** DPUs resident in the fullest rank. */
     std::size_t fullestRank(std::size_t num_dpus) const;

@@ -22,37 +22,12 @@ PimTrainer::PimTrainer(pimsim::PimSystem &system, PimTrainConfig config)
     : _system(system), _config(std::move(config)),
       _qio(_config.workload, _config.hyper)
 {
-    if (_config.tau <= 0)
-        SWIFTRL_FATAL("synchronisation period tau must be positive");
-    if (_config.hyper.episodes <= 0)
-        SWIFTRL_FATAL("episode count must be positive");
-    if (_config.blockTransitions == 0)
-        SWIFTRL_FATAL("staging block must hold at least one transition");
-    if (_config.tasklets < 1 || _config.tasklets > 24)
-        SWIFTRL_FATAL("UPMEM DPUs support 1-24 tasklets, got ",
-                      _config.tasklets);
-    if (!(_config.epsilonDecay > 0.0f) || _config.epsilonDecay > 1.0f)
-        SWIFTRL_FATAL("epsilon decay must be in (0, 1], got ",
-                      _config.epsilonDecay);
-    validate(_config.retry);
-}
-
-SessionConfig
-PimTrainer::sessionConfig() const
-{
-    SessionConfig cfg;
-    cfg.workload = _config.workload;
-    cfg.hyper = _config.hyper;
-    cfg.tau = _config.tau;
-    cfg.blockTransitions = _config.blockTransitions;
-    cfg.tasklets = _config.tasklets;
-    cfg.retry = _config.retry;
-    cfg.weightedAggregation = _config.weightedAggregation;
-    cfg.epsilonDecay = _config.epsilonDecay;
-    cfg.streaming = false;
-    cfg.shards = _config.shards;
-    cfg.metrics = _config.metrics;
-    return cfg;
+    const std::string why = sessionConfigInvalidReason(_config);
+    if (!why.empty())
+        SWIFTRL_FATAL(why);
+    if (_config.streaming)
+        SWIFTRL_FATAL("streaming: PimTrainer drives offline sessions; "
+                      "streaming runs use StreamingTrainer");
 }
 
 std::size_t
@@ -103,7 +78,7 @@ PimTrainer::runImpl(const Dataset &data, StateId num_states,
     // I/O, the LCG streams, and the fault-recovery plumbing. The
     // reported time breakdown is a view of the session's timeline
     // (continued past the checkpoint base on a resumed run).
-    TrainerSession session(_system, sessionConfig());
+    TrainerSession session(_system, _config);
     if (restore_from)
         session.restoreOffline(data, *restore_from);
     else

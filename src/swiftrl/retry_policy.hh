@@ -27,6 +27,7 @@
 #ifndef SWIFTRL_SWIFTRL_RETRY_POLICY_HH
 #define SWIFTRL_SWIFTRL_RETRY_POLICY_HH
 
+#include <string>
 #include <string_view>
 
 #include "common/logging.hh"
@@ -62,18 +63,21 @@ struct RetryPolicy
     }
 };
 
-/** Validate retry-policy parameters; fatal on nonsense. */
-inline void
-validate(const RetryPolicy &policy)
+/** Empty when @p policy is valid, else the reason (part of
+ *  sessionConfigInvalidReason). */
+inline std::string
+retryPolicyInvalidReason(const RetryPolicy &policy)
 {
+    using common::detail::concat;
     if (policy.limit < 0)
-        SWIFTRL_FATAL("retry limit must be >= 0, got ", policy.limit);
-    if (policy.backoffSec < 0.0)
-        SWIFTRL_FATAL("retry backoff must be >= 0, got ",
+        return concat("retry.limit must be >= 0, got ", policy.limit);
+    if (!(policy.backoffSec >= 0.0))
+        return concat("retry.backoffSec must be >= 0, got ",
                       policy.backoffSec);
-    if (policy.backoffMultiplier < 1.0)
-        SWIFTRL_FATAL("backoff multiplier must be >= 1, got ",
+    if (!(policy.backoffMultiplier >= 1.0))
+        return concat("retry.backoffMultiplier must be >= 1, got ",
                       policy.backoffMultiplier);
+    return "";
 }
 
 /**

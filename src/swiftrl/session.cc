@@ -1,6 +1,7 @@
 #include "swiftrl/session.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -36,33 +37,63 @@ viewInside(std::span<const std::uint8_t> view,
 
 } // namespace
 
+std::string
+sessionConfigInvalidReason(const SessionConfig &config)
+{
+    using common::detail::concat;
+    // alpha, gamma and epsilon are quantised to int32 on the PIM
+    // side (rlcore::ScaledHyper), so an out-of-range value is not
+    // merely a bad experiment: the conversion would overflow.
+    const auto unit = [](float v) {
+        return std::isfinite(v) && v >= 0.0f && v <= 1.0f;
+    };
+    const rlcore::Hyper &h = config.hyper;
+    if (!unit(h.alpha))
+        return concat("hyper.alpha (learning rate) must be finite and "
+                      "in [0, 1], got ", h.alpha);
+    if (!unit(h.gamma))
+        return concat("hyper.gamma (discount) must be finite and in "
+                      "[0, 1], got ", h.gamma);
+    if (!unit(h.epsilon))
+        return concat("hyper.epsilon (exploration) must be finite and "
+                      "in [0, 1], got ", h.epsilon);
+    if (h.episodes <= 0)
+        return concat("hyper.episodes: episode count must be "
+                      "positive, got ", h.episodes);
+    if (h.stride <= 0)
+        return concat("hyper.stride must be >= 1, got ", h.stride);
+    if (config.tau <= 0)
+        return concat("tau: synchronisation period tau must be "
+                      "positive, got ", config.tau);
+    if (config.blockTransitions == 0)
+        return "blockTransitions: staging block must hold at least "
+               "one transition";
+    if (config.tasklets < 1 || config.tasklets > 24)
+        return concat("tasklets: UPMEM DPUs support 1-24 tasklets, "
+                      "got ", config.tasklets);
+    if (!(config.epsilonDecay > 0.0f) || config.epsilonDecay > 1.0f)
+        return concat("epsilonDecay must be in (0, 1], got ",
+                      config.epsilonDecay);
+    if (config.streaming && config.weightedAggregation)
+        return "weightedAggregation is not available in streaming "
+               "mode";
+    if (config.shards > 0 && config.streaming)
+        return "shards: sharded Q-tables are offline-only; streaming "
+               "generations replicate the whole table";
+    if (config.shards > 0 && config.weightedAggregation)
+        return "shards: sharded Q-tables do not support visit-weighted "
+               "aggregation";
+    return retryPolicyInvalidReason(config.retry);
+}
+
 TrainerSession::TrainerSession(pimsim::PimSystem &system,
                                SessionConfig config)
     : _system(system), _config(std::move(config)),
       _qio(_config.workload, _config.hyper), _aggregated(1, 1)
 {
-    if (_config.tau <= 0)
-        SWIFTRL_FATAL("synchronisation period tau must be positive");
-    if (_config.hyper.episodes <= 0)
-        SWIFTRL_FATAL("episode count must be positive");
-    if (_config.blockTransitions == 0)
-        SWIFTRL_FATAL("staging block must hold at least one transition");
-    if (_config.tasklets < 1 || _config.tasklets > 24)
-        SWIFTRL_FATAL("UPMEM DPUs support 1-24 tasklets, got ",
-                      _config.tasklets);
-    if (!(_config.epsilonDecay > 0.0f) || _config.epsilonDecay > 1.0f)
-        SWIFTRL_FATAL("epsilon decay must be in (0, 1], got ",
-                      _config.epsilonDecay);
-    if (_config.streaming && _config.weightedAggregation)
-        SWIFTRL_FATAL("weighted aggregation is not available in "
-                      "streaming mode");
-    if (_config.shards > 0 && _config.streaming)
-        SWIFTRL_FATAL("sharded Q-tables are offline-only; streaming "
-                      "generations replicate the whole table");
-    if (_config.shards > 0 && _config.weightedAggregation)
-        SWIFTRL_FATAL("sharded Q-tables do not support visit-weighted "
-                      "aggregation");
-    validate(_config.retry);
+    const std::string why = sessionConfigInvalidReason(_config);
+    if (!why.empty())
+        SWIFTRL_FATAL(why);
 }
 
 TrainerSession::~TrainerSession()

@@ -79,41 +79,75 @@ class MetricRegistry;
 class EngineCollector;
 }
 
-/** Session configuration: the trainer-agnostic training knobs. */
+/**
+ * The one training configuration: every trainer (TrainerSession,
+ * PimTrainer, StreamingTrainer's generations, fleet jobs, the C ABI,
+ * the CLI) runs from a SessionConfig. Its rules live in one place,
+ * sessionConfigInvalidReason().
+ */
 struct SessionConfig
 {
-    /** Workload variant the PIM side trains. */
+    /** Which of the 12 workload variants to run. */
     Workload workload;
 
     /** Hyper-parameters; hyper.episodes is the episode budget per
-     *  begin/loadGeneration arming. */
+     *  begin/loadGeneration arming. alpha, gamma and epsilon must be
+     *  finite and in [0, 1]. */
     rlcore::Hyper hyper;
 
-    /** Synchronisation period tau (episodes per round). */
+    /**
+     * Synchronisation period tau: episodes between inter-core
+     * Q-table averaging rounds (paper default 50). Comm_rounds =
+     * episodes / tau.
+     */
     int tau = 50;
 
     /** Transitions per SEQ/STR staging block. */
     std::size_t blockTransitions = 128;
 
-    /** Hardware threads per PIM core. */
+    /**
+     * Hardware threads per PIM core, 1..24 (paper: 1, its stated
+     * future work beyond core-level parallelism). Each tasklet trains
+     * its own sub-chunk against the core's shared Q-table; the
+     * pipeline speeds up by min(tasklets, pipelineInterval).
+     */
     unsigned tasklets = 1;
 
-    /** Fault recovery policy (see PimTrainConfig::retry). */
+    /**
+     * Fault recovery under an active PimConfig::faultPlan: bounded
+     * relaunch with modelled backoff for transient/corruption faults,
+     * chunk redistribution over the survivors for permanent dropouts.
+     * Unused (and cost-free) when the fault plan is inert.
+     */
     RetryPolicy retry;
 
-    /** Visit-weighted aggregation (offline mode only). */
+    /**
+     * Extension beyond the paper: weight each core's Q-entries by
+     * its per-round visit counts during the synchronisation average,
+     * instead of the paper's plain mean. Entries no core visited
+     * keep their previous aggregated value. Plain averaging lets the
+     * Q = 0 of unvisited entries dilute learned values — fatal in
+     * negative-reward environments when chunks under-cover the state
+     * space (see tests/test_pim_trainer.cc's coverage
+     * characterisation); weighting fixes exactly that at the cost of
+     * one extra per-round gather of the count table. Offline mode
+     * only.
+     */
     bool weightedAggregation = false;
 
     /**
-     * Per-round epsilon decay: after each round the working epsilon
-     * is multiplied by this factor. 1.0 (the default) keeps epsilon
-     * constant bit-exactly (x * 1.0f == x), so the schedule is free
-     * unless asked for. The current position is checkpointed.
+     * Per-round epsilon decay, in (0, 1]: after each round the
+     * working epsilon is multiplied by this factor. 1.0 (the default)
+     * keeps epsilon constant bit-exactly (x * 1.0f == x), reproducing
+     * the paper's fixed-epsilon training; smaller values anneal
+     * exploration as the aggregate converges. The current position is
+     * checkpointed.
      */
     float epsilonDecay = 1.0f;
 
     /** Streaming mode: per-generation datasets, plain averaging,
-     *  per-generation metrics left to the driver. */
+     *  per-generation metrics left to the driver. PimTrainer refuses
+     *  it; StreamingTrainer sets it. */
     bool streaming = false;
 
     /**
@@ -127,12 +161,20 @@ struct SessionConfig
      * tree (TransferModel::aggregationTreeSeconds), and push back
      * slices plus per-core remote-row halos. shards == 1 is the
      * degenerate single-shard layout and stays bit-identical to
-     * unsharded training. Offline mode only; incompatible with
-     * streaming and weightedAggregation.
+     * unsharded training. Offline single-table training only:
+     * incompatible with streaming and weightedAggregation, and
+     * PimTrainer::trainMultiAgent refuses it.
      */
     std::size_t shards = 0;
 
-    /** Telemetry destination (null = off). Observation-only. */
+    /**
+     * Telemetry destination (null = off, the default). When set, the
+     * session attaches an EngineCollector to its command stream
+     * (per-launch instruction mix, DMA bytes, straggler histograms)
+     * and emits the rl_* training metrics documented in
+     * docs/OBSERVABILITY.md. Purely observational: results and
+     * modelled times are bit-identical with and without a registry.
+     */
     telemetry::MetricRegistry *metrics = nullptr;
 
     /**
@@ -143,6 +185,17 @@ struct SessionConfig
      */
     std::uint64_t traceParent = 0;
 };
+
+/**
+ * Every rule a SessionConfig must satisfy that needs nothing but the
+ * config: empty when @p config is valid, else the reason, which starts
+ * with the offending field's name. The trainers' constructors are
+ * fatal on a non-empty answer; the C ABI and the fleet parser call it
+ * first to report the reason their own way. Rules that need the
+ * machine or the environment (shard plan, MRAM demand) are checked
+ * when a run begins.
+ */
+std::string sessionConfigInvalidReason(const SessionConfig &config);
 
 /**
  * Complete state of a paused session, version-tagged. Produced by

@@ -23,31 +23,21 @@ StreamingTrainer::StreamingTrainer(pimsim::PimSystem &system,
                                    StreamingConfig config)
     : _system(system), _config(std::move(config))
 {
-    if (_config.tau <= 0)
-        SWIFTRL_FATAL("synchronisation period tau must be positive");
-    if (_config.hyper.episodes <= 0)
-        SWIFTRL_FATAL("per-generation episode count must be positive");
+    const std::string why = sessionConfigInvalidReason(sessionConfig());
+    if (!why.empty())
+        SWIFTRL_FATAL(why);
     if (_config.generations <= 0)
         SWIFTRL_FATAL("generation count must be positive");
     if (_config.transitionsPerGeneration == 0)
         SWIFTRL_FATAL("each generation must collect at least one "
                       "transition");
-    if (_config.blockTransitions == 0)
-        SWIFTRL_FATAL("staging block must hold at least one transition");
     if (_config.actors == 0)
         SWIFTRL_FATAL("actor count must be >= 1: modelled collection "
                       "time may not depend on the host machine");
-    if (_config.tasklets < 1 || _config.tasklets > 24)
-        SWIFTRL_FATAL("UPMEM DPUs support 1-24 tasklets, got ",
-                      _config.tasklets);
     if (_config.refreshPeriod < 0)
         SWIFTRL_FATAL("refresh period must be >= 0 (0 = never)");
     if (_config.collectSecPerTransition < 0.0)
         SWIFTRL_FATAL("per-transition collection cost must be >= 0");
-    if (!(_config.epsilonDecay > 0.0f) || _config.epsilonDecay > 1.0f)
-        SWIFTRL_FATAL("epsilon decay must be in (0, 1], got ",
-                      _config.epsilonDecay);
-    validate(_config.retry);
 }
 
 SessionConfig

@@ -2,8 +2,7 @@
  * @file
  * The command-stream engine and its event timeline:
  *
- *  - the blocking PimSystem API is a thin wrapper over the default
- *    stream, so its calls land on a timeline of contiguous,
+ *  - a stream's commands land on a timeline of contiguous,
  *    non-overlapping intervals whose durations sum to sync();
  *  - the timing-only gather charges exactly what the functional one
  *    does (and validates the range the same way);
@@ -66,24 +65,29 @@ pattern(std::size_t n, std::uint8_t base)
     return v;
 }
 
-TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
+TEST(CommandStream, RecordsContiguousTimeline)
 {
     auto system = makeSystem(4);
+    CommandStream stream(system);
     const auto payload = pattern(256, 1);
 
     std::vector<std::span<const std::uint8_t>> chunks(
         4, std::span<const std::uint8_t>(payload));
     double summed = 0.0;
-    summed += system.pushChunks(4096, chunks);
-    summed += system.pushBroadcast(0, payload);
-    summed += system.launch(
+    summed += stream.pushChunks(4096, chunks);
+    summed += stream.pushBroadcast(0, payload);
+    const auto launched = stream.launch(
         [](swiftrl::pimsim::KernelContext &ctx) {
             ctx.aluOps(100);
         });
-    std::vector<std::vector<std::uint8_t>> out;
-    summed += system.gather(0, payload.size(), out);
+    ASSERT_TRUE(launched.ok());
+    summed += launched.seconds;
+    std::vector<std::span<const std::uint8_t>> out;
+    const auto gathered = stream.gather(0, payload.size(), out);
+    ASSERT_TRUE(gathered.ok());
+    summed += gathered.seconds;
 
-    const auto &timeline = system.defaultStream().timeline();
+    const auto &timeline = stream.timeline();
     ASSERT_EQ(timeline.size(), 4u);
     const auto &events = timeline.events();
 
@@ -102,11 +106,11 @@ TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
     EXPECT_DOUBLE_EQ(total, summed);
 
     // sync() closes the interval spanning all four commands.
-    EXPECT_DOUBLE_EQ(system.defaultStream().sync(), total);
-    EXPECT_DOUBLE_EQ(system.defaultStream().sync(), 0.0);
-    EXPECT_DOUBLE_EQ(system.defaultStream().now(), total);
+    EXPECT_DOUBLE_EQ(stream.sync(), total);
+    EXPECT_DOUBLE_EQ(stream.sync(), 0.0);
+    EXPECT_DOUBLE_EQ(stream.now(), total);
 
-    // Each wrapper mapped to its phase, in call order.
+    // Each command mapped to its phase, in enqueue order.
     EXPECT_EQ(events[0].phase, Phase::Scatter);
     EXPECT_EQ(events[1].phase, Phase::Broadcast);
     EXPECT_EQ(events[2].phase, Phase::Kernel);
@@ -114,7 +118,8 @@ TEST(CommandStream, BlockingWrapperRecordsContiguousTimeline)
 
     // The gathered payload round-tripped through MRAM.
     ASSERT_EQ(out.size(), 4u);
-    EXPECT_EQ(out[2], payload);
+    EXPECT_TRUE(std::equal(out[2].begin(), out[2].end(),
+                           payload.begin(), payload.end()));
 }
 
 TEST(CommandStream, TimedGatherChargesExactlyTheFunctionalCost)

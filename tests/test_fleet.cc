@@ -161,6 +161,26 @@ TEST(FleetSpecDeath, RejectsOperatorMistakes)
                          "jobs": [{"id": "a", "tenant": "t"}]})"),
                  "positive");
     EXPECT_DEATH(fleet::parseFleetSpec("{nope"), "malformed JSON");
+    // Session-config rules are checked at parse time, naming the job
+    // and the field, before the scheduler runs any other job.
+    EXPECT_DEATH(fleet::parseFleetSpec(
+                     R"({"jobs": [{"id": "a", "tenant": "t",
+                                   "gamma": 2}]})"),
+                 "job \"a\": hyper\\.gamma");
+    EXPECT_DEATH(fleet::parseFleetSpec(
+                     R"({"jobs": [{"id": "ok", "tenant": "t"},
+                                  {"id": "b", "tenant": "t",
+                                   "tasklets": 30}]})"),
+                 "job \"b\": tasklets: UPMEM DPUs support 1-24");
+    // Integers are read checked: no truncation, no wrap-around.
+    EXPECT_DEATH(fleet::parseFleetSpec(
+                     R"({"jobs": [{"id": "a", "tenant": "t",
+                                   "episodes": 2.5}]})"),
+                 "episodes must be an integer");
+    EXPECT_DEATH(fleet::parseFleetSpec(
+                     R"({"jobs": [{"id": "a", "tenant": "t",
+                                   "episodes": 4294967297}]})"),
+                 "episodes must be an integer");
 }
 
 // --- scheduling determinism ----------------------------------------

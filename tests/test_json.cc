@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/json.hh"
 
 namespace {
@@ -58,7 +60,7 @@ TEST(JsonParse, ScalarsAndNesting)
     ASSERT_EQ(doc->find("e")->elements.size(), 3u);
     EXPECT_DOUBLE_EQ(doc->find("e")->elements[1].number, 2.0);
     ASSERT_NE(doc->find("f"), nullptr);
-    EXPECT_EQ(doc->find("f")->intOr("g", 0), -4);
+    EXPECT_EQ(doc->find("f")->integerOr<int>("g", 0), -4);
 }
 
 TEST(JsonParse, StringEscapes)
@@ -83,8 +85,8 @@ TEST(JsonParse, NumberForms)
     const auto doc = parseJson(
         R"({"i": 42, "neg": -7, "frac": 0.25, "exp": 2e3})");
     ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(doc->intOr("i", 0), 42);
-    EXPECT_EQ(doc->intOr("neg", 0), -7);
+    EXPECT_EQ(doc->integerOr<int>("i", 0), 42);
+    EXPECT_EQ(doc->integerOr<long>("neg", 0), -7);
     EXPECT_DOUBLE_EQ(doc->numberOr("frac", 0.0), 0.25);
     EXPECT_DOUBLE_EQ(doc->numberOr("exp", 0.0), 2000.0);
 }
@@ -93,9 +95,33 @@ TEST(JsonParse, DuplicateKeysLastWins)
 {
     const auto doc = parseJson(R"({"k": 1, "k": 2})");
     ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(doc->intOr("k", 0), 2);
+    EXPECT_EQ(doc->integerOr<int>("k", 0), 2);
     // Source order is preserved for iteration.
     EXPECT_EQ(doc->members.size(), 2u);
+}
+
+TEST(JsonParse, IntegerReadsAreChecked)
+{
+    const auto doc = parseJson(
+        R"({"frac": 2.5, "huge": 1e300, "wrap": 4294967297,
+            "neg": -1, "exp": 2e3, "top": 2147483647,
+            "u64": 18446744073709549568, "past": 18446744073709551616})");
+    ASSERT_TRUE(doc.has_value());
+    // Integral values that fit are read, in exponent form too.
+    EXPECT_EQ(doc->integerOr<int>("exp", 0), 2000);
+    EXPECT_EQ(doc->integerOr<int>("top", 0), 2147483647);
+    EXPECT_EQ(doc->integerOr<std::uint64_t>("u64", 0),
+              18446744073709549568ull);
+    // Fractional values and values outside the destination's range
+    // are refused instead of truncated or wrapped.
+    EXPECT_EQ(doc->integerOr<int>("frac", 0), std::nullopt);
+    EXPECT_EQ(doc->integerOr<long>("huge", 0), std::nullopt);
+    EXPECT_EQ(doc->integerOr<int>("wrap", 0), std::nullopt);
+    EXPECT_EQ(doc->integerOr<long>("wrap", 0), 4294967297L);
+    EXPECT_EQ(doc->integerOr<unsigned>("neg", 0), std::nullopt);
+    EXPECT_EQ(doc->integerOr<std::uint64_t>("past", 0), std::nullopt);
+    // Absent and mistyped members still take the fallback.
+    EXPECT_EQ(doc->integerOr<int>("absent", 7), 7);
 }
 
 TEST(JsonParse, HelpersFallBackOnMissingOrMistyped)

@@ -9,15 +9,19 @@
  * failure modes: corruption, wrong magic, version and identity
  * mismatches all die loudly. Also: the session's fused plain and
  * count-weighted means equal references computed from independently
- * decoded copies of the live banks.
+ * decoded copies of the live banks, and every sessionConfigInvalidReason
+ * rule names its field and kills all three trainers with that reason.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rlcore/collection.hh"
@@ -31,6 +35,7 @@ using swiftrl::PimTrainConfig;
 using swiftrl::PimTrainer;
 using swiftrl::PimTrainResult;
 using swiftrl::SessionCheckpoint;
+using swiftrl::SessionConfig;
 using swiftrl::StreamingConfig;
 using swiftrl::StreamingResult;
 using swiftrl::StreamingTrainer;
@@ -640,6 +645,151 @@ TEST(SessionCheckpointIoDeath, MismatchedMachineIsRejected)
     PimTrainer trainer(system, offlineConfig());
     EXPECT_EXIT((void)trainer.resume(data, 16, 4, ck),
                 ::testing::ExitedWithCode(1), "does not match");
+}
+
+// --- config validation ------------------------------------------------
+
+/** One sessionConfigInvalidReason rule, broken on purpose. */
+struct InvalidCase
+{
+    const char *field; ///< the field the reason must name
+    void (*breakIt)(SessionConfig &);
+    /** Does the broken field exist on StreamingConfig too? */
+    bool streamingHasIt;
+};
+
+const InvalidCase kInvalidCases[] = {
+    {"hyper.alpha", [](SessionConfig &c) { c.hyper.alpha = -1.0f; },
+     true},
+    {"hyper.alpha",
+     [](SessionConfig &c) { c.hyper.alpha = std::nanf(""); }, true},
+    {"hyper.gamma", [](SessionConfig &c) { c.hyper.gamma = 2.0f; },
+     true},
+    {"hyper.epsilon", [](SessionConfig &c) { c.hyper.epsilon = 1e10f; },
+     true},
+    {"hyper.epsilon",
+     [](SessionConfig &c) {
+         c.hyper.epsilon = std::numeric_limits<float>::infinity();
+     },
+     true},
+    {"hyper.episodes", [](SessionConfig &c) { c.hyper.episodes = 0; },
+     true},
+    {"hyper.stride", [](SessionConfig &c) { c.hyper.stride = 0; },
+     true},
+    {"tau", [](SessionConfig &c) { c.tau = 0; }, true},
+    {"blockTransitions",
+     [](SessionConfig &c) { c.blockTransitions = 0; }, true},
+    {"tasklets", [](SessionConfig &c) { c.tasklets = 0; }, true},
+    {"tasklets", [](SessionConfig &c) { c.tasklets = 25; }, true},
+    {"epsilonDecay", [](SessionConfig &c) { c.epsilonDecay = 0.0f; },
+     true},
+    {"epsilonDecay", [](SessionConfig &c) { c.epsilonDecay = 1.5f; },
+     true},
+    {"weightedAggregation",
+     [](SessionConfig &c) {
+         c.streaming = true;
+         c.weightedAggregation = true;
+     },
+     false},
+    {"shards",
+     [](SessionConfig &c) {
+         c.streaming = true;
+         c.shards = 2;
+     },
+     false},
+    {"shards",
+     [](SessionConfig &c) {
+         c.shards = 2;
+         c.weightedAggregation = true;
+     },
+     false},
+    {"retry.limit", [](SessionConfig &c) { c.retry.limit = -1; }, true},
+    {"retry.backoffSec",
+     [](SessionConfig &c) { c.retry.backoffSec = -1.0; }, true},
+    {"retry.backoffMultiplier",
+     [](SessionConfig &c) { c.retry.backoffMultiplier = 0.5; }, true},
+};
+
+/** @p text as a POSIX extended regex that matches it literally. */
+std::string
+literalRegex(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        if (std::string_view(".[]{}()*+?^$|\\").find(c) !=
+            std::string_view::npos)
+            out.push_back('\\');
+        out.push_back(c);
+    }
+    return out;
+}
+
+TEST(SessionConfigValidation, DefaultsAndRangeEdgesPass)
+{
+    EXPECT_EQ(swiftrl::sessionConfigInvalidReason(SessionConfig{}), "");
+    SessionConfig edges;
+    edges.hyper.alpha = 0.0f;
+    edges.hyper.gamma = 1.0f;
+    edges.hyper.epsilon = 1.0f;
+    edges.tasklets = 24;
+    edges.epsilonDecay = 1.0f;
+    edges.retry.limit = 0;
+    edges.retry.backoffSec = 0.0;
+    edges.retry.backoffMultiplier = 1.0;
+    edges.shards = 1;
+    EXPECT_EQ(swiftrl::sessionConfigInvalidReason(edges), "");
+}
+
+TEST(SessionConfigValidation, EachRuleNamesItsField)
+{
+    for (const auto &c : kInvalidCases) {
+        SessionConfig cfg;
+        c.breakIt(cfg);
+        const std::string why = swiftrl::sessionConfigInvalidReason(cfg);
+        EXPECT_EQ(why.rfind(c.field, 0), 0u)
+            << "case " << c.field << ": reason \"" << why << "\"";
+    }
+}
+
+TEST(SessionConfigValidationDeath, EveryTrainerDiesWithTheReason)
+{
+    PimConfig pim;
+    pim.numDpus = 2;
+    PimSystem system(pim);
+    for (const auto &c : kInvalidCases) {
+        SCOPED_TRACE(c.field);
+        SessionConfig cfg;
+        c.breakIt(cfg);
+        const std::string why =
+            literalRegex(swiftrl::sessionConfigInvalidReason(cfg));
+        EXPECT_EXIT((void)swiftrl::TrainerSession(system, cfg),
+                    ::testing::ExitedWithCode(1), why);
+        EXPECT_EXIT((void)PimTrainer(system, cfg),
+                    ::testing::ExitedWithCode(1), why);
+        if (!c.streamingHasIt)
+            continue;
+        StreamingConfig scfg;
+        scfg.workload = cfg.workload;
+        scfg.hyper = cfg.hyper;
+        scfg.tau = cfg.tau;
+        scfg.blockTransitions = cfg.blockTransitions;
+        scfg.tasklets = cfg.tasklets;
+        scfg.retry = cfg.retry;
+        scfg.epsilonDecay = cfg.epsilonDecay;
+        EXPECT_EXIT((void)StreamingTrainer(system, scfg),
+                    ::testing::ExitedWithCode(1), why);
+    }
+}
+
+TEST(SessionConfigValidationDeath, PimTrainerRefusesStreaming)
+{
+    PimConfig pim;
+    pim.numDpus = 2;
+    PimSystem system(pim);
+    SessionConfig cfg;
+    cfg.streaming = true;
+    EXPECT_EXIT((void)PimTrainer(system, cfg),
+                ::testing::ExitedWithCode(1), "StreamingTrainer");
 }
 
 } // namespace

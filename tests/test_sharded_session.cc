@@ -196,16 +196,14 @@ TEST(ShardedSession, CheckpointShardCountIsIdentity)
 
 TEST(ShardedSessionDeath, RefusesWeightedAggregation)
 {
-    auto env = swiftrl::rlenv::makeEnvironment("frozenlake");
-    const Dataset data = collectRandomDataset(*env, 512, 17);
     PimConfig pim;
     pim.numDpus = 4;
     PimSystem system(pim);
     PimTrainConfig cfg = baseConfig(NumericFormat::Fp32);
     cfg.shards = 2;
     cfg.weightedAggregation = true;
-    PimTrainer trainer(system, cfg);
-    EXPECT_EXIT((void)trainer.train(data, 16, 4),
+    // A config-only rule: refused when the trainer is built.
+    EXPECT_EXIT((void)PimTrainer(system, cfg),
                 ::testing::ExitedWithCode(1), "visit-weighted");
 }
 

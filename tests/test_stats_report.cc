@@ -27,6 +27,14 @@ smallSystem(std::size_t dpus)
     return PimSystem(cfg);
 }
 
+/** Run @p kernel once on every core of @p system. */
+void
+launch(PimSystem &system, const swiftrl::pimsim::KernelFn &kernel)
+{
+    ASSERT_TRUE(
+        swiftrl::pimsim::CommandStream(system).launch(kernel).ok());
+}
+
 TEST(StatsReport, EmptySystemIsAllZero)
 {
     auto system = smallSystem(4);
@@ -41,7 +49,7 @@ TEST(StatsReport, EmptySystemIsAllZero)
 TEST(StatsReport, CountsRetiredOpsExactly)
 {
     auto system = smallSystem(2);
-    system.launch([](KernelContext &ctx) {
+    launch(system, [](KernelContext &ctx) {
         ctx.fmul(1.0f, 2.0f);
         ctx.fmul(1.0f, 2.0f);
         ctx.iadd(1, 2);
@@ -57,7 +65,7 @@ TEST(StatsReport, CountsRetiredOpsExactly)
 TEST(StatsReport, CycleSharesSumToOne)
 {
     auto system = smallSystem(1);
-    system.launch([](KernelContext &ctx) {
+    launch(system, [](KernelContext &ctx) {
         ctx.fadd(1, 2);
         ctx.fmul(1, 2);
         ctx.iadd(1, 2);
@@ -75,7 +83,7 @@ TEST(StatsReport, CycleSharesSumToOne)
 TEST(StatsReport, ImbalanceDetectsSkewedLoad)
 {
     auto system = smallSystem(2);
-    system.launch([](KernelContext &ctx) {
+    launch(system, [](KernelContext &ctx) {
         const int reps = ctx.dpuId() == 0 ? 30 : 10;
         for (int i = 0; i < reps; ++i)
             ctx.iadd(1, 1);
@@ -88,7 +96,7 @@ TEST(StatsReport, ImbalanceDetectsSkewedLoad)
 TEST(StatsReport, DmaBytesAndIntensity)
 {
     auto system = smallSystem(1);
-    system.launch([](KernelContext &ctx) {
+    launch(system, [](KernelContext &ctx) {
         std::uint8_t buf[64];
         ctx.mramToWram(0, buf, 64);
         for (int i = 0; i < 128; ++i)
@@ -128,7 +136,7 @@ TEST(StatsReport, Fp32KernelDominatedBySoftfloat)
 TEST(StatsReport, PrintRendersAllSections)
 {
     auto system = smallSystem(1);
-    system.launch([](KernelContext &ctx) { ctx.fadd(1, 2); });
+    launch(system, [](KernelContext &ctx) { ctx.fadd(1, 2); });
     const auto r = StatsReport::fromSystem(system);
     std::ostringstream oss;
     r.print(oss, "Test report");
