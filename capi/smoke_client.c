@@ -31,8 +31,8 @@ static int g_failures = 0;
 
 static const char *kParams =
     "{\"env\": \"frozenlake\", \"cores\": 4, \"transitions\": 2048,"
-    " \"collect_seed\": 11, \"algo\": \"qlearning\","
-    " \"episodes\": 60, \"tau\": 20, \"seed\": 42}";
+    " \"algo\": \"qlearning\", \"episodes\": 60, \"tau\": 20,"
+    " \"seed\": 42}";
 
 /* Read a whole file; returns NULL on failure. Caller frees. */
 static unsigned char *
@@ -145,7 +145,7 @@ main(void)
     /* Restoring under different params must be refused... */
     CHECK(swiftrl_session_restore(
               "{\"env\": \"frozenlake\", \"cores\": 4,"
-              " \"transitions\": 2048, \"collect_seed\": 11,"
+              " \"transitions\": 2048,"
               " \"episodes\": 60, \"tau\": 10, \"seed\": 42}",
               "smoke.ck", &session) == SWIFTRL_ERR_MISMATCH);
     CHECK(session == NULL);

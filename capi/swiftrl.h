@@ -28,28 +28,35 @@
  * and reports, because an embedder's bad input must never kill the
  * embedding process.
  *
- * Training params_json keys (all optional unless noted). Integer
- * keys must hold integral numbers that fit their field; a fractional
- * or out-of-range value is SWIFTRL_ERR_PARSE, never truncated:
- *   "env"            (required) "frozenlake" | "frozenlake-det" |
+ * Training params_json keys, all optional. One table declares them
+ * for the CLI and the fleet as well (src/swiftrl/run_spec.cc), so a
+ * spec trains the same Q-table through every front end. Integer keys
+ * must hold integral numbers within their range, and every value
+ * must have its key's JSON type; anything else is SWIFTRL_ERR_PARSE,
+ * never truncated or ignored:
+ *   "env"            environment: "frozenlake" | "frozenlake-det" |
  *                    "taxi" | "cliffwalking", or a procedural spec:
  *                    "lake:<side>" | "lake:<side>:det" (N x N lake),
  *                    "mptaxi:<side>x<P>" (multi-passenger taxi)
- *   "cores"          PIM cores to train on            (default 125)
- *   "host_threads"   simulation host threads; 0 = all (default 0)
- *   "transitions"    offline dataset size         (default 16384)
- *   "collect_seed"   dataset collection seed          (default 1234)
+ *                                              (default "frozenlake")
+ *   "cores"          PIM cores to train on, >= 1      (default 256)
+ *   "host_threads"   simulation host threads, 0..1024; 0 = one per
+ *                    hardware thread                    (default 0)
+ *   "transitions"    offline dataset size, >= 1    (default 100000)
+ *   "seed"           operator seed: the dataset is collected with
+ *                    seed, the kernels train with seed + 41
+ *                                                       (default 1)
  *   "algo"           "qlearning" | "sarsa"     (default "qlearning")
  *   "sampling"       "seq" | "ran" | "str"          (default "seq")
- *   "format"         "fp32" | "int32"              (default "fp32")
- *   "alpha" "gamma" "epsilon"
- *                    learning rate, discount, SARSA exploration;
- *                    each finite and in [0, 1]
- *                                (default 0.1, 0.95, 0.05; Sec 4.1)
- *   "episodes"       training episodes, >= 1           (default 2000)
- *   "stride"         STR sampling stride, >= 1           (default 4)
- *   "seed"           training (LCG) seed                (default 42)
- *   "tau"            synchronisation period, >= 1      (default 50)
+ *   "format"         "fp32" | "int32" | "int8"    (default "int32")
+ *   "alpha"          learning rate, finite, in [0, 1] (default 0.1)
+ *   "gamma"          discount, finite, in [0, 1]     (default 0.95)
+ *   "epsilon"        SARSA exploration, finite, in [0, 1]
+ *                                                    (default 0.05)
+ *   "episodes"       training episodes, >= 1          (default 100)
+ *   "stride"         STR sampling stride, >= 1          (default 4)
+ *   "tau"            synchronisation period, >= 1; clamped to
+ *                    "episodes"                        (default 50)
  *   "block_transitions"  staging block size, >= 1     (default 128)
  *   "tasklets"       threads per core, 1..24            (default 1)
  *   "weighted"       visit-weighted aggregation     (default false)
@@ -60,6 +67,11 @@
  *                    at most "cores" and the env's state count, and
  *                    each core's slice must fit its MRAM bank
  *                                                       (default 0)
+ *
+ * Changed with the shared table: "collect_seed" is gone (the seed
+ * rule replaces it), "env" is optional, "int8" is accepted, and the
+ * defaults are the CLI's (they were "fp32", 2000 episodes, 125
+ * cores, 16384 transitions, training seed 42 used raw).
  *
  * Serving serving_json keys (both optional; NULL json = defaults):
  *   "max_batch"      queries per batch                 (default 64)

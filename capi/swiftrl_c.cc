@@ -8,17 +8,17 @@
  * layer treats invalid configuration as a programming error and
  * aborts (SWIFTRL_FATAL); here every input crosses a trust boundary,
  * so each entry point checks what the C++ layer would be fatal about
- * — JSON shape, enum spellings, integer ranges, the session config
- * (through the same sessionConfigInvalidReason the constructors
- * use), checkpoint identity — and turns the failure into a status
+ * — JSON shape, then the run spec through the same table, reader and
+ * runSpecInvalidReason the CLI and the fleet use (swiftrl/run_spec),
+ * then checkpoint identity — and turns the failure into a status
  * code plus a thread-local message before any fatal path is
  * reachable.
  */
 
 #include "capi/swiftrl.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -35,8 +35,8 @@
 #include "rlenv/environment.hh"
 #include "rlenv/registry.hh"
 #include "serving/policy_server.hh"
+#include "swiftrl/run_spec.hh"
 #include "swiftrl/session.hh"
-#include "swiftrl/sharding.hh"
 
 namespace {
 
@@ -73,217 +73,31 @@ fileStatus(const std::string &reason)
                : SWIFTRL_ERR_CORRUPT;
 }
 
-/** Everything swiftrl_session_create needs, parsed and validated. */
-struct TrainParams
-{
-    std::string env = "frozenlake";
-    std::size_t cores = 125;
-    unsigned hostThreads = 0;
-    std::size_t transitions = 16384;
-    std::uint64_t collectSeed = 1234;
-    /** Shape of the validated environment (parse resolves it). */
-    rlenv::StateId numStates = 0;
-    rlenv::ActionId numActions = 0;
-    swiftrl::SessionConfig session;
-};
-
-bool
-parseEnum(const std::string &value,
-          const std::vector<std::pair<std::string, int>> &table,
-          int *out)
-{
-    for (const auto &[name, tag] : table) {
-        if (value == name) {
-            *out = tag;
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Read integer member @p key into @p out (kept when absent); false
- *  with @p reason when the value is fractional or does not fit. */
-template <typename T>
-bool
-readInteger(const swiftrl::json::JsonValue &doc, const char *key,
-            T &out, std::string &reason)
-{
-    const auto v = doc.integerOr<T>(key, out);
-    if (!v) {
-        reason = std::string("params_json: \"") + key +
-                 "\" must be an integer in [" +
-                 std::to_string(std::numeric_limits<T>::min()) + ", " +
-                 std::to_string(std::numeric_limits<T>::max()) + "]";
-        return false;
-    }
-    out = *v;
-    return true;
-}
-
-/** Parse + validate params_json into @p params; false + reason on
+/** Parse + validate params_json into @p spec: "" or the reason, for
  *  any problem the C++ layer would abort over. */
-bool
-parseTrainParams(const char *params_json, TrainParams &params,
-                 std::string &reason)
+std::string
+parseParams(const char *params_json, swiftrl::RunSpec &spec)
 {
-    if (params_json == nullptr) {
-        reason = "params_json must not be NULL";
-        return false;
-    }
+    if (params_json == nullptr)
+        return "params_json must not be NULL";
     std::string parse_error;
     const auto doc =
         swiftrl::json::parseJson(params_json, &parse_error);
-    if (!doc) {
-        reason = "params_json: " + parse_error;
-        return false;
+    if (!doc)
+        return "params_json: " + parse_error;
+    if (!doc->isObject())
+        return "params_json must be a JSON object";
+    // The C ABI accepts every key of the run-spec table.
+    static const auto kKeys = swiftrl::runSpecKeys(swiftrl::FrontEnd::CApi);
+    for (const auto &member : doc->members) {
+        if (std::find(kKeys.begin(), kKeys.end(), member.first) ==
+            kKeys.end())
+            return "params_json: unknown key \"" + member.first + "\"";
     }
-    if (!doc->isObject()) {
-        reason = "params_json must be a JSON object";
-        return false;
-    }
-
-    static const char *const kKnown[] = {
-        "env",      "cores",    "host_threads",
-        "transitions", "collect_seed", "algo",
-        "sampling", "format",   "alpha",
-        "gamma",    "epsilon",  "episodes",
-        "stride",   "seed",     "tau",
-        "block_transitions", "tasklets", "weighted",
-        "epsilon_decay", "shards",
-    };
-    for (const auto &[key, value] : doc->members) {
-        bool known = false;
-        for (const char *k : kKnown)
-            known = known || key == k;
-        if (!known) {
-            reason = "params_json: unknown key \"" + key + "\"";
-            return false;
-        }
-        (void)value;
-    }
-
-    params.env = doc->stringOr("env", "");
-    if (params.env.empty()) {
-        reason = "params_json: \"env\" is required";
-        return false;
-    }
-    // tryMakeEnvironment covers the procedural families
-    // ("lake:<side>", "mptaxi:<side>x<P>") that a fixed-name lookup
-    // would reject, and returns the spec-specific parse error.
-    std::string env_error;
-    const auto probe_env =
-        rlenv::tryMakeEnvironment(params.env, &env_error);
-    if (!probe_env) {
-        reason = "params_json: " + env_error;
-        return false;
-    }
-    params.numStates = probe_env->numStates();
-    params.numActions = probe_env->numActions();
-
-    auto &session = params.session;
-    auto &hyper = session.hyper;
-    if (!readInteger(*doc, "cores", params.cores, reason) ||
-        !readInteger(*doc, "host_threads", params.hostThreads,
-                     reason) ||
-        !readInteger(*doc, "transitions", params.transitions,
-                     reason) ||
-        !readInteger(*doc, "collect_seed", params.collectSeed,
-                     reason) ||
-        !readInteger(*doc, "episodes", hyper.episodes, reason) ||
-        !readInteger(*doc, "stride", hyper.stride, reason) ||
-        !readInteger(*doc, "seed", hyper.seed, reason) ||
-        !readInteger(*doc, "tau", session.tau, reason) ||
-        !readInteger(*doc, "block_transitions",
-                     session.blockTransitions, reason) ||
-        !readInteger(*doc, "tasklets", session.tasklets, reason) ||
-        !readInteger(*doc, "shards", session.shards, reason))
-        return false;
-    if (params.cores < 1) {
-        reason = "params_json: \"cores\" must be >= 1";
-        return false;
-    }
-    // transitions < cores is fine: partitionDataset hands the excess
-    // cores empty chunks, and empty chunks train zero episodes of
-    // nothing — only a fully empty dataset is meaningless.
-    if (params.transitions < 1) {
-        reason = "params_json: \"transitions\" must be >= 1";
-        return false;
-    }
-
-    int tag = 0;
-    const std::string algo = doc->stringOr("algo", "qlearning");
-    if (!parseEnum(algo,
-                   {{"qlearning",
-                     int(rlcore::Algorithm::QLearning)},
-                    {"sarsa", int(rlcore::Algorithm::Sarsa)}},
-                   &tag)) {
-        reason = "params_json: \"algo\" must be qlearning or sarsa";
-        return false;
-    }
-    session.workload.algo = rlcore::Algorithm(tag);
-
-    const std::string sampling = doc->stringOr("sampling", "seq");
-    if (!parseEnum(sampling,
-                   {{"seq", int(rlcore::Sampling::Seq)},
-                    {"ran", int(rlcore::Sampling::Ran)},
-                    {"str", int(rlcore::Sampling::Str)}},
-                   &tag)) {
-        reason = "params_json: \"sampling\" must be seq, ran, or str";
-        return false;
-    }
-    session.workload.sampling = rlcore::Sampling(tag);
-
-    const std::string format = doc->stringOr("format", "fp32");
-    if (!parseEnum(format,
-                   {{"fp32", int(rlcore::NumericFormat::Fp32)},
-                    {"int32", int(rlcore::NumericFormat::Int32)}},
-                   &tag)) {
-        reason = "params_json: \"format\" must be fp32 or int32";
-        return false;
-    }
-    session.workload.format = rlcore::NumericFormat(tag);
-
-    hyper.alpha =
-        static_cast<float>(doc->numberOr("alpha", hyper.alpha));
-    hyper.gamma =
-        static_cast<float>(doc->numberOr("gamma", hyper.gamma));
-    hyper.epsilon =
-        static_cast<float>(doc->numberOr("epsilon", hyper.epsilon));
-    session.weightedAggregation = doc->boolOr("weighted", false);
-    session.epsilonDecay =
-        static_cast<float>(doc->numberOr("epsilon_decay", 1.0));
-
-    const std::string why = swiftrl::sessionConfigInvalidReason(session);
-    if (!why.empty()) {
-        reason = "params_json: " + why;
-        return false;
-    }
-    if (session.shards > 0) {
-        // What beginOffline would be fatal about, checked here so an
-        // embedder gets a status code instead of abort(): plan
-        // validity and the conservative MRAM demand bound against the
-        // default bank size.
-        const std::string plan_reason = swiftrl::shardPlanInvalidReason(
-            params.numStates, session.shards, params.cores);
-        if (!plan_reason.empty()) {
-            reason = "params_json: \"shards\": " + plan_reason;
-            return false;
-        }
-        const std::size_t demand = swiftrl::shardedMramDemandBound(
-            params.numStates, params.numActions, session.shards,
-            params.transitions);
-        const std::size_t bank =
-            swiftrl::pimsim::PimConfig{}.mramBytesPerDpu;
-        if (demand > bank) {
-            reason = "params_json: sharded layout needs " +
-                     std::to_string(demand) +
-                     " bytes of MRAM per core but banks hold " +
-                     std::to_string(bank) +
-                     "; raise \"shards\" or lower \"transitions\"";
-            return false;
-        }
-    }
-    return true;
+    std::string why = swiftrl::readRunSpec(*doc, kKeys, spec);
+    if (why.empty())
+        why = swiftrl::runSpecInvalidReason(spec);
+    return why.empty() ? why : "params_json: " + why;
 }
 
 } // namespace
@@ -291,7 +105,6 @@ parseTrainParams(const char *params_json, TrainParams &params,
 /** One C-API training run: the machine, the dataset, the session. */
 struct swiftrl_session
 {
-    TrainParams params;
     std::unique_ptr<swiftrl::pimsim::PimSystem> system;
     rlcore::Dataset data;
     std::unique_ptr<swiftrl::TrainerSession> session;
@@ -311,23 +124,28 @@ struct swiftrl_policy
 
 namespace {
 
-/** Shared body of create and restore: build everything up to (but
- *  not including) begin/restore on the session. */
+/** Shared body of create and restore: build the machine, the dataset
+ *  and the session, then begin it or restore it from @p ck. */
 std::unique_ptr<swiftrl_session>
-buildSession(const TrainParams &params)
+buildSession(const swiftrl::RunSpec &spec,
+             const swiftrl::SessionCheckpoint *ck)
 {
     auto handle = std::make_unique<swiftrl_session>();
-    handle->params = params;
-    const auto env = rlenv::makeEnvironment(params.env);
-    handle->data = rlcore::collectRandomDataset(
-        *env, params.transitions, params.collectSeed);
+    const auto env = rlenv::makeEnvironment(spec.env);
+    handle->data = rlcore::collectRandomDataset(*env, spec.transitions,
+                                                spec.collectSeed());
     swiftrl::pimsim::PimConfig machine;
-    machine.numDpus = params.cores;
-    machine.hostThreads = params.hostThreads;
+    machine.numDpus = spec.cores;
+    machine.hostThreads = spec.hostThreads;
     handle->system =
         std::make_unique<swiftrl::pimsim::PimSystem>(machine);
     handle->session = std::make_unique<swiftrl::TrainerSession>(
-        *handle->system, params.session);
+        *handle->system, spec.toSessionConfig());
+    if (ck)
+        handle->session->restoreOffline(handle->data, *ck);
+    else
+        handle->session->beginOffline(handle->data, env->numStates(),
+                                      env->numActions());
     return handle;
 }
 
@@ -371,16 +189,12 @@ swiftrl_session_create(const char *params_json,
         return fail(SWIFTRL_ERR_INVALID_ARGUMENT,
                     "out_session must not be NULL");
     *out_session = nullptr;
-    TrainParams params;
-    std::string reason;
-    if (!parseTrainParams(params_json, params, reason))
+    swiftrl::RunSpec spec;
+    std::string reason = parseParams(params_json, spec);
+    if (!reason.empty())
         return fail(SWIFTRL_ERR_PARSE, reason);
 
-    auto handle = buildSession(params);
-    const auto env = rlenv::makeEnvironment(params.env);
-    handle->session->beginOffline(handle->data, env->numStates(),
-                                  env->numActions());
-    *out_session = handle.release();
+    *out_session = buildSession(spec, nullptr).release();
     return ok();
 }
 
@@ -431,9 +245,9 @@ swiftrl_session_restore(const char *params_json,
     if (checkpoint_path == nullptr)
         return fail(SWIFTRL_ERR_INVALID_ARGUMENT,
                     "checkpoint_path must not be NULL");
-    TrainParams params;
-    std::string reason;
-    if (!parseTrainParams(params_json, params, reason))
+    swiftrl::RunSpec spec;
+    std::string reason = parseParams(params_json, spec);
+    if (!reason.empty())
         return fail(SWIFTRL_ERR_PARSE, reason);
 
     const auto ck =
@@ -445,19 +259,17 @@ swiftrl_session_restore(const char *params_json,
                     "checkpoint is from a streaming run; the C API "
                     "drives offline sessions");
     const std::string why = swiftrl::checkpointMismatch(
-        params.session, params.cores, *ck);
+        spec.toSessionConfig(), spec.cores, *ck);
     if (!why.empty())
         return fail(SWIFTRL_ERR_MISMATCH, why);
-    const auto env = rlenv::makeEnvironment(params.env);
+    const auto env = rlenv::makeEnvironment(spec.env);
     if (ck->numStates != env->numStates() ||
         ck->numActions != env->numActions())
         return fail(SWIFTRL_ERR_MISMATCH,
                     "checkpoint was trained on a different "
-                    "environment shape than \"" + params.env + "\"");
+                    "environment shape than \"" + spec.env + "\"");
 
-    auto handle = buildSession(params);
-    handle->session->restoreOffline(handle->data, *ck);
-    *out_session = handle.release();
+    *out_session = buildSession(spec, &*ck).release();
     return ok();
 }
 

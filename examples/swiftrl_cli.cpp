@@ -26,20 +26,15 @@
  * always-on flight ring on exit and names the crash-dump destination
  * for SWIFTRL_FATAL / SWIFTRL_PANIC.
  *
- * Examples:
- *   swiftrl_cli --env taxi --algo sarsa --sampling ran --format int32
- *   swiftrl_cli --env frozenlake --cores 2000 --episodes 200 --tau 50
- *   swiftrl_cli --env frozenlake --save-qtable policy.swrl
- *   swiftrl_cli --env frozenlake --tasklets 11 --stats
- *   swiftrl_cli --env lake:64 --shards 8 --cores 32 --transitions 20000
- *   swiftrl_cli --env mptaxi:6x2 --shards 4 --cores 16
- *   swiftrl_cli --env frozenlake --metrics run.json --trace run.trace
- *   swiftrl_cli --env taxi --streaming --actors 4 --generations 8 \
- *               --refresh-period 2 --trace stream.json
+ * Training flags (--env, --cores, --episodes, ...) are rows of the
+ * run-spec table the C ABI and the fleet share (swiftrl/run_spec.hh).
+ * Examples: README.md, "Quickstart".
  */
 
-#include <algorithm>
 #include <iostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -48,6 +43,7 @@
 #include "pimsim/stats_report.hh"
 #include "rlcore/serialization.hh"
 #include "serving/policy_server.hh"
+#include "swiftrl/run_spec.hh"
 #include "swiftrl/swiftrl.hh"
 #include "telemetry/export.hh"
 #include "telemetry/metric_registry.hh"
@@ -55,6 +51,27 @@
 #include "telemetry/tracing.hh"
 
 namespace {
+
+/**
+ * Write the export the path in @p flag asks for, if it asks: @p write
+ * does the writing, @p what names the file in the report. False when
+ * the file could not be written.
+ */
+template <typename Write>
+bool
+exportTo(const swiftrl::common::CliFlags &flags, const char *flag,
+         const char *what, Write write)
+{
+    const auto path = flags.getString(flag, "");
+    if (path.empty())
+        return true;
+    if (!write(path)) {
+        SWIFTRL_WARN("cannot write ", what, " ", path);
+        return false;
+    }
+    std::cout << what << " written to " << path << "\n";
+    return true;
+}
 
 /**
  * Causal-trace exports, shared by every mode: --trace-spans writes
@@ -65,29 +82,88 @@ namespace {
 int
 writeTraceOutputs(const swiftrl::common::CliFlags &flags)
 {
-    using namespace swiftrl;
+    auto &tracer = swiftrl::telemetry::tracer();
+    const bool ok =
+        exportTo(flags, "trace-spans", "trace spans",
+                 [&](const auto &p) { return tracer.writeSpansJson(p); }) &&
+        exportTo(flags, "flight-record", "flight record",
+                 [&](const auto &p) { return tracer.writeFlightJson(p); });
+    return ok ? 0 : 1;
+}
 
-    const auto spans_path = flags.getString("trace-spans", "");
-    if (!spans_path.empty()) {
-        if (telemetry::tracer().writeSpansJson(spans_path)) {
-            std::cout << "trace spans written to " << spans_path
-                      << "\n";
-        } else {
-            SWIFTRL_WARN("cannot write span file ", spans_path);
-            return 1;
+/**
+ * Metrics export, shared by every mode: --metrics writes JSON
+ * (tools/check_metrics.py validates it, tools/bench_compare.py diffs
+ * it), --metrics-prom the Prometheus text format. False when a
+ * requested file could not be written.
+ */
+bool
+writeMetrics(const swiftrl::common::CliFlags &flags,
+             const swiftrl::telemetry::RunManifest &manifest,
+             const swiftrl::telemetry::MetricRegistry &metrics)
+{
+    using namespace swiftrl::telemetry;
+    return exportTo(flags, "metrics", "metrics",
+                    [&](const auto &p) {
+                        return writeMetricsJson(p, manifest, metrics);
+                    }) &&
+           exportTo(flags, "metrics-prom", "prometheus metrics",
+                    [&](const auto &p) {
+                        return writeMetricsPrometheus(p, manifest,
+                                                      metrics);
+                    });
+}
+
+/**
+ * --serve N: answer N greedy-action queries from @p table through the
+ * batched serving frontend (src/serving), as a smoke of the
+ * deployment path. Queries walk the state space round-robin, so the
+ * served actions are deterministic. False when a query is rejected.
+ */
+bool
+serveQueries(const swiftrl::rlcore::QTable &table, long long queries,
+             const swiftrl::serving::ServingConfig &config,
+             const std::string &tenant, const std::string &label)
+{
+    swiftrl::serving::PolicyServer server(table, config);
+    for (long long i = 0; i < queries; ++i) {
+        const auto state = static_cast<swiftrl::rlcore::StateId>(
+            i % table.numStates());
+        if (server.act(state, tenant) < 0) {
+            SWIFTRL_WARN("policy serving rejected state ", state,
+                         " for ", label);
+            return false;
         }
     }
-    const auto flight_path = flags.getString("flight-record", "");
-    if (!flight_path.empty()) {
-        if (telemetry::tracer().writeFlightJson(flight_path)) {
-            std::cout << "flight record written to " << flight_path
-                      << "\n";
-        } else {
-            SWIFTRL_WARN("cannot write flight record ", flight_path);
-            return 1;
-        }
-    }
-    return 0;
+    server.stop();
+    const auto stats = server.stats();
+    std::cout << "served " << stats.queries << " greedy queries for "
+              << label << " in " << stats.batches << " batch(es)\n";
+    return true;
+}
+
+/**
+ * Record what trains in @p m: @p cfg is the session (per generation
+ * when streaming), @p transitions and @p collect_seed the data it
+ * trains on.
+ */
+void
+recordTraining(swiftrl::telemetry::RunManifest &m,
+               const swiftrl::SessionConfig &cfg,
+               std::size_t transitions, std::uint64_t collect_seed)
+{
+    m.workload = cfg.workload.name();
+    m.tasklets = cfg.tasklets;
+    m.episodes = cfg.hyper.episodes;
+    m.tau = cfg.tau;
+    m.transitions = transitions;
+    m.weightedAggregation = cfg.weightedAggregation;
+    m.alpha = cfg.hyper.alpha;
+    m.gamma = cfg.hyper.gamma;
+    m.epsilon = cfg.hyper.epsilon;
+    m.collectSeed = collect_seed;
+    m.trainSeed = cfg.hyper.seed;
+    m.retryLimit = cfg.retry.limit;
 }
 
 /** Shared tail of both modes: evaluate, report, export, checkpoint. */
@@ -122,74 +198,26 @@ finishRun(const swiftrl::common::CliFlags &flags,
     // Export the run's command timeline as Chrome trace JSON: open
     // the file in chrome://tracing or https://ui.perfetto.dev. With
     // telemetry on, the trace additionally carries counter tracks
-    // (straggler ratio, DMA bytes, live cores, max |dQ|).
-    const auto trace_path = flags.getString("trace", "");
-    if (!trace_path.empty()) {
-        // With --trace-spans active, the retained causal spans are
-        // merged into the same trace as nested slices (pid 1).
-        if (timeline.writeChromeTrace(
-                trace_path,
-                telemetry::tracer().chromeSpanEvents())) {
-            std::cout << "trace written to " << trace_path << " ("
-                      << timeline.size() << " commands)\n";
-        } else {
-            SWIFTRL_WARN("cannot write trace file ", trace_path);
-            return 1;
-        }
-    }
-
-    // Metrics export: JSON (tools/check_metrics.py validates it,
-    // tools/bench_compare.py diffs it) and Prometheus text format.
-    const auto metrics_path = flags.getString("metrics", "");
-    if (!metrics_path.empty()) {
-        if (telemetry::writeMetricsJson(metrics_path, manifest,
-                                        metrics)) {
-            std::cout << "metrics written to " << metrics_path << " ("
-                      << metrics.size() << " metrics)\n";
-        } else {
-            SWIFTRL_WARN("cannot write metrics file ", metrics_path);
-            return 1;
-        }
-    }
-    const auto prom_path = flags.getString("metrics-prom", "");
-    if (!prom_path.empty()) {
-        if (telemetry::writeMetricsPrometheus(prom_path, manifest,
-                                              metrics)) {
-            std::cout << "prometheus metrics written to " << prom_path
-                      << "\n";
-        } else {
-            SWIFTRL_WARN("cannot write metrics file ", prom_path);
-            return 1;
-        }
-    }
+    // (straggler ratio, DMA bytes, live cores, max |dQ|), and with
+    // --trace-spans active the retained causal spans are merged in
+    // as nested slices (pid 1).
+    if (!exportTo(flags, "trace", "trace",
+                  [&](const auto &p) {
+                      return timeline.writeChromeTrace(
+                          p, telemetry::tracer().chromeSpanEvents());
+                  }) ||
+        !writeMetrics(flags, manifest, metrics))
+        return 1;
 
     const auto save_q = flags.getString("save-qtable", "");
     if (!save_q.empty()) {
         rlcore::saveQTable(final_q, save_q);
         std::cout << "Q-table saved to " << save_q << "\n";
     }
-
-    // --serve N: answer N greedy-action queries from the trained
-    // table through the batched serving frontend (src/serving), as a
-    // smoke of the deployment path. Queries walk the state space
-    // round-robin, so the served actions are deterministic.
     const auto serve = flags.getInt("serve", 0);
-    if (serve > 0) {
-        serving::PolicyServer server(final_q, {});
-        for (long long i = 0; i < serve; ++i) {
-            const auto state = static_cast<rlcore::StateId>(
-                i % final_q.numStates());
-            if (server.act(state) < 0) {
-                SWIFTRL_WARN("policy serving rejected state ", state);
-                return 1;
-            }
-        }
-        server.stop();
-        const auto stats = server.stats();
-        std::cout << "served " << stats.queries
-                  << " greedy queries in " << stats.batches
-                  << " batch(es)\n";
-    }
+    if (serve > 0 &&
+        !serveQueries(final_q, serve, {}, "default", "the trained table"))
+        return 1;
     return writeTraceOutputs(flags);
 }
 
@@ -200,17 +228,19 @@ main(int argc, char **argv)
 {
     using namespace swiftrl;
 
-    const common::CliFlags flags(
-        argc, argv,
-        {"env", "algo", "sampling", "format", "cores", "episodes",
-         "tau", "tasklets", "transitions", "seed", "eval-episodes",
-         "save-qtable", "save-dataset", "load-dataset", "stats",
-         "alpha", "gamma", "epsilon", "weighted", "trace",
-         "host-threads", "streaming", "actors", "refresh-period",
-         "generations", "fault-seed", "fault-rate", "dropout-rate",
-         "retry-limit", "metrics", "metrics-prom", "log-level",
-         "checkpoint", "pause-round", "restore", "serve", "fleet",
-         "shards", "trace-spans", "flight-record"});
+    // The training flags are the run-spec table's CLI keys
+    // (swiftrl/run_spec.hh); the rest are this tool's own.
+    const auto run_keys = runSpecKeys(FrontEnd::Cli);
+    std::vector<std::string> known = {
+        "eval-episodes", "save-qtable", "save-dataset", "load-dataset",
+        "stats", "trace", "streaming", "actors", "refresh-period",
+        "generations", "fault-seed", "fault-rate", "dropout-rate",
+        "retry-limit", "metrics", "metrics-prom", "log-level",
+        "checkpoint", "pause-round", "restore", "serve", "fleet",
+        "trace-spans", "flight-record"};
+    for (const auto key : run_keys)
+        known.push_back(flagName(key));
+    const common::CliFlags flags(argc, argv, std::move(known));
 
     // --log-level overrides the SWIFTRL_LOG environment variable.
     // An unknown name warns once and falls back to inform rather
@@ -230,6 +260,14 @@ main(int argc, char **argv)
     if (!flight_record_path.empty())
         telemetry::tracer().setCrashDumpPath(flight_record_path);
 
+    // Telemetry: enabled only when an export was requested, so
+    // default runs construct nothing but an inert registry. The
+    // trainers see a null registry pointer in that case and skip
+    // collector attachment entirely.
+    const bool want_metrics = !flags.getString("metrics", "").empty() ||
+                              !flags.getString("metrics-prom", "").empty();
+    telemetry::MetricRegistry metrics(want_metrics);
+
     // --- fleet mode --------------------------------------------------
     // --fleet jobs.json replaces the single-run flow entirely: the
     // document describes a shared rank pool and a multi-tenant job
@@ -245,14 +283,10 @@ main(int argc, char **argv)
                           "with --streaming/--checkpoint/--restore");
         }
         auto spec = fleet::loadFleetSpec(fleet_path);
+        constexpr std::string_view kHostThreads[] = {"host_threads"};
         spec.config.hostThreads =
-            static_cast<unsigned>(flags.getInt("host-threads", 0));
-        const bool want_fleet_metrics =
-            !flags.getString("metrics", "").empty() ||
-            !flags.getString("metrics-prom", "").empty();
-        telemetry::MetricRegistry fleet_metrics(want_fleet_metrics);
-        spec.config.metrics =
-            want_fleet_metrics ? &fleet_metrics : nullptr;
+            runSpecFromFlags(flags, kHostThreads).hostThreads;
+        spec.config.metrics = want_metrics ? &metrics : nullptr;
 
         std::cout << "fleet: " << spec.config.totalRanks
                   << " rank(s) x " << spec.config.dpusPerRank
@@ -282,35 +316,22 @@ main(int argc, char **argv)
                   << "preemptions:      " << result.totalPreemptions
                   << "\n";
 
-        // --serve N in fleet mode: stand up one serving frontend per
-        // finished job and answer N greedy queries from its trained
-        // table, labelled with the job's tenant. Each server's span
+        // --serve N in fleet mode: one serving frontend per finished
+        // job, labelled with the job's tenant. Each server's span
         // tree parents on that job's fleet.job span, so serve traffic
         // in the trace dump is causally attributed to the job that
         // trained the table.
         const auto fleet_serve = flags.getInt("serve", 0);
-        if (fleet_serve > 0) {
-            for (const auto &job : result.jobs) {
-                serving::ServingConfig serve_cfg;
-                serve_cfg.traceParent = job.traceSpanId;
-                serve_cfg.metrics = spec.config.metrics;
-                serving::PolicyServer server(job.finalQ, serve_cfg);
-                for (long long i = 0; i < fleet_serve; ++i) {
-                    const auto state = static_cast<rlcore::StateId>(
-                        i % job.finalQ.numStates());
-                    if (server.act(state, job.tenant) < 0) {
-                        SWIFTRL_WARN("policy serving rejected state ",
-                                     state, " for job ", job.id);
-                        return 1;
-                    }
-                }
-                server.stop();
-                const auto stats = server.stats();
-                std::cout << "served " << stats.queries
-                          << " queries for " << job.id << " (tenant "
-                          << job.tenant << ") in " << stats.batches
-                          << " batch(es)\n";
-            }
+        for (const auto &job : result.jobs) {
+            if (fleet_serve <= 0)
+                break;
+            serving::ServingConfig serve_cfg;
+            serve_cfg.traceParent = job.traceSpanId;
+            serve_cfg.metrics = spec.config.metrics;
+            if (!serveQueries(job.finalQ, fleet_serve, serve_cfg,
+                              job.tenant,
+                              job.id + " (tenant " + job.tenant + ")"))
+                return 1;
         }
 
         telemetry::RunManifest fleet_manifest;
@@ -319,46 +340,20 @@ main(int argc, char **argv)
         fleet_manifest.cores =
             spec.config.totalRanks * spec.config.dpusPerRank;
         fleet_manifest.hostThreads = spec.config.hostThreads;
-        const auto fleet_metrics_path =
-            flags.getString("metrics", "");
-        if (!fleet_metrics_path.empty()) {
-            if (!telemetry::writeMetricsJson(fleet_metrics_path,
-                                             fleet_manifest,
-                                             fleet_metrics)) {
-                SWIFTRL_WARN("cannot write metrics file ",
-                             fleet_metrics_path);
-                return 1;
-            }
-            std::cout << "metrics written to " << fleet_metrics_path
-                      << " (" << fleet_metrics.size()
-                      << " metrics)\n";
-        }
-        const auto fleet_prom_path =
-            flags.getString("metrics-prom", "");
-        if (!fleet_prom_path.empty()) {
-            if (!telemetry::writeMetricsPrometheus(
-                    fleet_prom_path, fleet_manifest, fleet_metrics)) {
-                SWIFTRL_WARN("cannot write metrics file ",
-                             fleet_prom_path);
-                return 1;
-            }
-            std::cout << "prometheus metrics written to "
-                      << fleet_prom_path << "\n";
-        }
+        if (!writeMetrics(flags, fleet_manifest, metrics))
+            return 1;
         return writeTraceOutputs(flags);
     }
 
-    const auto env_name = flags.getString("env", "frozenlake");
-    auto env = rlenv::makeEnvironment(env_name);
+    const RunSpec run = runSpecFromFlags(flags, run_keys);
+    auto env = rlenv::makeEnvironment(run.env);
 
     // Machine. --host-threads only changes how fast the simulation
     // itself runs (0 = one worker per hardware thread); results and
     // modelled times are bit-identical for every value.
     pimsim::PimConfig pim;
-    pim.numDpus =
-        static_cast<std::size_t>(flags.getInt("cores", 256));
-    pim.hostThreads =
-        static_cast<unsigned>(flags.getInt("host-threads", 0));
+    pim.numDpus = run.cores;
+    pim.hostThreads = run.hostThreads;
     // Fault injection (off by default): --fault-rate covers transient
     // kernel faults and wire corruption, --dropout-rate permanent
     // core loss; draws are seeded by --fault-seed, so a run's fault
@@ -371,17 +366,9 @@ main(int argc, char **argv)
     pim.faultPlan.dropoutRate = flags.getDouble("dropout-rate", 0.0);
     pimsim::PimSystem system(pim);
 
-    // Telemetry: enabled only when an export was requested, so
-    // default runs construct nothing but an inert registry. The
-    // trainers see a null registry pointer in that case and skip
-    // collector attachment entirely.
-    const bool want_metrics =
-        !flags.getString("metrics", "").empty() ||
-        !flags.getString("metrics-prom", "").empty();
-    telemetry::MetricRegistry metrics(want_metrics);
     auto manifest = telemetry::RunManifest::fromSystem(system);
     manifest.tool = "swiftrl_cli";
-    manifest.environment = env_name;
+    manifest.environment = run.env;
 
     RetryPolicy retry;
     retry.limit = static_cast<int>(flags.getInt("retry-limit", 3));
@@ -392,81 +379,30 @@ main(int argc, char **argv)
                   << ", retry limit " << retry.limit << "\n";
     }
 
-    // Workload, shared by both modes.
-    Workload workload;
-    workload.algo =
-        rlcore::parseAlgorithm(flags.getString("algo", "qlearning"));
-    workload.sampling =
-        rlcore::parseSampling(flags.getString("sampling", "seq"));
-    workload.format =
-        rlcore::parseNumericFormat(flags.getString("format", "int32"));
-
-    rlcore::Hyper hyper;
-    hyper.episodes = static_cast<int>(flags.getInt("episodes", 100));
-    hyper.alpha = static_cast<float>(flags.getDouble("alpha", 0.1));
-    hyper.gamma = static_cast<float>(flags.getDouble("gamma", 0.95));
-    hyper.epsilon =
-        static_cast<float>(flags.getDouble("epsilon", 0.05));
-    hyper.seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 1)) + 41;
-
-    const auto transitions = static_cast<std::size_t>(
-        flags.getInt("transitions", 100'000));
-
     if (flags.getBool("streaming", false)) {
         // --- streaming actor–learner mode ---------------------------
-        if (flags.getBool("weighted", false))
-            SWIFTRL_FATAL("--weighted is not available in streaming "
-                          "mode");
-        if (flags.getInt("shards", 0) > 0)
-            SWIFTRL_FATAL("--shards is offline-only; streaming "
-                          "generations replicate the whole table");
         if (!flags.getString("checkpoint", "").empty() ||
             !flags.getString("restore", "").empty()) {
             SWIFTRL_FATAL("--checkpoint/--restore drive the offline "
                           "trainer; streaming runs restore through "
                           "the TrainerSession API instead");
         }
-        StreamingConfig cfg;
-        cfg.workload = workload;
-        cfg.hyper = hyper;
-        cfg.generations =
-            static_cast<int>(flags.getInt("generations", 8));
         // --episodes and --transitions are run totals in both modes;
         // streaming splits them evenly across the generations.
-        cfg.hyper.episodes =
-            std::max(1, hyper.episodes / std::max(1, cfg.generations));
-        cfg.transitionsPerGeneration =
-            transitions /
-            static_cast<std::size_t>(std::max(1, cfg.generations));
-        cfg.tau = static_cast<int>(flags.getInt("tau", 50));
-        if (cfg.tau > cfg.hyper.episodes)
-            cfg.tau = cfg.hyper.episodes;
-        cfg.tasklets =
-            static_cast<unsigned>(flags.getInt("tasklets", 1));
+        StreamingConfig cfg = run.toStreamingConfig(
+            static_cast<int>(flags.getInt("generations", 8)));
         cfg.actors = static_cast<unsigned>(flags.getInt("actors", 1));
         cfg.refreshPeriod =
             static_cast<int>(flags.getInt("refresh-period", 0));
-        cfg.collectSeed =
-            static_cast<std::uint64_t>(flags.getInt("seed", 1)) + 977;
         cfg.retry = retry;
         cfg.metrics = want_metrics ? &metrics : nullptr;
 
         manifest.mode = "streaming";
-        manifest.workload = cfg.workload.name();
-        manifest.tasklets = cfg.tasklets;
-        manifest.episodes = cfg.hyper.episodes;
-        manifest.tau = cfg.tau;
-        manifest.transitions = cfg.transitionsPerGeneration;
+        recordTraining(manifest, cfg, cfg.transitionsPerGeneration,
+                       cfg.collectSeed);
         manifest.generations = cfg.generations;
         manifest.actors = cfg.actors;
         manifest.refreshPeriod = cfg.refreshPeriod;
-        manifest.alpha = cfg.hyper.alpha;
-        manifest.gamma = cfg.hyper.gamma;
-        manifest.epsilon = cfg.hyper.epsilon;
-        manifest.collectSeed = cfg.collectSeed;
-        manifest.trainSeed = cfg.hyper.seed;
-        manifest.retryLimit = retry.limit;
 
         std::cout << "streaming " << cfg.workload.name() << " on "
                   << pim.numDpus << " PIM cores, " << cfg.generations
@@ -477,7 +413,7 @@ main(int argc, char **argv)
 
         StreamingTrainer trainer(system, cfg);
         const auto result = trainer.train(
-            [&env_name] { return rlenv::makeEnvironment(env_name); },
+            [&run] { return rlenv::makeEnvironment(run.env); },
             env->numStates(), env->numActions());
 
         std::cout << "\n--- results ---\n"
@@ -512,11 +448,10 @@ main(int argc, char **argv)
         std::cout << "loaded " << data.size() << " transitions from "
                   << load_path << "\n";
     } else {
-        data = rlcore::collectRandomDataset(
-            *env, transitions,
-            static_cast<std::uint64_t>(flags.getInt("seed", 1)));
+        data = rlcore::collectRandomDataset(*env, run.transitions,
+                                            run.collectSeed());
         std::cout << "collected " << data.size()
-                  << " transitions from " << env_name << "\n";
+                  << " transitions from " << run.env << "\n";
     }
     const auto save_data = flags.getString("save-dataset", "");
     if (!save_data.empty()) {
@@ -524,37 +459,16 @@ main(int argc, char **argv)
         std::cout << "dataset saved to " << save_data << "\n";
     }
 
-    PimTrainConfig cfg;
-    cfg.workload = workload;
-    cfg.hyper = hyper;
-    cfg.tau = static_cast<int>(flags.getInt("tau", 50));
-    if (cfg.tau > cfg.hyper.episodes)
-        cfg.tau = cfg.hyper.episodes;
-    cfg.tasklets =
-        static_cast<unsigned>(flags.getInt("tasklets", 1));
-    cfg.weightedAggregation = flags.getBool("weighted", false);
-    // --shards S: partition the Q-table into S contiguous state
+    // --shards S partitions the Q-table into S contiguous state
     // ranges with replicated slices per core group — the path for
     // procedurally scaled environments (--env lake:64, mptaxi:8x3)
     // whose tables outgrow whole-table replication.
-    cfg.shards = static_cast<std::size_t>(flags.getInt("shards", 0));
+    SessionConfig cfg = run.toSessionConfig();
     cfg.retry = retry;
     cfg.metrics = want_metrics ? &metrics : nullptr;
 
     manifest.mode = "offline";
-    manifest.workload = cfg.workload.name();
-    manifest.tasklets = cfg.tasklets;
-    manifest.episodes = cfg.hyper.episodes;
-    manifest.tau = cfg.tau;
-    manifest.transitions = data.size();
-    manifest.weightedAggregation = cfg.weightedAggregation;
-    manifest.alpha = cfg.hyper.alpha;
-    manifest.gamma = cfg.hyper.gamma;
-    manifest.epsilon = cfg.hyper.epsilon;
-    manifest.collectSeed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    manifest.trainSeed = cfg.hyper.seed;
-    manifest.retryLimit = retry.limit;
+    recordTraining(manifest, cfg, data.size(), run.collectSeed());
 
     std::cout << "training " << cfg.workload.name() << " on "
               << pim.numDpus << " PIM cores x " << cfg.tasklets

@@ -100,15 +100,24 @@ class JsonValue
         const JsonValue *v = find(key);
         if (!v || !v->isNumber())
             return fallback;
+        return v->integer<T>();
+    }
+
+    /** This value as a T: std::nullopt unless it is an integral
+     *  number within T's range. */
+    template <std::integral T>
+    std::optional<T>
+    integer() const
+    {
         // T's range is [min, 2^digits); both bounds are exact doubles.
-        const double x = v->number;
         const double lo = static_cast<double>(
             std::numeric_limits<T>::min());
         const double hi =
             std::ldexp(1.0, std::numeric_limits<T>::digits);
-        if (!(x >= lo && x < hi) || std::trunc(x) != x)
+        if (!isNumber() || !(number >= lo && number < hi) ||
+            std::trunc(number) != number)
             return std::nullopt;
-        return static_cast<T>(x);
+        return static_cast<T>(number);
     }
 
     /** Member as bool, or @p fallback when absent/not a bool. */

@@ -8,8 +8,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "rlcore/trainers.hh"
-#include "swiftrl/session.hh"
+#include "swiftrl/run_spec.hh"
 
 namespace swiftrl::fleet {
 
@@ -69,17 +68,17 @@ positiveInt(const json::JsonValue &object, const char *key,
 }
 
 JobSpec
-parseJob(const json::JsonValue &j, std::size_t index)
+parseJob(const json::JsonValue &j, std::size_t index,
+         const FleetConfig &fleet)
 {
-    static const std::set<std::string> kJobKeys = {
-        "id",       "tenant",   "priority",    "arrival_sec",
-        "ranks",    "min_ranks", "env",        "algo",
-        "sampling", "format",   "episodes",    "tau",
-        "transitions", "tasklets", "alpha",    "gamma",
-        "epsilon",  "seed",
-    };
+    static const std::vector<std::string_view> kTrainingKeys =
+        runSpecKeys(FrontEnd::Fleet);
+    std::set<std::string> allowed(kTrainingKeys.begin(),
+                                  kTrainingKeys.end());
+    allowed.insert({"id", "tenant", "priority", "arrival_sec", "ranks",
+                    "min_ranks"});
     const std::string where = "jobs[" + std::to_string(index) + "]";
-    rejectUnknownKeys(j, kJobKeys, where.c_str());
+    rejectUnknownKeys(j, allowed, where.c_str());
 
     JobSpec spec;
     spec.id = j.stringOr("id", "");
@@ -101,36 +100,28 @@ parseJob(const json::JsonValue &j, std::size_t index)
     if (spec.minRanks > spec.ranks)
         SWIFTRL_FATAL("fleet spec: job \"", spec.id,
                       "\" min_ranks must be in [0, ranks]");
-    spec.env = j.stringOr("env", "frozenlake");
-    spec.workload.algo =
-        rlcore::parseAlgorithm(j.stringOr("algo", "qlearning"));
-    spec.workload.sampling =
-        rlcore::parseSampling(j.stringOr("sampling", "seq"));
-    spec.workload.format =
-        rlcore::parseNumericFormat(j.stringOr("format", "int32"));
-    spec.hyper.episodes = integerField<int>(j, "episodes", 100, where);
-    spec.tau = integerField<int>(j, "tau", 50, where);
-    if (spec.tau > spec.hyper.episodes)
-        spec.tau = spec.hyper.episodes;
-    spec.transitions =
-        positiveInt<std::size_t>(j, "transitions", 20'000, where);
-    spec.tasklets = integerField<unsigned>(j, "tasklets", 1, where);
-    spec.hyper.alpha = static_cast<float>(j.numberOr("alpha", 0.1));
-    spec.hyper.gamma = static_cast<float>(j.numberOr("gamma", 0.95));
-    spec.hyper.epsilon =
-        static_cast<float>(j.numberOr("epsilon", 0.05));
-    // Seed discipline matches swiftrl_cli: one operator seed derives
-    // the collection seed directly and the training seed at +41, so
-    // a fleet job and a standalone CLI run of the same spec draw the
-    // same datasets and LCG streams.
-    const auto seed = integerField<std::uint64_t>(j, "seed", 1, where);
-    spec.collectSeed = seed;
-    spec.hyper.seed = seed + 41;
+    if (spec.ranks > fleet.totalRanks)
+        SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\" wants ",
+                      spec.ranks, " ranks but the fleet has ",
+                      fleet.totalRanks);
 
-    const std::string why =
-        sessionConfigInvalidReason(sessionConfigFor(spec));
+    // The training keys go through the run-spec table, so a fleet job
+    // and a standalone CLI run of the same spec train the same table.
+    RunSpec run;
+    run.cores = spec.ranks * fleet.dpusPerRank;
+    std::string why = readRunSpec(j, kTrainingKeys, run);
+    if (why.empty())
+        why = runSpecInvalidReason(run);
     if (!why.empty())
         SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\": ", why);
+    const SessionConfig session = run.toSessionConfig();
+    spec.env = run.env;
+    spec.workload = session.workload;
+    spec.hyper = session.hyper;
+    spec.tau = session.tau;
+    spec.transitions = run.transitions;
+    spec.tasklets = session.tasklets;
+    spec.collectSeed = run.collectSeed();
     return spec;
 }
 
@@ -198,14 +189,10 @@ parseFleetSpec(const std::string &json_text)
         if (!element.isObject())
             SWIFTRL_FATAL("fleet spec: jobs[", i,
                           "] must be an object");
-        JobSpec job = parseJob(element, i);
+        JobSpec job = parseJob(element, i, spec.config);
         if (!seen_ids.insert(job.id).second)
             SWIFTRL_FATAL("fleet spec: duplicate job id \"", job.id,
                           "\"");
-        if (job.ranks > spec.config.totalRanks)
-            SWIFTRL_FATAL("fleet spec: job \"", job.id, "\" wants ",
-                          job.ranks, " ranks but the fleet has ",
-                          spec.config.totalRanks);
         spec.jobs.push_back(std::move(job));
     }
     return spec;

@@ -10,7 +10,10 @@
  * format (the `--fleet jobs.json` CLI surface) is specified
  * field-by-field in docs/SCHEDULER.md; parsing rejects unknown keys
  * so an operator typo fails loudly instead of silently running the
- * default.
+ * default. A job's training keys are read through the run-spec table
+ * (swiftrl/run_spec.hh), whose defaults and seed rule they share
+ * with the CLI and the C ABI; the in-struct defaults below serve
+ * C++ callers that build a JobSpec directly.
  *
  * Shape vocabulary, fixed here and used everywhere in src/fleet:
  *
@@ -158,8 +161,9 @@ struct FleetSpec
  * Parse the operator JSON document (schema in docs/SCHEDULER.md).
  * Fatal on malformed JSON, unknown keys, duplicate job ids, or
  * out-of-range values — the operator surface fails loudly. Each job's
- * session config is checked here (sessionConfigInvalidReason), so a
- * bad job fails before the scheduler runs any other.
+ * run spec is checked here (runSpecInvalidReason: the environment
+ * resolves, the session rules hold), so a bad job fails, naming its
+ * id, before the scheduler runs any other.
  */
 FleetSpec parseFleetSpec(const std::string &json_text);
 

@@ -20,10 +20,10 @@ algorithmName(Algorithm algo)
     SWIFTRL_PANIC("unknown algorithm");
 }
 
-Algorithm
-parseAlgorithm(const std::string &name)
+std::optional<Algorithm>
+parseAlgorithm(std::string_view name)
 {
-    std::string n = name;
+    std::string n(name);
     std::transform(n.begin(), n.end(), n.begin(), [](unsigned char c) {
         return static_cast<char>(std::tolower(c));
     });
@@ -31,8 +31,7 @@ parseAlgorithm(const std::string &name)
         return Algorithm::QLearning;
     if (n == "sarsa")
         return Algorithm::Sarsa;
-    SWIFTRL_FATAL("unknown algorithm '", name,
-                  "'; expected qlearning or sarsa");
+    return std::nullopt;
 }
 
 std::int32_t

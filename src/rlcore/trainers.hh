@@ -26,8 +26,9 @@ enum class Algorithm
 /** Short tag ("Q"/"SARSA") for reports. */
 const char *algorithmName(Algorithm algo);
 
-/** Parse "q"/"qlearning"/"sarsa" (case-insensitive). */
-Algorithm parseAlgorithm(const std::string &name);
+/** Parse "q"/"qlearning"/"q-learning"/"sarsa" (case-insensitive);
+ *  nullopt otherwise. */
+std::optional<Algorithm> parseAlgorithm(std::string_view name);
 
 /**
  * Train a Q-table on @p data with the reference CPU implementation.

@@ -10,8 +10,9 @@ namespace swiftrl::rlcore {
 namespace {
 
 std::string
-lower(std::string s)
+lower(std::string_view name)
 {
+    std::string s(name);
     std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
         return static_cast<char>(std::tolower(c));
     });
@@ -31,8 +32,8 @@ samplingName(Sampling s)
     SWIFTRL_PANIC("unknown sampling strategy");
 }
 
-Sampling
-parseSampling(const std::string &name)
+std::optional<Sampling>
+parseSampling(std::string_view name)
 {
     const std::string n = lower(name);
     if (n == "seq")
@@ -41,8 +42,7 @@ parseSampling(const std::string &name)
         return Sampling::Ran;
     if (n == "str")
         return Sampling::Str;
-    SWIFTRL_FATAL("unknown sampling strategy '", name,
-                  "'; expected seq, ran, or str");
+    return std::nullopt;
 }
 
 const char *
@@ -56,8 +56,8 @@ numericFormatName(NumericFormat f)
     SWIFTRL_PANIC("unknown numeric format");
 }
 
-NumericFormat
-parseNumericFormat(const std::string &name)
+std::optional<NumericFormat>
+parseNumericFormat(std::string_view name)
 {
     const std::string n = lower(name);
     if (n == "fp32")
@@ -66,8 +66,7 @@ parseNumericFormat(const std::string &name)
         return NumericFormat::Int32;
     if (n == "int8")
         return NumericFormat::Int8;
-    SWIFTRL_FATAL("unknown numeric format '", name,
-                  "'; expected fp32, int32, or int8");
+    return std::nullopt;
 }
 
 } // namespace swiftrl::rlcore

@@ -8,7 +8,9 @@
 #define SWIFTRL_RLCORE_TYPES_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/fixed_point.hh"
 #include "rlenv/environment.hh"
@@ -67,14 +69,15 @@ enum class NumericFormat
 /** Short tag ("SEQ"/"RAN"/"STR") for reports. */
 const char *samplingName(Sampling s);
 
-/** Parse "seq"/"ran"/"str" (case-insensitive); fatal otherwise. */
-Sampling parseSampling(const std::string &name);
+/** Parse "seq"/"ran"/"str" (case-insensitive); nullopt otherwise. */
+std::optional<Sampling> parseSampling(std::string_view name);
 
 /** Short tag ("FP32"/"INT32") for reports. */
 const char *numericFormatName(NumericFormat f);
 
-/** Parse "fp32"/"int32" (case-insensitive); fatal otherwise. */
-NumericFormat parseNumericFormat(const std::string &name);
+/** Parse "fp32"/"int32"/"int8" (case-insensitive); nullopt
+ *  otherwise. */
+std::optional<NumericFormat> parseNumericFormat(std::string_view name);
 
 /** Training hyper-parameters (paper defaults, Sec. 4.1). */
 struct Hyper

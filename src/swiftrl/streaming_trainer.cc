@@ -23,7 +23,8 @@ StreamingTrainer::StreamingTrainer(pimsim::PimSystem &system,
                                    StreamingConfig config)
     : _system(system), _config(std::move(config))
 {
-    const std::string why = sessionConfigInvalidReason(sessionConfig());
+    _config.streaming = true;
+    const std::string why = sessionConfigInvalidReason(_config);
     if (!why.empty())
         SWIFTRL_FATAL(why);
     if (_config.generations <= 0)
@@ -38,23 +39,6 @@ StreamingTrainer::StreamingTrainer(pimsim::PimSystem &system,
         SWIFTRL_FATAL("refresh period must be >= 0 (0 = never)");
     if (_config.collectSecPerTransition < 0.0)
         SWIFTRL_FATAL("per-transition collection cost must be >= 0");
-}
-
-SessionConfig
-StreamingTrainer::sessionConfig() const
-{
-    SessionConfig cfg;
-    cfg.workload = _config.workload;
-    cfg.hyper = _config.hyper;
-    cfg.tau = _config.tau;
-    cfg.blockTransitions = _config.blockTransitions;
-    cfg.tasklets = _config.tasklets;
-    cfg.retry = _config.retry;
-    cfg.weightedAggregation = false;
-    cfg.epsilonDecay = _config.epsilonDecay;
-    cfg.streaming = true;
-    cfg.metrics = _config.metrics;
-    return cfg;
 }
 
 double
@@ -98,7 +82,7 @@ StreamingTrainer::runImpl(const rlcore::EnvFactory &make_env,
     // driver owns only what the session cannot see — the actor clock,
     // the behaviour policy, and the recent per-generation aggregates
     // the refresh schedule reads.
-    TrainerSession session(_system, sessionConfig());
+    TrainerSession session(_system, _config);
 
     // The actors start uniform-random, like the paper's collector,
     // until the first policy refresh (if any).

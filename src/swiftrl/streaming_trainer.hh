@@ -35,44 +35,22 @@
 #include "rlcore/collection.hh"
 #include "rlcore/qtable.hh"
 #include "swiftrl/qtable_io.hh"
-#include "swiftrl/retry_policy.hh"
 #include "swiftrl/session.hh"
 #include "swiftrl/time_breakdown.hh"
 #include "swiftrl/workload.hh"
 
 namespace swiftrl {
 
-namespace telemetry {
-class MetricRegistry;
-}
-
-/** Configuration for one streaming (online) training run. */
-struct StreamingConfig
+/**
+ * One streaming (online) run: the session every generation trains
+ * with, plus the driver's fields. hyper.episodes counts episodes *per
+ * generation*; blockTransitions also sizes the actors' collection
+ * blocks; retry re-partitions the current generation's dataset after
+ * a dropout; epsilonDecay runs across generations. The trainer sets
+ * `streaming`, so weighted aggregation and shards are refused.
+ */
+struct StreamingConfig : SessionConfig
 {
-    /** Which workload variant the PIM side trains. Weighted
-     *  aggregation is not available in streaming mode. */
-    Workload workload;
-
-    /**
-     * Hyper-parameters; hyper.episodes is the episode count *per
-     * generation* (each generation trains its own freshly collected
-     * dataset for this many episodes).
-     */
-    rlcore::Hyper hyper;
-
-    /** Synchronisation period tau within a generation's training. */
-    int tau = 50;
-
-    /**
-     * Transitions per staging block — both the kernels' SEQ/STR
-     * staging granularity and the size of the independent collection
-     * blocks the actors produce.
-     */
-    std::size_t blockTransitions = 128;
-
-    /** Hardware threads per PIM core. */
-    unsigned tasklets = 1;
-
     /** Collect/train generations to pipeline. */
     int generations = 8;
 
@@ -113,16 +91,6 @@ struct StreamingConfig
     double collectSecPerTransition = baselines::kActorStepSec;
 
     /**
-     * Fault recovery under an active PimConfig::faultPlan: bounded
-     * relaunch with modelled backoff for transient/corruption faults;
-     * on a permanent dropout the *current generation's* dataset is
-     * re-partitioned over the survivors and the interrupted round
-     * restarted from the last aggregate. Unused (and cost-free) when
-     * the fault plan is inert.
-     */
-    RetryPolicy retry;
-
-    /**
      * true: collection of generation k+1 overlaps training of k (the
      * streaming pipeline). false: strict collect-then-train baseline.
      * Timing-only — the functional command order is identical, so the
@@ -130,24 +98,6 @@ struct StreamingConfig
      * bench/ext_streaming_overlap.cc compares them fairly).
      */
     bool overlap = true;
-
-    /**
-     * Per-round epsilon decay of the *training* epsilon (SARSA's
-     * next-action exploration), multiplied in after every
-     * synchronisation round across all generations. The default 1.0
-     * keeps it constant bit-exactly. Independent of
-     * behaviourEpsilon, which drives the actors.
-     */
-    float epsilonDecay = 1.0f;
-
-    /**
-     * Telemetry destination (null = off, the default). When set, the
-     * trainer attaches an EngineCollector to its command stream and
-     * emits per-generation rl_* metrics (behaviour reward, max |ΔQ|,
-     * collection seconds) on top of the shared training metrics —
-     * see docs/OBSERVABILITY.md. Purely observational.
-     */
-    telemetry::MetricRegistry *metrics = nullptr;
 };
 
 /** Output of a streaming training run. */
@@ -246,9 +196,6 @@ class StreamingTrainer
     const StreamingConfig &config() const { return _config; }
 
   private:
-    /** The session configuration this trainer's runs use. */
-    SessionConfig sessionConfig() const;
-
     /**
      * One code path for train / trainUntilRound / resume: drive the
      * actor pipeline around a TrainerSession from either a fresh

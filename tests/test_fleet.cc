@@ -172,6 +172,13 @@ TEST(FleetSpecDeath, RejectsOperatorMistakes)
                                   {"id": "b", "tenant": "t",
                                    "tasklets": 30}]})"),
                  "job \"b\": tasklets: UPMEM DPUs support 1-24");
+    // The environment resolves at parse time, naming the job, instead
+    // of failing inside the scheduler.
+    EXPECT_DEATH(fleet::parseFleetSpec(
+                     R"({"jobs": [{"id": "ok", "tenant": "t"},
+                                  {"id": "typo", "tenant": "t",
+                                   "env": "frozenlak"}]})"),
+                 "job \"typo\": env: unknown environment 'frozenlak'");
     // Integers are read checked: no truncation, no wrap-around.
     EXPECT_DEATH(fleet::parseFleetSpec(
                      R"({"jobs": [{"id": "a", "tenant": "t",

@@ -219,6 +219,38 @@ TEST_P(TracedStreamingIdentity, TracedRunBitIdenticalToUntraced)
 INSTANTIATE_TEST_SUITE_P(PoolSizes, TracedStreamingIdentity,
                          ::testing::Values(1u, 2u, 8u));
 
+/** A StreamingConfig is a SessionConfig, so its traceParent reaches
+ *  the streaming session's span as it does an offline session's. */
+TEST(TracingStreaming, TraceParentReachesTheSessionSpan)
+{
+    TracingScope scope(true);
+    StreamingConfig cfg;
+    cfg.hyper.episodes = 4;
+    cfg.tau = 2;
+    cfg.generations = 2;
+    cfg.transitionsPerGeneration = 256;
+    cfg.traceParent = 4242;
+
+    PimConfig pim;
+    pim.numDpus = 2;
+    pim.hostThreads = 1;
+    PimSystem system(pim);
+    (void)StreamingTrainer(system, cfg).train(
+        [] {
+            return std::make_unique<swiftrl::rlenv::FrozenLake>(true);
+        },
+        16, 4);
+
+    int runs = 0;
+    for (const auto &span : tracer().snapshot()) {
+        if (span.name != "session.run")
+            continue;
+        ++runs;
+        EXPECT_EQ(span.parent, 4242u);
+    }
+    EXPECT_GE(runs, 1);
+}
+
 /** The fleet acceptance property: every session/engine/serving span
  *  of a two-tenant fleet run transitively parents up to a fleet.job
  *  span. */
