@@ -166,9 +166,40 @@ recordTraining(swiftrl::telemetry::RunManifest &m,
     m.retryLimit = cfg.retry.limit;
 }
 
+/**
+ * The tool's own integer flags (the training flags are the run-spec
+ * table's), range-checked when read — before any work starts — so a
+ * bad value is a usage error naming its flag instead of a wrapped
+ * count or a failure after training.
+ */
+struct ToolInts
+{
+    explicit ToolInts(const swiftrl::common::CliFlags &flags)
+        : evalEpisodes(flags.getIntIn("eval-episodes", 1000, 1)),
+          serve(flags.getIntIn<long long>("serve", 0, 0)),
+          generations(flags.getIntIn("generations", 8)),
+          // Each actor is an OS thread per generation.
+          actors(flags.getIntIn("actors", 1u, 1u, 1024u)),
+          refreshPeriod(flags.getIntIn("refresh-period", 0)),
+          pauseRound(flags.getIntIn("pause-round", 1, 1)),
+          retryLimit(flags.getIntIn("retry-limit", 3)),
+          faultSeed(flags.getIntIn<std::uint64_t>("fault-seed", 1))
+    {
+    }
+
+    int evalEpisodes;
+    long long serve;
+    int generations;
+    unsigned actors;
+    int refreshPeriod;
+    int pauseRound;
+    int retryLimit;
+    std::uint64_t faultSeed;
+};
+
 /** Shared tail of both modes: evaluate, report, export, checkpoint. */
 int
-finishRun(const swiftrl::common::CliFlags &flags,
+finishRun(const swiftrl::common::CliFlags &flags, const ToolInts &ints,
           swiftrl::rlenv::Environment &env,
           const swiftrl::rlcore::QTable &final_q,
           const swiftrl::pimsim::Timeline &timeline,
@@ -178,8 +209,7 @@ finishRun(const swiftrl::common::CliFlags &flags,
 {
     using namespace swiftrl;
 
-    const auto eval_episodes =
-        static_cast<int>(flags.getInt("eval-episodes", 1000));
+    const int eval_episodes = ints.evalEpisodes;
     const auto eval =
         rlcore::evaluateGreedy(env, final_q, eval_episodes, 7);
     std::cout << "mean reward:      " << eval.meanReward << " over "
@@ -214,9 +244,8 @@ finishRun(const swiftrl::common::CliFlags &flags,
         rlcore::saveQTable(final_q, save_q);
         std::cout << "Q-table saved to " << save_q << "\n";
     }
-    const auto serve = flags.getInt("serve", 0);
-    if (serve > 0 &&
-        !serveQueries(final_q, serve, {}, "default", "the trained table"))
+    if (ints.serve > 0 && !serveQueries(final_q, ints.serve, {}, "default",
+                                        "the trained table"))
         return 1;
     return writeTraceOutputs(flags);
 }
@@ -241,6 +270,7 @@ main(int argc, char **argv)
     for (const auto key : run_keys)
         known.push_back(flagName(key));
     const common::CliFlags flags(argc, argv, std::move(known));
+    const ToolInts ints(flags);
 
     // --log-level overrides the SWIFTRL_LOG environment variable.
     // An unknown name warns once and falls back to inform rather
@@ -321,14 +351,13 @@ main(int argc, char **argv)
         // tree parents on that job's fleet.job span, so serve traffic
         // in the trace dump is causally attributed to the job that
         // trained the table.
-        const auto fleet_serve = flags.getInt("serve", 0);
         for (const auto &job : result.jobs) {
-            if (fleet_serve <= 0)
+            if (ints.serve <= 0)
                 break;
             serving::ServingConfig serve_cfg;
             serve_cfg.traceParent = job.traceSpanId;
             serve_cfg.metrics = spec.config.metrics;
-            if (!serveQueries(job.finalQ, fleet_serve, serve_cfg,
+            if (!serveQueries(job.finalQ, ints.serve, serve_cfg,
                               job.tenant,
                               job.id + " (tenant " + job.tenant + ")"))
                 return 1;
@@ -358,8 +387,7 @@ main(int argc, char **argv)
     // kernel faults and wire corruption, --dropout-rate permanent
     // core loss; draws are seeded by --fault-seed, so a run's fault
     // sequence — and its recovered Q-table — is reproducible.
-    pim.faultPlan.seed =
-        static_cast<std::uint64_t>(flags.getInt("fault-seed", 1));
+    pim.faultPlan.seed = ints.faultSeed;
     const double fault_rate = flags.getDouble("fault-rate", 0.0);
     pim.faultPlan.transientRate = fault_rate;
     pim.faultPlan.corruptRate = fault_rate;
@@ -371,7 +399,7 @@ main(int argc, char **argv)
     manifest.environment = run.env;
 
     RetryPolicy retry;
-    retry.limit = static_cast<int>(flags.getInt("retry-limit", 3));
+    retry.limit = ints.retryLimit;
     if (pim.faultPlan.enabled()) {
         std::cout << "fault injection:  rate " << fault_rate
                   << ", dropout " << pim.faultPlan.dropoutRate
@@ -389,11 +417,9 @@ main(int argc, char **argv)
         }
         // --episodes and --transitions are run totals in both modes;
         // streaming splits them evenly across the generations.
-        StreamingConfig cfg = run.toStreamingConfig(
-            static_cast<int>(flags.getInt("generations", 8)));
-        cfg.actors = static_cast<unsigned>(flags.getInt("actors", 1));
-        cfg.refreshPeriod =
-            static_cast<int>(flags.getInt("refresh-period", 0));
+        StreamingConfig cfg = run.toStreamingConfig(ints.generations);
+        cfg.actors = ints.actors;
+        cfg.refreshPeriod = ints.refreshPeriod;
         cfg.retry = retry;
         cfg.metrics = want_metrics ? &metrics : nullptr;
 
@@ -435,7 +461,7 @@ main(int argc, char **argv)
                       << result.time.recovery
                       << " s recovery overhead\n";
         }
-        return finishRun(flags, *env, result.finalQ, result.timeline,
+        return finishRun(flags, ints, *env, result.finalQ, result.timeline,
                          system, metrics, manifest);
     }
 
@@ -488,12 +514,8 @@ main(int argc, char **argv)
         if (!restore_path.empty())
             SWIFTRL_FATAL("--checkpoint and --restore are one-at-a-"
                           "time: pause a run or continue one");
-        const auto rounds =
-            static_cast<int>(flags.getInt("pause-round", 1));
-        if (rounds < 1)
-            SWIFTRL_FATAL("--pause-round must be >= 1, got ", rounds);
         const auto ck = trainer.trainUntilRound(
-            data, env->numStates(), env->numActions(), rounds);
+            data, env->numStates(), env->numActions(), ints.pauseRound);
         saveCheckpoint(ck, checkpoint_path);
         std::cout << "checkpoint written to " << checkpoint_path
                   << " after " << ck.commRounds << " round(s); "
@@ -524,6 +546,6 @@ main(int argc, char **argv)
                   << " core(s) lost, " << result.time.recovery
                   << " s recovery overhead\n";
     }
-    return finishRun(flags, *env, result.finalQ, result.timeline,
+    return finishRun(flags, ints, *env, result.finalQ, result.timeline,
                      system, metrics, manifest);
 }

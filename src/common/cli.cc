@@ -91,6 +91,14 @@ CliFlags::getInt(const std::string &name, std::int64_t fallback) const
     return v;
 }
 
+void
+CliFlags::outOfRange(const std::string &name, std::int64_t v,
+                     const std::string &lo, const std::string &hi) const
+{
+    SWIFTRL_FATAL("--", name, ": must be an integer in [", lo, ", ", hi,
+                  "], got ", v);
+}
+
 double
 CliFlags::getDouble(const std::string &name, double fallback) const
 {

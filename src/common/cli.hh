@@ -8,10 +8,13 @@
 #ifndef SWIFTRL_COMMON_CLI_HH
 #define SWIFTRL_COMMON_CLI_HH
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace swiftrl::common {
@@ -41,6 +44,25 @@ class CliFlags
     std::int64_t getInt(const std::string &name,
                         std::int64_t fallback) const;
 
+    /**
+     * Integer value narrowed to T, or @p fallback when absent. A value
+     * outside [@p lo, @p hi] — by default T's whole range — is a usage
+     * error naming the flag, so nothing is wrapped or truncated.
+     */
+    template <std::integral T>
+    T
+    getIntIn(const std::string &name, T fallback,
+             T lo = std::numeric_limits<T>::min(),
+             T hi = std::numeric_limits<T>::max()) const
+    {
+        if (!has(name))
+            return fallback;
+        const std::int64_t v = getInt(name, 0);
+        if (std::cmp_less(v, lo) || std::cmp_greater(v, hi))
+            outOfRange(name, v, std::to_string(lo), std::to_string(hi));
+        return static_cast<T>(v);
+    }
+
     /** Floating-point value, or @p fallback when absent. */
     double getDouble(const std::string &name, double fallback) const;
 
@@ -54,6 +76,11 @@ class CliFlags
     }
 
   private:
+    /** The usage error of getIntIn. */
+    [[noreturn]] void outOfRange(const std::string &name, std::int64_t v,
+                                 const std::string &lo,
+                                 const std::string &hi) const;
+
     std::map<std::string, std::string> _values;
 
     /**

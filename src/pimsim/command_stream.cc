@@ -109,21 +109,41 @@ CommandStream::deadDpus() const
     return ids;
 }
 
-void
-CommandStream::pokeChunks(
-    std::size_t offset,
-    const std::vector<std::span<const std::uint8_t>> &per_dpu)
+std::size_t
+CommandStream::fillChunks(std::size_t offset, const ChunkBytes &bytes,
+                          const ChunkFill &fill)
 {
     auto &dpus = _system._dpus;
-    SWIFTRL_ASSERT(per_dpu.size() == dpus.size(),
-                   "pokeChunks needs exactly one payload per core");
-    for (std::size_t i = 0; i < per_dpu.size(); ++i) {
+    const std::size_t n = dpus.size();
+    _chunkBytes.assign(n, 0);
+    _chunkBanks.assign(n, nullptr);
+    std::size_t max_bytes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
         if (_dead[i])
             continue;
-        const auto &payload = per_dpu[i];
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
+        const std::size_t b = bytes(i);
+        _chunkBytes[i] = b;
+        max_bytes = std::max(max_bytes, b);
+        if (b > 0)
+            _chunkBanks[i] = dpus[i].reserveLane(offset + b);
     }
+    _system._pool->parallelFor(n, [&](std::size_t i, unsigned) {
+        const std::size_t b = _chunkBytes[i];
+        if (b == 0)
+            return;
+        const std::span<std::uint8_t> bank = dpus[i].mramLane(offset + b);
+        SWIFTRL_ASSERT(bank.data() == _chunkBanks[i], "scatter lane ", i,
+                       " reallocated its bank");
+        fill(i, bank.subspan(offset, b));
+    });
+    return max_bytes;
+}
+
+void
+CommandStream::poke(std::size_t offset, const ChunkBytes &bytes,
+                    const ChunkFill &fill)
+{
+    fillChunks(offset, bytes, fill);
 }
 
 void
@@ -176,23 +196,11 @@ CommandStream::recoveryDelay(double seconds, std::string_view label)
 }
 
 double
-CommandStream::pushChunks(
-    std::size_t offset,
-    const std::vector<std::span<const std::uint8_t>> &per_dpu,
-    TimeBucket bucket, std::string_view label)
+CommandStream::scatter(std::size_t offset, const ChunkBytes &bytes,
+                       const ChunkFill &fill, TimeBucket bucket,
+                       std::string_view label)
 {
-    auto &dpus = _system._dpus;
-    SWIFTRL_ASSERT(per_dpu.size() == dpus.size(),
-                   "pushChunks needs exactly one payload per core");
-    std::size_t max_bytes = 0;
-    for (std::size_t i = 0; i < per_dpu.size(); ++i) {
-        if (_dead[i])
-            continue;
-        const auto &payload = per_dpu[i];
-        if (!payload.empty())
-            dpus[i].mramWrite(offset, payload.data(), payload.size());
-        max_bytes = std::max(max_bytes, payload.size());
-    }
+    const std::size_t max_bytes = fillChunks(offset, bytes, fill);
     const double seconds =
         _system.config().transferModel.scatterSeconds(max_bytes,
                                                       _liveCount);

@@ -10,10 +10,11 @@
  * modelled time elapsed since the previous sync point, which equals
  * the sum of the commands' returned durations.
  *
- * Inside the engine, the functional work of a kernel launch runs on
- * the owning PimSystem's host thread pool — one work item per DPU
- * instance, which is safe because a kernel instance touches only its
- * own core's MRAM bank, WRAM accounting, and cycle clock.
+ * Inside the engine, the functional work of a kernel launch and of a
+ * chunk scatter runs on the owning PimSystem's host thread pool — one
+ * work item per DPU instance, which is safe because a kernel instance
+ * touches only its own core's MRAM bank, WRAM accounting, and cycle
+ * clock, and a scatter lane only its own core's bank.
  * Determinism guarantee: Q-tables, cycle counts, and modelled seconds
  * are bit-identical for any pool size, including 1, because work
  * items are index-pure and every reduction (slowest-core max, cycle
@@ -46,6 +47,7 @@
 #define SWIFTRL_PIMSIM_COMMAND_STREAM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -127,16 +129,33 @@ class CommandStream
     // the command's modelled duration, records one timeline event,
     // and returns the duration in modelled seconds.
 
+    /** Bytes of core `core`'s chunk in a scatter (0 = no chunk). */
+    using ChunkBytes = std::function<std::size_t(std::size_t core)>;
+
     /**
-     * Scatter one distinct payload per core to MRAM at @p offset.
-     * Timing serialises on the largest payload (rank transfers do).
-     * Dropped-out cores are skipped (pass them empty spans).
+     * Write core `core`'s chunk into @p chunk, its bank bytes
+     * [offset, offset + bytes(core)). Runs on a host-pool lane, so it
+     * may read shared host data but must touch nothing of other cores.
      */
-    double pushChunks(
-        std::size_t offset,
-        const std::vector<std::span<const std::uint8_t>> &per_dpu,
-        TimeBucket bucket = TimeBucket::CpuToPim,
-        std::string_view label = "scatter");
+    using ChunkFill =
+        std::function<void(std::size_t core, std::span<std::uint8_t> chunk)>;
+
+    /**
+     * Scatter one distinct chunk per live core to MRAM at @p offset:
+     * @p fill writes each chunk straight into its bank. Every live
+     * bank's buffer is reserved serially here (Dpu::reserveLane), then
+     * the host pool runs one lane per core, which grows its bank
+     * inside that reservation and fills it — so the chunks are never
+     * staged in host vectors, and the banks' first-touch page faults
+     * spread over the pool. The result is the same bank bytes as a
+     * serial Dpu::mramWrite per chunk, for any pool size. Timing
+     * serialises on the largest live chunk (rank transfers do).
+     * Dead and zero-byte cores are skipped: their banks are untouched.
+     */
+    double scatter(std::size_t offset, const ChunkBytes &bytes,
+                   const ChunkFill &fill,
+                   TimeBucket bucket = TimeBucket::CpuToPim,
+                   std::string_view label = "scatter");
 
     /**
      * Replicate one payload to every live core's MRAM at @p offset.
@@ -284,13 +303,11 @@ class CommandStream
     // run being restored, so charging it again would double-count.
 
     /**
-     * Write one payload per core to MRAM at @p offset, functionally
-     * only (no event, no time, dead cores skipped). Restore
-     * counterpart of pushChunks.
+     * scatter() functionally only: the same lanes write the same
+     * bytes, but no event is recorded and the clock stays put.
      */
-    void pokeChunks(
-        std::size_t offset,
-        const std::vector<std::span<const std::uint8_t>> &per_dpu);
+    void poke(std::size_t offset, const ChunkBytes &bytes,
+              const ChunkFill &fill);
 
     /**
      * Share @p payload with every live core's MRAM at @p offset,
@@ -395,6 +412,14 @@ class CommandStream
     double record(Phase phase, TimeBucket bucket, double seconds,
                   std::string_view label);
 
+    /**
+     * The functional half of scatter()/poke(): reserve every live
+     * bank, fill the chunks on the host pool. Returns the largest
+     * live chunk in bytes.
+     */
+    std::size_t fillChunks(std::size_t offset, const ChunkBytes &bytes,
+                           const ChunkFill &fill);
+
     /** Modelled host cost of checksum-verifying @p bytes. */
     double checksumSeconds(std::size_t bytes) const;
 
@@ -457,6 +482,10 @@ class CommandStream
 
     /** Live-lane cohort of the current batch launch (reused). */
     std::vector<std::size_t> _cohortScratch;
+
+    /** Per-core chunk bytes and reserved banks of a scatter (reused). */
+    std::vector<std::size_t> _chunkBytes;
+    std::vector<const std::uint8_t *> _chunkBanks;
 };
 
 } // namespace swiftrl::pimsim

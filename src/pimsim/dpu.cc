@@ -21,21 +21,39 @@ Dpu::checkRange(std::size_t end, const char *what) const
     }
 }
 
+std::size_t
+Dpu::grownSize(std::size_t size, std::size_t end) const
+{
+    // Geometric growth (doubling, clamped to the bank) so a sequence
+    // of boundary-crossing writes costs amortised O(1) reallocations
+    // instead of one per write.
+    if (end <= size)
+        return size;
+    return std::min(std::max(end, size * 2), _mramCapacity);
+}
+
 void
 Dpu::ensure(std::size_t end) const
 {
     checkRange(end, "access");
-    if (end > _mram.size()) {
-        // Geometric growth (doubling, clamped to the bank) so a
-        // sequence of boundary-crossing writes costs amortised O(1)
-        // reallocations instead of one per write. resize()
-        // value-initialises the new bytes, and mramRead zero-fills
-        // past the valid size anyway, so the functional contract —
-        // never-written MRAM reads as zero — is unchanged.
-        const std::size_t grown = std::min(
-            std::max(end, _mram.size() * 2), _mramCapacity);
-        _mram.resize(grown, 0);
-    }
+    // resize() value-initialises the new bytes, and mramRead
+    // zero-fills past the valid size anyway, so the functional
+    // contract — never-written MRAM reads as zero — is unchanged.
+    if (end > _mram.size())
+        _mram.resize(grownSize(_mram.size(), end), 0);
+}
+
+const std::uint8_t *
+Dpu::reserveLane(std::size_t end)
+{
+    checkRange(end, "access");
+    // mramLane settles a pending payload, then ensures end: reserve
+    // the size both growth steps reach.
+    std::size_t size = _mram.size();
+    if (_pending)
+        size = grownSize(size, _pendingOffset + _pending->size());
+    _mram.reserve(grownSize(size, end));
+    return _mram.data();
 }
 
 void

@@ -33,11 +33,18 @@ namespace swiftrl::pimsim {
  * the copy inside its own pooled lane, just before it reads the rows.
  *
  * Single-owner rule: a bank is touched by one thread at a time. The
- * kernel lanes of a launch own distinct banks; everything else (the
- * command stream's transfers, gathers, observers, the session's
- * aggregation) runs on the enqueue thread after the host pool joins.
- * Nothing here locks, so the rule is what keeps a pending payload's
- * copy-in race-free.
+ * lanes of a kernel launch and of a chunk scatter each own distinct
+ * banks; everything else (broadcasts, gathers, observers, the
+ * session's aggregation) runs on the enqueue thread after the host
+ * pool joins. Nothing here locks, so the rule is what keeps a pending
+ * payload's copy-in race-free.
+ *
+ * A scatter lane grows its bank, but the buffer is reserved first on
+ * the enqueue thread (reserveLane), so the lane only resizes inside
+ * the capacity it was handed and never allocates. That keeps every
+ * bank in the enqueue thread's malloc arena: a bank a pool thread
+ * allocated would land in that thread's arena, and the per-thread
+ * arenas raise the process's peak memory.
  */
 class Dpu
 {
@@ -120,12 +127,13 @@ class Dpu
 
     /**
      * Mutable view of the whole bank, grown to cover [0, @p end) and
-     * with any pending payload copied in: the kernel lanes' accessor.
-     * A lane asks once for the end of every region it touches, then
-     * trains on its Q region and counts visits in place — no WRAM
-     * image — while charging the modelled DMA separately
-     * (KernelContext::chargeDmaSpanBulk). Same invalidation rule as
-     * mramView; the lane's own single pass never outlives it.
+     * with any pending payload copied in: the kernel and scatter
+     * lanes' accessor. A kernel lane asks once for the end of every
+     * region it touches, then trains on its Q region and counts visits
+     * in place — no WRAM image — while charging the modelled DMA
+     * separately (KernelContext::chargeDmaSpanBulk); a scatter lane
+     * packs its chunk into it. Same invalidation rule as mramView; the
+     * lane's own single pass never outlives it.
      */
     std::span<std::uint8_t>
     mramLane(std::size_t end)
@@ -134,6 +142,15 @@ class Dpu
         ensure(end);
         return _mram;
     }
+
+    /**
+     * Reserve the buffer a later mramLane(@p end) needs, pending
+     * payload included, so that call grows the bank without
+     * reallocating (see the class comment). Touches no byte and
+     * changes nothing the bank reads as. Fatal past the capacity.
+     * @return the reserved storage, which mramLane(@p end) returns.
+     */
+    const std::uint8_t *reserveLane(std::size_t end);
 
     /** Total cycles this core has consumed. */
     Cycles cycles() const { return _cycles; }
@@ -170,6 +187,9 @@ class Dpu
 
     /** Grow the lazy buffer to cover [0, end); fatal past capacity. */
     void ensure(std::size_t end) const;
+
+    /** The buffer size ensure(@p end) grows a @p size buffer to. */
+    std::size_t grownSize(std::size_t size, std::size_t end) const;
 
     /** Copy a pending broadcast payload in. */
     void

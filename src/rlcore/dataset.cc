@@ -5,6 +5,7 @@
 
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
+#include "rlcore/trainers.hh"
 
 namespace swiftrl::rlcore {
 
@@ -45,48 +46,49 @@ packNextState(StateId next_state, bool terminal)
     return bits;
 }
 
-} // namespace
-
-std::vector<std::uint8_t>
-Dataset::packFp32(std::size_t first, std::size_t count) const
+/** Shared body of packFp32/packInt32: @p reward_bits encodes one. */
+template <typename RewardBits>
+void
+packRecords(const Dataset &data, std::size_t first, std::size_t count,
+            std::span<std::uint8_t> out, RewardBits reward_bits)
 {
-    SWIFTRL_ASSERT(first + count <= size(), "pack range out of bounds");
-    std::vector<std::uint8_t> out(count * sizeof(PackedTransition));
+    SWIFTRL_ASSERT(first + count <= data.size(),
+                   "pack range out of bounds");
+    SWIFTRL_ASSERT(out.size() == count * sizeof(PackedTransition),
+                   "pack buffer holds ", out.size(), " bytes, not ",
+                   count, " records");
     for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t k = first + i;
         PackedTransition p;
-        p.state = _states[first + i];
-        p.action = _actions[first + i];
-        p.rewardBits = std::bit_cast<std::int32_t>(_rewards[first + i]);
-        p.nextStateBits = packNextState(_nextStates[first + i],
-                                        _terminals[first + i] != 0);
+        p.state = data.states()[k];
+        p.action = data.actions()[k];
+        p.rewardBits = reward_bits(data.rewards()[k]);
+        p.nextStateBits = packNextState(data.nextStates()[k],
+                                        data.terminals()[k] != 0);
         std::memcpy(out.data() + i * sizeof(PackedTransition), &p,
                     sizeof(PackedTransition));
     }
-    return out;
 }
 
-std::vector<std::uint8_t>
-Dataset::packInt32(std::size_t first, std::size_t count,
-                   std::int32_t scale) const
+} // namespace
+
+void
+Dataset::packFp32(std::size_t first, std::size_t count,
+                  std::span<std::uint8_t> out) const
 {
-    SWIFTRL_ASSERT(first + count <= size(), "pack range out of bounds");
+    packRecords(*this, first, count, out, [](float r) {
+        return std::bit_cast<std::int32_t>(r);
+    });
+}
+
+void
+Dataset::packInt32(std::size_t first, std::size_t count,
+                   std::int32_t scale, std::span<std::uint8_t> out) const
+{
     SWIFTRL_ASSERT(scale > 0, "scale factor must be positive");
-    std::vector<std::uint8_t> out(count * sizeof(PackedTransition));
-    for (std::size_t i = 0; i < count; ++i) {
-        PackedTransition p;
-        p.state = _states[first + i];
-        p.action = _actions[first + i];
-        const double scaled = static_cast<double>(_rewards[first + i]) *
-                              static_cast<double>(scale);
-        const double rounded =
-            scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
-        p.rewardBits = static_cast<std::int32_t>(rounded);
-        p.nextStateBits = packNextState(_nextStates[first + i],
-                                        _terminals[first + i] != 0);
-        std::memcpy(out.data() + i * sizeof(PackedTransition), &p,
-                    sizeof(PackedTransition));
-    }
-    return out;
+    packRecords(*this, first, count, out, [scale](float r) {
+        return quantizeReward(r, scale);
+    });
 }
 
 Transition

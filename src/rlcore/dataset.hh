@@ -78,19 +78,20 @@ class Dataset
     }
 
     /**
-     * Pack transitions [first, first+count) in the FP32 MRAM layout.
+     * Pack transitions [first, first+count) in the FP32 MRAM layout
+     * into @p out, which holds exactly count records — typically a
+     * core's chunk in its MRAM bank (CommandStream::scatter).
      */
-    std::vector<std::uint8_t> packFp32(std::size_t first,
-                                       std::size_t count) const;
+    void packFp32(std::size_t first, std::size_t count,
+                  std::span<std::uint8_t> out) const;
 
     /**
-     * Pack transitions [first, first+count) in the INT32 MRAM layout:
-     * rewards quantised with the given fixed-point @p scale (the
-     * paper's scale-up-before-transfer step).
+     * Pack transitions [first, first+count) in the INT32 MRAM layout
+     * into @p out: rewards quantised with the given fixed-point
+     * @p scale (the paper's scale-up-before-transfer step).
      */
-    std::vector<std::uint8_t> packInt32(std::size_t first,
-                                        std::size_t count,
-                                        std::int32_t scale) const;
+    void packInt32(std::size_t first, std::size_t count,
+                   std::int32_t scale, std::span<std::uint8_t> out) const;
 
     /** Decode one packed record (used by kernels and tests). */
     static Transition unpackFp32(const PackedTransition &p);

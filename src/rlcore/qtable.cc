@@ -82,20 +82,6 @@ QTable::initArbitrary(std::uint64_t seed)
         v = static_cast<float>(rng.nextReal() * 0.01);
 }
 
-std::vector<std::int32_t>
-QTable::toFixed(std::int32_t scale) const
-{
-    SWIFTRL_ASSERT(scale > 0, "scale factor must be positive");
-    std::vector<std::int32_t> raw(_values.size());
-    for (std::size_t i = 0; i < _values.size(); ++i) {
-        const double scaled = static_cast<double>(_values[i]) *
-                              static_cast<double>(scale);
-        raw[i] = static_cast<std::int32_t>(
-            scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5);
-    }
-    return raw;
-}
-
 QTable
 QTable::fromFixed(StateId num_states, ActionId num_actions,
                   const std::vector<std::int32_t> &raw,

@@ -78,12 +78,10 @@ class QTable
     std::vector<float> &values() { return _values; }
 
     /**
-     * Quantise to the fixed-point wire format (raw int32 values at
-     * @p scale), the representation INT32 kernels keep in WRAM.
+     * Rebuild from the fixed-point wire format (raw int32 values at
+     * @p scale, the representation INT32 kernels keep in WRAM;
+     * QTableIo::encodeWire writes it).
      */
-    std::vector<std::int32_t> toFixed(std::int32_t scale) const;
-
-    /** Rebuild from the fixed-point wire format. */
     static QTable fromFixed(StateId num_states, ActionId num_actions,
                             const std::vector<std::int32_t> &raw,
                             std::int32_t scale);

@@ -56,7 +56,9 @@ saveDataset(const Dataset &data, const std::string &path)
     if (!out)
         SWIFTRL_FATAL("cannot open '", path, "' for writing");
 
-    const auto payload = data.packFp32(0, data.size());
+    std::vector<std::uint8_t> payload(data.size() *
+                                      sizeof(PackedTransition));
+    data.packFp32(0, data.size(), payload);
     const std::uint64_t count = data.size();
     const std::uint64_t checksum =
         fnv1a(payload.data(), payload.size());

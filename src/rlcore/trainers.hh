@@ -49,8 +49,9 @@ QTable trainCpuReference(Algorithm algo, const Dataset &data,
                          std::uint64_t lcg_stream = 0);
 
 /**
- * Reward quantisation used by both Dataset::packInt32 and the INT32
- * trainers: round(reward * scale), ties away from zero.
+ * Fixed-point quantisation used by Dataset::packInt32, the sharded
+ * chunk pack, the Q wire encoder and the INT32 trainers:
+ * round(reward * scale), ties away from zero.
  */
 std::int32_t quantizeReward(float reward, std::int32_t scale);
 

@@ -14,7 +14,6 @@ namespace swiftrl {
 using pimsim::TimeBucket;
 using rlcore::ActionId;
 using rlcore::Dataset;
-using rlcore::NumericFormat;
 using rlcore::QTable;
 using rlcore::StateId;
 
@@ -39,29 +38,21 @@ PimTrainer::dataOffset(std::size_t q_bytes) const
 
 void
 PimTrainer::distribute(pimsim::CommandStream &stream,
-                       const std::vector<const Dataset *> &sources,
-                       const std::vector<std::size_t> &firsts,
-                       const std::vector<std::size_t> &counts,
+                       const std::vector<Dataset> &agent_data,
                        TimeBucket bucket, std::string_view label)
 {
-    const std::size_t n = _system.numDpus();
-    SWIFTRL_ASSERT(sources.size() == n && firsts.size() == n &&
-                       counts.size() == n,
-                   "per-core distribution tables must cover all cores");
-
-    std::vector<std::vector<std::uint8_t>> packed(n);
-    std::vector<std::span<const std::uint8_t>> spans(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Dataset &src = *sources[i];
-        packed[i] =
-            _config.workload.format == NumericFormat::Fp32
-                ? src.packFp32(firsts[i], counts[i])
-                : src.packInt32(firsts[i], counts[i],
-                                _qio.fixedScale());
-        spans[i] = packed[i];
-    }
-
-    stream.pushChunks(_dataOffsetCache, spans, bucket, label);
+    SWIFTRL_ASSERT(agent_data.size() == _system.numDpus(),
+                   "one agent dataset per core");
+    stream.scatter(
+        _dataOffsetCache,
+        [&](std::size_t i) {
+            return agent_data[i].size() * sizeof(rlcore::PackedTransition);
+        },
+        [&](std::size_t i, std::span<std::uint8_t> out) {
+            _qio.packTransitions(agent_data[i], 0, agent_data[i].size(),
+                                 out);
+        },
+        bucket, label);
 }
 
 PimTrainResult
@@ -186,15 +177,13 @@ PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
         stream.setObserver(&*collector);
     }
 
-    std::vector<const Dataset *> sources(n);
-    std::vector<std::size_t> firsts(n, 0), counts(n);
+    std::vector<std::size_t> counts(n);
     for (std::size_t i = 0; i < n; ++i) {
         if (agent_data[i].empty())
             SWIFTRL_FATAL("agent ", i, " has an empty dataset");
-        sources[i] = &agent_data[i];
         counts[i] = agent_data[i].size();
     }
-    distribute(stream, sources, firsts, counts);
+    distribute(stream, agent_data);
     _qio.initQTables(stream, num_states, num_actions);
 
     const std::size_t streams = n * _config.tasklets;

@@ -142,11 +142,10 @@ class PimTrainer
     const PimTrainConfig &config() const { return _config; }
 
   private:
-    /** Pack + enqueue the per-core chunk scatter. */
+    /** Scatter each agent's whole dataset to its core, packed in
+     *  the core's lane. */
     void distribute(pimsim::CommandStream &stream,
-                    const std::vector<const rlcore::Dataset *> &sources,
-                    const std::vector<std::size_t> &firsts,
-                    const std::vector<std::size_t> &counts,
+                    const std::vector<rlcore::Dataset> &agent_data,
                     pimsim::TimeBucket bucket =
                         pimsim::TimeBucket::CpuToPim,
                     std::string_view label = "scatter:dataset");

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "pimsim/pim_system.hh"
+#include "rlcore/trainers.hh"
 
 namespace swiftrl {
 
@@ -20,6 +21,17 @@ QTableIo::fixedScale() const
     if (_workload.format == NumericFormat::Int8)
         return 1 << _hyper.int8Shift;
     return _hyper.scale;
+}
+
+void
+QTableIo::packTransitions(const rlcore::Dataset &data, std::size_t first,
+                          std::size_t count,
+                          std::span<std::uint8_t> out) const
+{
+    if (_workload.format == NumericFormat::Fp32)
+        data.packFp32(first, count, out);
+    else
+        data.packInt32(first, count, fixedScale(), out);
 }
 
 double
@@ -184,13 +196,26 @@ std::vector<std::uint8_t>
 QTableIo::packWire(const QTable &q) const
 {
     std::vector<std::uint8_t> bytes(q.byteSize());
-    if (_workload.format == NumericFormat::Fp32) {
-        std::memcpy(bytes.data(), q.values().data(), bytes.size());
-    } else {
-        const auto fixed = q.toFixed(fixedScale());
-        std::memcpy(bytes.data(), fixed.data(), bytes.size());
-    }
+    encodeWire(q.values(), bytes);
     return bytes;
+}
+
+void
+QTableIo::encodeWire(std::span<const float> values,
+                     std::span<std::uint8_t> out) const
+{
+    SWIFTRL_ASSERT(out.size() == values.size() * rlcore::kQWireBytesPerEntry,
+                   "Q wire buffer size mismatch");
+    if (_workload.format == NumericFormat::Fp32) {
+        std::memcpy(out.data(), values.data(), out.size());
+        return;
+    }
+    // Round to the raw fixed point the INT32 kernels keep in WRAM.
+    const std::int32_t scale = fixedScale();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const std::int32_t raw = rlcore::quantizeReward(values[i], scale);
+        std::memcpy(out.data() + i * sizeof raw, &raw, sizeof raw);
+    }
 }
 
 void

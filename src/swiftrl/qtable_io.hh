@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "pimsim/command_stream.hh"
+#include "rlcore/dataset.hh"
 #include "rlcore/qtable.hh"
 #include "rlcore/types.hh"
 #include "swiftrl/retry_policy.hh"
@@ -55,6 +56,15 @@ class QTableIo
      * 1 << hyper.int8Shift for the INT8 optimisation.
      */
     std::int32_t fixedScale() const;
+
+    /**
+     * Pack transitions [first, first + count) of @p data into @p out
+     * in the workload's MRAM record layout: Dataset::packFp32, or
+     * Dataset::packInt32 with fixedScale().
+     */
+    void packTransitions(const rlcore::Dataset &data, std::size_t first,
+                         std::size_t count,
+                         std::span<std::uint8_t> out) const;
 
     /**
      * Modelled on-core cost of converting a Q-table between raw
@@ -163,6 +173,14 @@ class QTableIo
      * bank is byte-identical to one the last broadcast wrote.
      */
     std::vector<std::uint8_t> packWire(const rlcore::QTable &q) const;
+
+    /**
+     * Encode @p values into @p out (4 bytes per value) exactly as
+     * packWire encodes a table's entries: an FP32 copy, or the
+     * rounded fixed-point value.
+     */
+    void encodeWire(std::span<const float> values,
+                    std::span<std::uint8_t> out) const;
 
   private:
     Workload _workload;

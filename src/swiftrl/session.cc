@@ -20,6 +20,7 @@ using pimsim::TimeBucket;
 using rlcore::ActionId;
 using rlcore::Dataset;
 using rlcore::NumericFormat;
+using rlcore::PackedTransition;
 using rlcore::QTable;
 using rlcore::StateId;
 
@@ -198,21 +199,6 @@ TrainerSession::buildKernel()
     };
 }
 
-std::vector<std::vector<std::uint8_t>>
-TrainerSession::packChunks(const Dataset &data) const
-{
-    const std::size_t n = _system.numDpus();
-    std::vector<std::vector<std::uint8_t>> packed(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        packed[i] =
-            _config.workload.format == NumericFormat::Fp32
-                ? data.packFp32(_firsts[i], _counts[i])
-                : data.packInt32(_firsts[i], _counts[i],
-                                 _qio.fixedScale());
-    }
-    return packed;
-}
-
 void
 TrainerSession::repartition(const Dataset &data)
 {
@@ -236,14 +222,34 @@ TrainerSession::repartition(const Dataset &data)
 }
 
 void
-TrainerSession::scatterActive(TimeBucket bucket,
-                              std::string_view label)
+TrainerSession::scatterChunks(std::size_t offset,
+                              const pimsim::CommandStream::ChunkBytes &bytes,
+                              const pimsim::CommandStream::ChunkFill &fill,
+                              TimeBucket bucket, std::string_view label,
+                              bool poke)
 {
-    const auto packed = packChunks(*_activeData);
-    std::vector<std::span<const std::uint8_t>> spans(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i)
-        spans[i] = packed[i];
-    _stream->pushChunks(_dataOffset, spans, bucket, label);
+    if (poke)
+        _stream->poke(offset, bytes, fill);
+    else
+        _stream->scatter(offset, bytes, fill, bucket, label);
+}
+
+void
+TrainerSession::scatterActive(TimeBucket bucket, std::string_view label,
+                              bool poke)
+{
+    // Each core's chunk is packed by its scatter lane straight into
+    // its bank (CommandStream::scatter).
+    scatterChunks(
+        _dataOffset,
+        [this](std::size_t i) {
+            return _counts[i] * sizeof(PackedTransition);
+        },
+        [this](std::size_t i, std::span<std::uint8_t> out) {
+            _qio.packTransitions(*_activeData, _firsts[i], _counts[i],
+                                 out);
+        },
+        bucket, label, poke);
 }
 
 void
@@ -267,7 +273,8 @@ TrainerSession::redistribute()
         return;
     }
     repartition(*_activeData);
-    scatterActive(TimeBucket::Recovery, "scatter:redistribute");
+    scatterActive(TimeBucket::Recovery, "scatter:redistribute",
+                  /*poke=*/false);
     _qio.broadcastQTable(*_stream, _aggregated, TimeBucket::Recovery,
                          "broadcast:recover");
 }
@@ -355,52 +362,44 @@ TrainerSession::repartitionSharded()
     }
 }
 
-std::vector<std::vector<std::uint8_t>>
-TrainerSession::packShardedChunks() const
-{
-    const std::size_t n = _system.numDpus();
-    const bool fp32 = _config.workload.format == NumericFormat::Fp32;
-    std::vector<std::vector<std::uint8_t>> packed(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        packed[i] = packLocalizedChunk(
-            *_activeData, _routing, _plan->map, _plan->shardOfCore[i],
-            _firsts[i], _counts[i], _haloStates[i], fp32,
-            _qio.fixedScale());
-    }
-    return packed;
-}
-
 void
 TrainerSession::scatterSharded(TimeBucket bucket,
                                std::string_view label, bool poke)
 {
-    const auto packed = packShardedChunks();
-    std::vector<std::span<const std::uint8_t>> spans(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i)
-        spans[i] = packed[i];
-    if (poke)
-        _stream->pokeChunks(_dataOffset, spans);
-    else
-        _stream->pushChunks(_dataOffset, spans, bucket, label);
+    const bool fp32 = _config.workload.format == NumericFormat::Fp32;
+    const std::int32_t scale = _qio.fixedScale();
+    scatterChunks(
+        _dataOffset,
+        [this](std::size_t i) {
+            return _counts[i] * sizeof(PackedTransition);
+        },
+        [&](std::size_t i, std::span<std::uint8_t> out) {
+            packLocalizedChunk(*_activeData, _routing, _plan->map,
+                               _plan->shardOfCore[i], _firsts[i],
+                               _counts[i], _haloStates[i], fp32, scale,
+                               out);
+        },
+        bucket, label, poke);
 }
 
 void
 TrainerSession::pushShardSlices(TimeBucket bucket,
                                 std::string_view label, bool poke)
 {
+    // One wire per shard; each replica's lane copies its shard's.
     const std::size_t shards = _plan->map.numShards();
     std::vector<std::vector<std::uint8_t>> wires(shards);
     for (std::size_t s = 0; s < shards; ++s)
         wires[s] = packSliceWire(_qio, _aggregated, _plan->map, s);
-    const std::size_t n = _system.numDpus();
-    std::vector<std::span<const std::uint8_t>> spans(n);
-    for (std::size_t i = 0; i < n; ++i)
-        spans[i] = wires[_plan->shardOfCore[i]];
-    if (poke) {
-        _stream->pokeChunks(_qio.qOffset(), spans);
+    scatterChunks(
+        _qio.qOffset(),
+        [&](std::size_t i) { return wires[_plan->shardOfCore[i]].size(); },
+        [&](std::size_t i, std::span<std::uint8_t> out) {
+            std::ranges::copy(wires[_plan->shardOfCore[i]], out.begin());
+        },
+        bucket, label, poke);
+    if (poke)
         return;
-    }
-    _stream->pushChunks(_qio.qOffset(), spans, bucket, label);
     // Requantisation back to raw fixed point happens on-core after
     // the slice lands (zero for FP32), as in the unsharded broadcast.
     const double convert =
@@ -414,30 +413,31 @@ void
 TrainerSession::pushShardHalos(TimeBucket bucket,
                                std::string_view label, bool poke)
 {
-    const std::size_t n = _system.numDpus();
-    std::vector<std::vector<std::uint8_t>> wires(n);
     std::size_t halo_entries = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        wires[i] = packHaloWire(_qio, _aggregated, _haloStates[i],
-                                _numActions);
-        halo_entries += _haloStates[i].size() *
-                        static_cast<std::size_t>(_numActions);
-    }
+    for (const auto &halo : _haloStates)
+        halo_entries +=
+            halo.size() * static_cast<std::size_t>(_numActions);
     if (halo_entries == 0)
         return; // single shard, or no cross-shard transitions
-    std::vector<std::span<const std::uint8_t>> spans(n);
-    for (std::size_t i = 0; i < n; ++i)
-        spans[i] = wires[i];
-    if (poke) {
-        _stream->pokeChunks(_haloOffset, spans);
-        return;
+    if (!poke) {
+        // Host-side halo assembly: row lookups into the aggregate
+        // plus the staging copies (and, for INT32, the halo
+        // requantisation).
+        _stream->hostReduce(
+            _system.config().transferModel.haloPackSeconds(halo_entries),
+            "pack:halo");
     }
-    // Host-side halo assembly: row lookups into the aggregate plus
-    // the staging copies (and, for INT32, the halo requantisation).
-    _stream->hostReduce(
-        _system.config().transferModel.haloPackSeconds(halo_entries),
-        "pack:halo");
-    _stream->pushChunks(_haloOffset, spans, bucket, label);
+    scatterChunks(
+        _haloOffset,
+        [this](std::size_t i) {
+            return _haloStates[i].size() *
+                   static_cast<std::size_t>(_numActions) *
+                   rlcore::kQWireBytesPerEntry;
+        },
+        [this](std::size_t i, std::span<std::uint8_t> out) {
+            packHaloWire(_qio, _aggregated, _haloStates[i], out);
+        },
+        bucket, label, poke);
 }
 
 std::size_t
@@ -503,7 +503,8 @@ TrainerSession::beginOffline(const Dataset &data, StateId num_states,
                        /*poke=*/false);
     } else {
         repartition(data);
-        scatterActive(TimeBucket::CpuToPim, "scatter:dataset");
+        scatterActive(TimeBucket::CpuToPim, "scatter:dataset",
+                      /*poke=*/false);
         _qio.initQTables(*_stream, num_states, num_actions);
     }
 
@@ -536,7 +537,7 @@ TrainerSession::loadGeneration(const Dataset &gen_data)
     repartition(gen_data);
     const std::string label =
         "scatter:gen" + std::to_string(_generation);
-    scatterActive(TimeBucket::CpuToPim, label);
+    scatterActive(TimeBucket::CpuToPim, label, /*poke=*/false);
     ++_generation;
     _episodesRemaining = _config.hyper.episodes;
 }
@@ -550,11 +551,7 @@ TrainerSession::attachGeneration(const Dataset &gen_data)
                    "attachGeneration is for mid-generation restores");
     _activeData = &gen_data;
     repartition(gen_data);
-    const auto packed = packChunks(gen_data);
-    std::vector<std::span<const std::uint8_t>> spans(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i)
-        spans[i] = packed[i];
-    _stream->pokeChunks(_dataOffset, spans);
+    scatterActive(TimeBucket::CpuToPim, "", /*poke=*/true);
 }
 
 bool
@@ -969,11 +966,7 @@ TrainerSession::restoreOffline(const Dataset &data,
         return;
     }
     repartition(data);
-    const auto packed = packChunks(data);
-    std::vector<std::span<const std::uint8_t>> spans(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i)
-        spans[i] = packed[i];
-    _stream->pokeChunks(_dataOffset, spans);
+    scatterActive(TimeBucket::Recovery, "", /*poke=*/true);
 }
 
 void

@@ -513,17 +513,22 @@ class TrainerSession
     /** Fill _params/_kernel once shapes are known. */
     void buildKernel();
 
-    /** Pack @p data per _firsts/_counts into wire chunks. */
-    std::vector<std::vector<std::uint8_t>>
-    packChunks(const rlcore::Dataset &data) const;
-
     /** partitionDataset over the surviving cores into
      *  _firsts/_counts (dead cores get empty chunks). */
     void repartition(const rlcore::Dataset &data);
 
-    /** Scatter _activeData per the current partition. */
+    /** CommandStream::scatter, or with @p poke its functional-only
+     *  twin (restores: no event, no time). */
+    void scatterChunks(std::size_t offset,
+                       const pimsim::CommandStream::ChunkBytes &bytes,
+                       const pimsim::CommandStream::ChunkFill &fill,
+                       pimsim::TimeBucket bucket, std::string_view label,
+                       bool poke);
+
+    /** Scatter _activeData per the current partition, each chunk
+     *  packed in its core's lane (push or poke). */
     void scatterActive(pimsim::TimeBucket bucket,
-                       std::string_view label);
+                       std::string_view label, bool poke);
 
     /** Dropout recovery: repartition + recovery-track rescatter +
      *  aggregate rebroadcast. */
@@ -548,10 +553,8 @@ class TrainerSession
      */
     void repartitionSharded();
 
-    /** Localized wire chunks per the current sharded partition. */
-    std::vector<std::vector<std::uint8_t>> packShardedChunks() const;
-
-    /** Scatter the localized chunks (push or poke). */
+    /** Scatter the localized chunks per the current sharded
+     *  partition, each packed in its core's lane (push or poke). */
     void scatterSharded(pimsim::TimeBucket bucket,
                         std::string_view label, bool poke);
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "rlcore/trainers.hh"
 
 namespace swiftrl {
 
@@ -112,19 +113,20 @@ collectHalo(const Dataset &data, const ShardRouting &routing,
     return halo;
 }
 
-std::vector<std::uint8_t>
+void
 packLocalizedChunk(const Dataset &data, const ShardRouting &routing,
                    const ShardMap &map, std::size_t shard,
                    std::size_t first, std::size_t count,
                    const std::vector<StateId> &halo, bool fp32,
-                   std::int32_t scale)
+                   std::int32_t scale, std::span<std::uint8_t> out)
 {
     SWIFTRL_ASSERT(first + count <= routing.order.size(),
                    "pack range out of bounds");
+    SWIFTRL_ASSERT(out.size() == count * sizeof(PackedTransition),
+                   "pack buffer size mismatch");
     SWIFTRL_ASSERT(fp32 || scale > 0, "scale factor must be positive");
     const StateId base = map.firstState(shard);
     const StateId slice_rows = map.rowsPerShard();
-    std::vector<std::uint8_t> out(count * sizeof(PackedTransition));
     for (std::size_t i = 0; i < count; ++i) {
         const std::size_t idx = routing.order[first + i];
         const StateId s = data.states()[idx];
@@ -134,16 +136,8 @@ packLocalizedChunk(const Dataset &data, const ShardRouting &routing,
         p.state = s - base;
         p.action = data.actions()[idx];
         const float reward = data.rewards()[idx];
-        if (fp32) {
-            p.rewardBits = std::bit_cast<std::int32_t>(reward);
-        } else {
-            // Same rounding as Dataset::packInt32.
-            const double scaled = static_cast<double>(reward) *
-                                  static_cast<double>(scale);
-            const double rounded =
-                scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
-            p.rewardBits = static_cast<std::int32_t>(rounded);
-        }
+        p.rewardBits = fp32 ? std::bit_cast<std::int32_t>(reward)
+                            : rlcore::quantizeReward(reward, scale);
         const bool terminal = data.terminals()[idx] != 0;
         const StateId next = data.nextStates()[idx];
         StateId local_next = 0;
@@ -173,7 +167,6 @@ packLocalizedChunk(const Dataset &data, const ShardRouting &routing,
         std::memcpy(out.data() + i * sizeof(PackedTransition), &p,
                     sizeof(PackedTransition));
     }
-    return out;
 }
 
 std::vector<std::uint8_t>
@@ -195,23 +188,23 @@ packSliceWire(const QTableIo &qio, const QTable &aggregated,
     return qio.packWire(slice);
 }
 
-std::vector<std::uint8_t>
+void
 packHaloWire(const QTableIo &qio, const QTable &aggregated,
-             const std::vector<StateId> &halo, ActionId num_actions)
+             const std::vector<StateId> &halo, std::span<std::uint8_t> out)
 {
-    if (halo.empty())
-        return {};
-    SWIFTRL_ASSERT(aggregated.numActions() == num_actions,
-                   "aggregate and halo disagree on action count");
-    QTable rows(static_cast<StateId>(halo.size()), num_actions);
-    const auto row_entries = static_cast<std::size_t>(num_actions);
+    const auto row_entries =
+        static_cast<std::size_t>(aggregated.numActions());
+    const std::size_t row_bytes =
+        row_entries * rlcore::kQWireBytesPerEntry;
+    SWIFTRL_ASSERT(out.size() == halo.size() * row_bytes,
+                   "halo wire buffer size mismatch");
+    const std::span<const float> values = aggregated.values();
     for (std::size_t i = 0; i < halo.size(); ++i) {
-        std::copy_n(aggregated.values().begin() +
-                        static_cast<std::size_t>(halo[i]) * row_entries,
-                    row_entries,
-                    rows.values().begin() + i * row_entries);
+        qio.encodeWire(
+            values.subspan(static_cast<std::size_t>(halo[i]) * row_entries,
+                           row_entries),
+            out.subspan(i * row_bytes, row_bytes));
     }
-    return qio.packWire(rows);
 }
 
 ShardedMramLayout

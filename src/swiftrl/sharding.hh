@@ -97,8 +97,9 @@ collectHalo(const rlcore::Dataset &data, const ShardRouting &routing,
             std::size_t first, std::size_t count);
 
 /**
- * Wire-pack routing.order[first .. first + count) for a core of
- * @p shard with state ids localized to its Q layout
+ * Wire-pack routing.order[first .. first + count) into @p out (exactly
+ * count records) for a core of @p shard with state ids localized to
+ * its Q layout
  * [slice rows | halo rows]: an owned state s becomes row
  * s - map.firstState(shard); a remote non-terminal next state
  * becomes rowsPerShard + its index in @p halo; a terminal next
@@ -107,12 +108,13 @@ collectHalo(const rlcore::Dataset &data, const ShardRouting &routing,
  * row must stay in bounds). Reward encoding matches
  * Dataset::packFp32/packInt32 exactly.
  */
-std::vector<std::uint8_t> packLocalizedChunk(
-    const rlcore::Dataset &data, const ShardRouting &routing,
-    const rlcore::ShardMap &map, std::size_t shard,
-    std::size_t first, std::size_t count,
-    const std::vector<rlcore::StateId> &halo, bool fp32,
-    std::int32_t scale);
+void packLocalizedChunk(const rlcore::Dataset &data,
+                        const ShardRouting &routing,
+                        const rlcore::ShardMap &map, std::size_t shard,
+                        std::size_t first, std::size_t count,
+                        const std::vector<rlcore::StateId> &halo,
+                        bool fp32, std::int32_t scale,
+                        std::span<std::uint8_t> out);
 
 /**
  * Wire bytes of @p shard's slice of @p aggregated, padded with zero
@@ -125,13 +127,12 @@ packSliceWire(const QTableIo &qio, const rlcore::QTable &aggregated,
 
 /**
  * Wire bytes of the @p halo rows of @p aggregated, in halo order
- * (the localized ids packLocalizedChunk assigned). Empty for an
- * empty halo.
+ * (the localized ids packLocalizedChunk assigned), written into
+ * @p out, which holds exactly those rows.
  */
-std::vector<std::uint8_t>
-packHaloWire(const QTableIo &qio, const rlcore::QTable &aggregated,
-             const std::vector<rlcore::StateId> &halo,
-             rlcore::ActionId num_actions);
+void packHaloWire(const QTableIo &qio, const rlcore::QTable &aggregated,
+                  const std::vector<rlcore::StateId> &halo,
+                  std::span<std::uint8_t> out);
 
 /**
  * Per-core MRAM layout of a sharded run: slice | halo | data, the same

@@ -205,9 +205,12 @@ class KernelParity : public ::testing::Test
             c.workload.format == NumericFormat::Int8
                 ? (1 << hyper.int8Shift)
                 : hyper.scale;
-        auto bytes = c.workload.format == NumericFormat::Fp32
-                         ? _data.packFp32(first, n)
-                         : _data.packInt32(first, n, scale);
+        std::vector<std::uint8_t> bytes(
+            n * sizeof(swiftrl::rlcore::PackedTransition));
+        if (c.workload.format == NumericFormat::Fp32)
+            _data.packFp32(first, n, bytes);
+        else
+            _data.packInt32(first, n, scale, bytes);
         if (c.sliceRows)
             localise(bytes, c.sliceRows, haloRows(c, i));
         return bytes;
@@ -483,15 +486,21 @@ class EngineParity : public KernelParity
 
         std::vector<std::vector<std::uint8_t>> q(c.counts.size()),
             data(c.counts.size());
-        std::vector<std::span<const std::uint8_t>> q_spans, data_spans;
         for (std::size_t i = 0; i < c.counts.size(); ++i) {
             q[i] = qWords(c, ownRows(c), i);
             data[i] = chunk(c, i);
-            q_spans.emplace_back(q[i]);
-            data_spans.emplace_back(data[i]);
         }
-        stream.pokeChunks(kQOffset, q_spans);
-        stream.pokeChunks(kDataOffset, data_spans);
+        const auto poke = [&stream](std::size_t offset,
+                                    const auto &payloads) {
+            stream.poke(
+                offset,
+                [&](std::size_t i) { return payloads[i].size(); },
+                [&](std::size_t i, std::span<std::uint8_t> out) {
+                    std::ranges::copy(payloads[i], out.begin());
+                });
+        };
+        poke(kQOffset, q);
+        poke(kDataOffset, data);
 
         auto counts = c.counts;
         auto halo = c.halo;
@@ -592,7 +601,9 @@ TEST(BatchScratch, ChunkScratchHoldsNoQImage)
     std::vector<Dpu *> lanes;
     for (std::size_t i = 0; i < kLanes; ++i) {
         dpus.emplace_back(i, 8u << 20);
-        const auto bytes = data.packFp32(i * kPerLane, kPerLane);
+        std::vector<std::uint8_t> bytes(
+            kPerLane * sizeof(swiftrl::rlcore::PackedTransition));
+        data.packFp32(i * kPerLane, kPerLane, bytes);
         dpus.back().mramWrite(kDataOffset, bytes.data(), bytes.size());
         lanes.push_back(&dpus.back());
     }

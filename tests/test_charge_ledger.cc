@@ -66,10 +66,12 @@ runVariant(const Workload &w, const swiftrl::rlcore::Dataset &data,
     const std::int32_t scale = w.format == NumericFormat::Int8
                                    ? (1 << hyper.int8Shift)
                                    : hyper.scale;
-    const auto payload =
-        w.format == NumericFormat::Fp32
-            ? data.packFp32(0, data.size())
-            : data.packInt32(0, data.size(), scale);
+    std::vector<std::uint8_t> payload(
+        data.size() * sizeof(swiftrl::rlcore::PackedTransition));
+    if (w.format == NumericFormat::Fp32)
+        data.packFp32(0, data.size(), payload);
+    else
+        data.packInt32(0, data.size(), scale, payload);
     dpu.mramWrite(kDataOffset, payload.data(), payload.size());
 
     std::vector<std::size_t> counts{data.size()};

@@ -1,10 +1,17 @@
 /**
  * @file
- * Tests for the command-line flag parser.
+ * Tests for the command-line flag parser, and for swiftrl_cli's own
+ * integer flags: each out-of-range value is a usage error naming the
+ * flag, raised before any work starts.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/cli.hh"
@@ -145,6 +152,80 @@ TEST(CliDeath, BareFlagRejectedByTypedGetters)
                 "flag --seed expects a value");
     // getBool alone may read a bare flag as true.
     EXPECT_TRUE(flags.getBool("seed", false));
+}
+
+TEST(Cli, GetIntInNarrowsInRange)
+{
+    const auto flags = parse({"--a=5", "--b=-3"}, {"a", "b", "c"});
+    EXPECT_EQ(flags.getIntIn("a", 1u, 1u, 1024u), 5u);
+    EXPECT_EQ(flags.getIntIn<std::int8_t>("b", 0), -3);
+    EXPECT_EQ(flags.getIntIn("c", 7, 1, 2), 7); // absent: the fallback
+}
+
+TEST(CliDeath, GetIntInOutOfRangeNamesTheFlag)
+{
+    const auto flags =
+        parse({"--actors=5000", "--gens=4294967297", "--seed=-1"},
+              {"actors", "gens", "seed"});
+    EXPECT_EXIT((void)flags.getIntIn("actors", 1u, 1u, 1024u),
+                ::testing::ExitedWithCode(1),
+                "--actors: must be an integer in \\[1, 1024\\], got 5000");
+    EXPECT_EXIT((void)flags.getIntIn("gens", 8),
+                ::testing::ExitedWithCode(1), "--gens: must be an integer");
+    EXPECT_EXIT((void)flags.getIntIn<std::uint64_t>("seed", 1),
+                ::testing::ExitedWithCode(1), "--seed: must be an integer");
+}
+
+/** Run swiftrl_cli with @p args; its exit status, output in @p out. */
+int
+runCli(const std::string &args, std::string &out)
+{
+    const std::string cmd =
+        std::string(SWIFTRL_CLI_PATH) + " " + args + " 2>&1";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    out.clear();
+    char buf[512];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr)
+        out += buf;
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(SwiftrlCli, ToolIntegerFlagsAreUsageErrors)
+{
+    // A tiny streaming run: one collection block, so even a CLI that
+    // let --actors through would start a single actor thread.
+    const std::string tiny = "--cores 1 --episodes 1 --transitions 64 ";
+    const struct
+    {
+        std::string args;
+        std::string flag;
+    } cases[] = {
+        {"--streaming --generations 1 --actors 5000", "--actors"},
+        {"--streaming --generations 1 --actors 0", "--actors"},
+        {"--streaming --generations 1 --actors -1", "--actors"},
+        {"--eval-episodes 0", "--eval-episodes"},
+        {"--eval-episodes -5", "--eval-episodes"},
+        {"--streaming --generations 4294967297", "--generations"},
+        {"--fault-seed -1", "--fault-seed"},
+        {"--retry-limit 4294967296", "--retry-limit"},
+        {"--refresh-period -4294967296", "--refresh-period"},
+        {"--pause-round 0", "--pause-round"},
+        {"--serve -1", "--serve"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.args);
+        std::string out;
+        EXPECT_EQ(runCli(tiny + c.args, out), 1) << out;
+        EXPECT_NE(out.find(c.flag + ": must be an integer in"),
+                  std::string::npos)
+            << out;
+        // Refused before any work: nothing was collected or trained.
+        EXPECT_EQ(out.find("training"), std::string::npos) << out;
+        EXPECT_EQ(out.find("streaming "), std::string::npos) << out;
+    }
 }
 
 } // namespace

@@ -13,6 +13,12 @@
  *  - a broadcast parks one shared payload on every live bank, which
  *    lands on the bank's next access through any accessor, under any
  *    later write, and never on a dead core;
+ *  - the lane scatter (and its poke twin) leaves exactly the bank
+ *    bytes and timeline of serial per-core writes, for ragged and
+ *    empty chunks, dead cores, pending payloads and any pool size,
+ *    and never-written bytes below its offset still read zero;
+ *  - session-level pins: every chunk-scattering training path gives
+ *    the Q-table bytes and timeline of the serial implementation;
  *  - the trainer's reported TimeBreakdown is derived from — and hence
  *    always agrees with — its result timeline;
  *  - the exported Chrome trace JSON holds one "X" slice per command,
@@ -26,6 +32,8 @@
 #include <memory>
 #include <sstream>
 
+#include "rlenv/frozen_lake.hh"
+#include "rlenv/registry.hh"
 #include "swiftrl/pim_kernels.hh"
 #include "swiftrl/swiftrl.hh"
 
@@ -71,10 +79,12 @@ TEST(CommandStream, RecordsContiguousTimeline)
     CommandStream stream(system);
     const auto payload = pattern(256, 1);
 
-    std::vector<std::span<const std::uint8_t>> chunks(
-        4, std::span<const std::uint8_t>(payload));
     double summed = 0.0;
-    summed += stream.pushChunks(4096, chunks);
+    summed += stream.scatter(
+        4096, [&](std::size_t) { return payload.size(); },
+        [&](std::size_t, std::span<std::uint8_t> out) {
+            std::ranges::copy(payload, out.begin());
+        });
     summed += stream.pushBroadcast(0, payload);
     const auto launched = stream.launch(
         [](swiftrl::pimsim::KernelContext &ctx) {
@@ -427,11 +437,16 @@ TEST(CommandStreamBroadcast, SkippedLaneGathersTheBroadcastBytes)
     stream.pushBroadcast(0, wire);
 
     const std::size_t data_offset = 4096;
-    const auto chunk = data.packFp32(0, 100);
-    std::vector<std::span<const std::uint8_t>> chunks{chunk, {}, chunk};
-    stream.pokeChunks(data_offset, chunks);
-
     std::vector<std::size_t> counts{100, 0, 100};
+    stream.poke(
+        data_offset,
+        [&](std::size_t i) {
+            return counts[i] * sizeof(swiftrl::rlcore::PackedTransition);
+        },
+        [&](std::size_t i, std::span<std::uint8_t> out) {
+            data.packFp32(0, counts[i], out);
+        });
+
     std::vector<std::uint32_t> lcg{1, 2, 3};
     swiftrl::KernelParams p;
     p.workload = Workload{Algorithm::QLearning, Sampling::Seq,
@@ -456,6 +471,187 @@ TEST(CommandStreamBroadcast, SkippedLaneGathersTheBroadcastBytes)
     EXPECT_TRUE(std::ranges::equal(out[1], wire));
     EXPECT_FALSE(std::ranges::equal(out[0], wire));
     EXPECT_TRUE(std::ranges::equal(out[0], out[2]));
+}
+
+// --- lane scatter -----------------------------------------------------
+
+/** Core @p core's chunk in scatter @p round of the scenario below. */
+std::vector<std::uint8_t>
+chunkOf(std::size_t round, std::size_t core)
+{
+    // Ragged, with empty chunks (cores 1 and 5 in round 0, core 4 in
+    // round 1); dead core 2 would hold the largest chunk of both.
+    static constexpr std::size_t kBytes[2][6] = {
+        {300, 0, 90000, 4097, 1, 0}, {5000, 64, 120000, 10, 0, 7}};
+    return pattern(kBytes[round][core],
+                   static_cast<std::uint8_t>(17 * core + round));
+}
+
+/** Scatter round @p round's chunks, each copied in by its lane. */
+double
+scatterRound(CommandStream &stream, std::size_t offset, std::size_t round,
+             bool poke = false)
+{
+    const auto bytes = [round](std::size_t i) {
+        return chunkOf(round, i).size();
+    };
+    const auto fill = [round](std::size_t i, std::span<std::uint8_t> out) {
+        std::ranges::copy(chunkOf(round, i), out.begin());
+    };
+    if (poke) {
+        stream.poke(offset, bytes, fill);
+        return 0.0;
+    }
+    return stream.scatter(offset, bytes, fill);
+}
+
+/** Every bank's whole buffer plus the timeline after the scenario. */
+struct ScatterScenario
+{
+    std::vector<std::vector<std::uint8_t>> banks;
+    std::vector<swiftrl::pimsim::Event> events;
+    std::vector<double> scatterSeconds;
+};
+
+/**
+ * Six cores, core 2 lost at the first launch; then a scatter at
+ * 2048, a broadcast left pending over it, and a second, larger
+ * scatter at 2560 that lands on top of the pending payload and grows
+ * banks that already hold bytes.
+ */
+ScatterScenario
+runScatterScenario(unsigned pool)
+{
+    PimConfig cfg;
+    cfg.numDpus = 6;
+    cfg.mramBytesPerDpu = 1u << 20;
+    cfg.hostThreads = pool;
+    cfg.faultPlan.scheduled = {
+        {FaultKind::PermanentDropout, /*site=*/0, /*dpu=*/2}};
+    PimSystem system(cfg);
+    CommandStream stream(system);
+    EXPECT_FALSE(stream
+                     .launch([](swiftrl::pimsim::KernelContext &ctx) {
+                         ctx.aluOps(1);
+                     })
+                     .ok());
+    ScatterScenario out;
+    out.scatterSeconds.push_back(scatterRound(stream, 2048, 0));
+    stream.pushBroadcast(0, pattern(3000, 99));
+    out.scatterSeconds.push_back(scatterRound(stream, 2560, 1));
+    for (std::size_t i = 0; i < cfg.numDpus; ++i) {
+        const auto bank = system.dpu(i).mram();
+        out.banks.emplace_back(bank.begin(), bank.end());
+    }
+    out.events = stream.timeline().events();
+    return out;
+}
+
+TEST(CommandStreamScatter, MatchesSerialWritesForAnyPool)
+{
+    // The reference: the same commands as serial per-core writes on
+    // stand-alone banks, the way the scatter used to run.
+    std::vector<Dpu> ref;
+    const auto wire = std::make_shared<const std::vector<std::uint8_t>>(
+        pattern(3000, 99));
+    for (std::size_t i = 0; i < 6; ++i) {
+        ref.emplace_back(i, 1u << 20);
+        if (i == 2)
+            continue; // dead before the first scatter
+        const auto a = chunkOf(0, i);
+        if (!a.empty())
+            ref[i].mramWrite(2048, a.data(), a.size());
+        ref[i].mramShare(0, wire);
+        const auto b = chunkOf(1, i);
+        if (!b.empty())
+            ref[i].mramWrite(2560, b.data(), b.size());
+    }
+
+    const auto serial = runScatterScenario(1);
+    for (const unsigned pool : {1u, 2u, 8u}) {
+        SCOPED_TRACE("pool " + std::to_string(pool));
+        const auto run = runScatterScenario(pool);
+        for (std::size_t i = 0; i < 6; ++i) {
+            const auto want = ref[i].mram();
+            EXPECT_TRUE(std::ranges::equal(run.banks[i], want))
+                << "core " << i << ": " << run.banks[i].size()
+                << " bytes, reference " << want.size();
+        }
+        EXPECT_TRUE(run.banks[2].empty()) << "the dead bank was touched";
+
+        // Timing serialises on the largest *live* chunk.
+        PimConfig cfg;
+        const auto &model = cfg.transferModel;
+        EXPECT_EQ(run.scatterSeconds[0], model.scatterSeconds(4097, 5));
+        EXPECT_EQ(run.scatterSeconds[1], model.scatterSeconds(5000, 5));
+        ASSERT_EQ(run.events.size(), serial.events.size());
+        for (std::size_t e = 0; e < run.events.size(); ++e) {
+            EXPECT_EQ(run.events[e].label, serial.events[e].label);
+            EXPECT_EQ(run.events[e].start, serial.events[e].start);
+            EXPECT_EQ(run.events[e].end, serial.events[e].end);
+        }
+    }
+    const auto &events = serial.events;
+    ASSERT_GE(events.size(), 3u);
+    EXPECT_EQ(events[events.size() - 3].phase, Phase::Scatter);
+    EXPECT_EQ(events.back().phase, Phase::Scatter);
+    EXPECT_DOUBLE_EQ(events.back().duration(), serial.scatterSeconds[1]);
+}
+
+TEST(CommandStreamScatter, PokeWritesTheSameBytesWithoutTime)
+{
+    auto pushed = makeSystem(6);
+    auto poked = makeSystem(6);
+    CommandStream push_stream(pushed);
+    CommandStream poke_stream(poked);
+    scatterRound(push_stream, 4096, 1);
+    scatterRound(poke_stream, 4096, 1, /*poke=*/true);
+    EXPECT_EQ(poke_stream.timeline().size(), 0u);
+    EXPECT_EQ(poke_stream.now(), 0.0);
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_TRUE(std::ranges::equal(pushed.dpu(i).mram(),
+                                       poked.dpu(i).mram()))
+            << "core " << i;
+    }
+}
+
+TEST(CommandStreamScatter, BytesBelowTheOffsetReadZero)
+{
+    auto system = makeSystem(3);
+    CommandStream stream(system);
+    scatterRound(stream, 4096, 0);
+    // An empty chunk leaves its bank unallocated.
+    EXPECT_TRUE(system.dpu(1).mram().empty());
+
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(0, 4096, out).ok());
+    for (std::size_t i = 0; i < 3; ++i) {
+        if (chunkOf(0, i).empty())
+            continue;
+        EXPECT_TRUE(std::ranges::all_of(
+            out[i], [](std::uint8_t b) { return b == 0; }))
+            << "core " << i;
+        EXPECT_EQ(readBank(system.dpu(i), 4096),
+                  std::vector<std::uint8_t>(4096, 0));
+    }
+}
+
+TEST(CommandStreamScatter, ReserveCoversThePendingPayload)
+{
+    // reserveLane must reserve what mramLane then grows to — the
+    // pending payload's range included — or the lane would
+    // reallocate the bank off the enqueue thread.
+    for (const std::size_t pending_at : {0u, 100u, 8000u}) {
+        SCOPED_TRACE("payload at " + std::to_string(pending_at));
+        Dpu dpu(0, 1u << 20);
+        const auto old = pattern(64, 1);
+        dpu.mramWrite(0, old.data(), old.size());
+        dpu.mramShare(pending_at,
+                      std::make_shared<const std::vector<std::uint8_t>>(
+                          pattern(4096, 5)));
+        const std::uint8_t *reserved = dpu.reserveLane(200);
+        EXPECT_EQ(dpu.mramLane(200).data(), reserved);
+    }
 }
 
 TEST(CommandStream, HostReduceAndOnCoreComputeAdvanceTheClock)
@@ -654,6 +850,257 @@ TEST(CommandStreamDeath, OutOfBankTimedGatherIsFatal)
     // gather would: one byte past the MRAM bank.
     EXPECT_EXIT((void)stream.gatherTimed((1u << 20) - 8, 16),
                 ::testing::ExitedWithCode(1), "MRAM");
+}
+
+// --- session-level pins ------------------------------------------------
+//
+// Every path that scatters per-core chunks — offline begin in FP32 and
+// INT32, the sharded slice/halo/data scatters, dropout redistribution,
+// the offline and streaming restore pokes, and the multi-agent
+// distribution — must leave the Q-table bytes and every timeline event
+// exactly as the serial per-core writes they replaced did. Each case
+// hashes the final Q-table bytes plus every event's label and
+// start/end bits, and compares with a digest pinned from the serial
+// implementation, at two host-pool sizes. A digest only moves when the
+// trained table or a modelled time does, so a mismatch is a real
+// behaviour change: re-pin only when the cost model or the kernels are
+// meant to change.
+
+/** FNV-1a, fed field by field. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    mix(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    mix(const swiftrl::rlcore::QTable &q)
+    {
+        mix(q.values().data(), q.values().size() * sizeof(float));
+    }
+
+    void
+    mix(const Timeline &timeline)
+    {
+        for (const auto &e : timeline.events()) {
+            mix(e.label.data(), e.label.size());
+            mix(&e.start, sizeof e.start);
+            mix(&e.end, sizeof e.end);
+        }
+    }
+};
+
+/** The final table's bytes and every timeline event. */
+std::uint64_t
+runDigest(const swiftrl::rlcore::QTable &q, const Timeline &timeline)
+{
+    Fnv f;
+    f.mix(q);
+    f.mix(timeline);
+    return f.h;
+}
+
+/** Does @p timeline hold an event labelled @p label? */
+bool
+hasEvent(const Timeline &timeline, std::string_view label)
+{
+    return std::ranges::any_of(timeline.events(), [&](const auto &e) {
+        return e.label == label;
+    });
+}
+
+/** The pin check: every pool size gives @p pinned. */
+template <typename Run>
+void
+expectPinned(std::uint64_t pinned, Run run)
+{
+    for (const unsigned pool : {1u, 3u}) {
+        const std::uint64_t got = run(pool);
+        EXPECT_EQ(got, pinned)
+            << "pool " << pool << ": digest 0x" << std::hex << got;
+    }
+}
+
+swiftrl::rlcore::Dataset
+pinData(const char *env_name, std::size_t transitions)
+{
+    auto env = swiftrl::rlenv::makeEnvironment(env_name);
+    return collectRandomDataset(*env, transitions, 23);
+}
+
+PimTrainConfig
+pinConfig(NumericFormat format)
+{
+    PimTrainConfig cfg;
+    cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq, format};
+    cfg.hyper.episodes = 40;
+    cfg.tau = 20; // 2 rounds
+    return cfg;
+}
+
+/**
+ * Offline run on @p cores cores (ragged chunks: 3001 % 7 != 0); the
+ * timeline must show @p expect, the scatter the case is about.
+ */
+std::uint64_t
+offlinePin(const PimTrainConfig &cfg, std::size_t cores, unsigned pool,
+           std::string_view expect, const char *env_name = "frozenlake",
+           bool dropout = false)
+{
+    const auto data = pinData(env_name, 3001);
+    auto env = swiftrl::rlenv::makeEnvironment(env_name);
+    PimConfig pim;
+    pim.numDpus = cores;
+    pim.hostThreads = pool;
+    if (dropout) {
+        pim.faultPlan.scheduled = {
+            {swiftrl::pimsim::FaultKind::PermanentDropout, /*site=*/2,
+             /*dpu=*/2}};
+    }
+    PimSystem system(pim);
+    const auto r = PimTrainer(system, cfg).train(
+        data, env->numStates(), env->numActions());
+    EXPECT_TRUE(hasEvent(r.timeline, expect)) << expect;
+    return runDigest(r.finalQ, r.timeline);
+}
+
+/** Pause an offline run at round 1, resume on a fresh system. */
+std::uint64_t
+offlineRestorePin(const PimTrainConfig &cfg, std::size_t cores,
+                  unsigned pool)
+{
+    const auto data = pinData("frozenlake", 3001);
+    PimConfig pim;
+    pim.numDpus = cores;
+    pim.hostThreads = pool;
+    swiftrl::SessionCheckpoint ck;
+    {
+        PimSystem system(pim);
+        ck = PimTrainer(system, cfg).trainUntilRound(data, 16, 4, 1);
+    }
+    PimSystem system(pim);
+    const auto r = PimTrainer(system, cfg).resume(data, 16, 4, ck);
+    return runDigest(r.finalQ, r.timeline);
+}
+
+TEST(ScatterPins, OfflineFp32)
+{
+    expectPinned(0x0a0af370951df6d5ull, [](unsigned pool) {
+        return offlinePin(pinConfig(NumericFormat::Fp32), 7, pool,
+                          "scatter:dataset");
+    });
+}
+
+TEST(ScatterPins, OfflineInt32Taxi)
+{
+    expectPinned(0x22fd665e5ca15f74ull, [](unsigned pool) {
+        return offlinePin(pinConfig(NumericFormat::Int32), 7, pool,
+                          "scatter:dataset", "taxi");
+    });
+}
+
+TEST(ScatterPins, ShardedFp32AndInt32)
+{
+    for (const auto format : {NumericFormat::Fp32, NumericFormat::Int32}) {
+        auto cfg = pinConfig(format);
+        cfg.shards = 4;
+        expectPinned(format == NumericFormat::Fp32 ? 0x76b33df47e5b630aull
+                                                    : 0x2870d030f09bc73dull,
+                     [&](unsigned pool) {
+                         return offlinePin(cfg, 8, pool, "scatter:halo");
+                     });
+    }
+}
+
+TEST(ScatterPins, DropoutRedistribute)
+{
+    auto cfg = pinConfig(NumericFormat::Fp32);
+    cfg.retry.limit = 2;
+    expectPinned(0xdccc77ca5e1b4b95ull, [&](unsigned pool) {
+        return offlinePin(cfg, 7, pool, "scatter:redistribute",
+                          "frozenlake", /*dropout=*/true);
+    });
+    cfg.shards = 2;
+    expectPinned(0xafa1d3c9cb1d1dafull, [&](unsigned pool) {
+        return offlinePin(cfg, 8, pool, "scatter:halo-recover",
+                          "frozenlake", /*dropout=*/true);
+    });
+}
+
+TEST(ScatterPins, OfflineRestorePokes)
+{
+    auto cfg = pinConfig(NumericFormat::Int32);
+    expectPinned(0x409cf63cd40f89c7ull, [&](unsigned pool) {
+        return offlineRestorePin(cfg, 7, pool);
+    });
+    // Sharded: the data, slice and halo regions are all poked.
+    cfg.shards = 4;
+    expectPinned(0x161dfb7f13c0efb6ull, [&](unsigned pool) {
+        return offlineRestorePin(cfg, 8, pool);
+    });
+}
+
+TEST(ScatterPins, StreamingAttachGenerationRestore)
+{
+    swiftrl::StreamingConfig cfg;
+    cfg.workload = Workload{Algorithm::QLearning, Sampling::Seq,
+                            NumericFormat::Fp32};
+    cfg.hyper.episodes = 10; // 2 rounds per generation
+    cfg.tau = 5;
+    cfg.generations = 3;
+    cfg.transitionsPerGeneration = 1001;
+    cfg.collectSeed = 99;
+    const auto lake = [] {
+        return swiftrl::rlenv::makeEnvironment("frozenlake");
+    };
+    expectPinned(0x2deccba13239c4f6ull, [&](unsigned pool) {
+        PimConfig pim;
+        pim.numDpus = 6;
+        pim.hostThreads = pool;
+        swiftrl::SessionCheckpoint ck;
+        {
+            // Round 3 is mid generation 1: the restore re-attaches
+            // that generation's chunks with a poke.
+            PimSystem system(pim);
+            ck = swiftrl::StreamingTrainer(system, cfg)
+                     .trainUntilRound(lake, 16, 4, 3);
+        }
+        EXPECT_GT(ck.episodesRemaining, 0);
+        PimSystem system(pim);
+        const auto r = swiftrl::StreamingTrainer(system, cfg)
+                           .resume(lake, 16, 4, ck);
+        return runDigest(r.finalQ, r.timeline);
+    });
+}
+
+TEST(ScatterPins, MultiAgent)
+{
+    expectPinned(0xdda79c4d5fde58b9ull, [](unsigned pool) {
+        std::vector<swiftrl::rlcore::Dataset> agents;
+        for (std::size_t i = 0; i < 5; ++i) {
+            swiftrl::rlenv::FrozenLake env(true);
+            agents.push_back(collectRandomDataset(env, 300 + 37 * i, i));
+        }
+        PimConfig pim;
+        pim.numDpus = 5;
+        pim.hostThreads = pool;
+        PimSystem system(pim);
+        const auto r = PimTrainer(system, pinConfig(NumericFormat::Int32))
+                           .trainMultiAgent(agents, 16, 4);
+        Fnv f;
+        for (const auto &q : r.perCore)
+            f.mix(q);
+        f.mix(r.timeline);
+        return f.h;
+    });
 }
 
 } // namespace

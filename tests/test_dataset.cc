@@ -93,6 +93,15 @@ TEST(Dataset, CollectCoversStateSpace)
     EXPECT_GE(visited.size(), 10u);
 }
 
+/** Pack [first, first+count) into a fresh buffer. */
+std::vector<std::uint8_t>
+packFp32(const Dataset &d, std::size_t first, std::size_t count)
+{
+    std::vector<std::uint8_t> bytes(count * sizeof(PackedTransition));
+    d.packFp32(first, count, bytes);
+    return bytes;
+}
+
 TEST(Dataset, PackFp32Roundtrip)
 {
     Dataset d;
@@ -104,7 +113,7 @@ TEST(Dataset, PackFp32Roundtrip)
     t.terminal = true;
     d.append(t);
 
-    const auto bytes = d.packFp32(0, 1);
+    const auto bytes = packFp32(d, 0, 1);
     ASSERT_EQ(bytes.size(), sizeof(PackedTransition));
     PackedTransition p;
     std::memcpy(&p, bytes.data(), sizeof(p));
@@ -122,7 +131,8 @@ TEST(Dataset, PackInt32QuantisesReward)
     t.terminal = false;
     d.append(t);
 
-    const auto bytes = d.packInt32(0, 1, 10000);
+    std::vector<std::uint8_t> bytes(sizeof(PackedTransition));
+    d.packInt32(0, 1, 10000, bytes);
     PackedTransition p;
     std::memcpy(&p, bytes.data(), sizeof(p));
     EXPECT_EQ(p.rewardBits, -86000);
@@ -143,7 +153,7 @@ TEST(Dataset, TerminalBitDoesNotCorruptState)
     t.nextState = 499; // taxi's largest state id
     t.terminal = true;
     d.append(t);
-    const auto bytes = d.packFp32(0, 1);
+    const auto bytes = packFp32(d, 0, 1);
     PackedTransition p;
     std::memcpy(&p, bytes.data(), sizeof(p));
     EXPECT_TRUE(p.nextStateBits & PackedTransition::kTerminalBit);
@@ -158,7 +168,7 @@ TEST(Dataset, PackRangeSelectsSubsets)
         t.state = i;
         d.append(t);
     }
-    const auto bytes = d.packFp32(4, 3);
+    const auto bytes = packFp32(d, 4, 3);
     ASSERT_EQ(bytes.size(), 3 * sizeof(PackedTransition));
     for (int i = 0; i < 3; ++i) {
         PackedTransition p;
@@ -175,6 +185,7 @@ TEST(Dataset, QuantizeRewardRounds)
     EXPECT_EQ(quantizeReward(-1.0f, 10000), -10000);
     EXPECT_EQ(quantizeReward(0.00004f, 10000), 0);
     EXPECT_EQ(quantizeReward(0.00006f, 10000), 1);
+    EXPECT_EQ(quantizeReward(-0.00006f, 10000), -1);
     EXPECT_EQ(quantizeReward(20.0f, 10000), 200000);
     EXPECT_EQ(quantizeReward(-10.0f, 10000), -100000);
 }
@@ -199,7 +210,18 @@ TEST(DatasetDeath, PackOutOfRangePanics)
 {
     Dataset d;
     d.append(Transition{});
-    EXPECT_DEATH((void)d.packFp32(0, 2), "out of bounds");
+    std::vector<std::uint8_t> bytes(2 * sizeof(PackedTransition));
+    EXPECT_DEATH(d.packFp32(0, 2, bytes), "out of bounds");
+}
+
+TEST(DatasetDeath, PackIntoWrongSizedBufferPanics)
+{
+    Dataset d;
+    d.append(Transition{});
+    d.append(Transition{});
+    std::vector<std::uint8_t> bytes(sizeof(PackedTransition));
+    EXPECT_DEATH(d.packFp32(0, 2, bytes), "not 2 records");
+    EXPECT_DEATH(d.packInt32(0, 2, 10000, bytes), "not 2 records");
 }
 
 TEST(DatasetDeath, GetOutOfRangePanics)

@@ -75,17 +75,26 @@ TEST(PimSystem, ConstructsWithPaperScale)
     EXPECT_EQ(sys.dpu(124).id(), 124u);
 }
 
-TEST(PimSystem, PushChunksDeliversDistinctPayloads)
+/** Scatter one payload per core, copied in by the core's lane. */
+double
+scatterPayloads(CommandStream &stream, std::size_t offset,
+                const std::vector<std::vector<std::uint8_t>> &payloads)
+{
+    return stream.scatter(
+        offset, [&](std::size_t i) { return payloads[i].size(); },
+        [&](std::size_t i, std::span<std::uint8_t> out) {
+            std::ranges::copy(payloads[i], out.begin());
+        });
+}
+
+TEST(PimSystem, ScatterDeliversDistinctPayloads)
 {
     PimSystem sys(smallConfig(4));
     std::vector<std::vector<std::uint8_t>> payloads(4);
-    std::vector<std::span<const std::uint8_t>> spans(4);
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < 4; ++i)
         payloads[i].assign(16, static_cast<std::uint8_t>(i + 1));
-        spans[i] = payloads[i];
-    }
     CommandStream stream(sys);
-    const double t = stream.pushChunks(0, spans);
+    const double t = scatterPayloads(stream, 0, payloads);
     EXPECT_GT(t, 0.0);
 
     for (std::size_t i = 0; i < 4; ++i) {
@@ -111,13 +120,10 @@ TEST(PimSystem, GatherRoundtripsPush)
 {
     PimSystem sys(smallConfig(3));
     std::vector<std::vector<std::uint8_t>> payloads(3);
-    std::vector<std::span<const std::uint8_t>> spans(3);
-    for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < 3; ++i)
         payloads[i].assign(8, static_cast<std::uint8_t>(0x10 * i));
-        spans[i] = payloads[i];
-    }
     CommandStream stream(sys);
-    stream.pushChunks(0, spans);
+    scatterPayloads(stream, 0, payloads);
 
     std::vector<std::span<const std::uint8_t>> out;
     const auto status = stream.gather(0, 8, out);
@@ -198,13 +204,17 @@ TEST(PimSystemDeath, ZeroCoresIsFatal)
                 "at least one core");
 }
 
-TEST(PimSystemDeath, WrongPayloadCountPanics)
+TEST(PimSystemDeath, ChunkPastTheBankIsFatal)
 {
+    // The bank is reserved on the enqueue thread before any lane
+    // runs, so the overrun is caught there.
     PimSystem sys(smallConfig(2));
-    std::vector<std::span<const std::uint8_t>> spans(1);
     CommandStream stream(sys);
-    EXPECT_DEATH((void)stream.pushChunks(0, spans),
-                 "one payload per core");
+    const std::size_t bank = sys.config().mramBytesPerDpu;
+    EXPECT_EXIT((void)stream.scatter(
+                    bank - 4, [](std::size_t) { return 8u; },
+                    [](std::size_t, std::span<std::uint8_t>) {}),
+                ::testing::ExitedWithCode(1), "exceeds the");
 }
 
 } // namespace

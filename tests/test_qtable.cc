@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "rlcore/qtable.hh"
+#include "rlcore/trainers.hh"
 
 namespace {
 
@@ -89,25 +90,14 @@ TEST(QTable, FixedPointRoundtripIsExactForRepresentables)
     q.at(0, 1) = -8.6f;
     q.at(1, 0) = 20.0f;
     q.at(1, 1) = 0.0001f;
-    const auto raw = q.toFixed(10000);
+    std::vector<std::int32_t> raw;
+    for (const float v : q.values())
+        raw.push_back(swiftrl::rlcore::quantizeReward(v, 10000));
     const auto back = QTable::fromFixed(2, 2, raw, 10000);
     EXPECT_FLOAT_EQ(back.at(0, 0), 0.5f);
     EXPECT_NEAR(back.at(0, 1), -8.6f, 1e-4);
     EXPECT_FLOAT_EQ(back.at(1, 0), 20.0f);
     EXPECT_FLOAT_EQ(back.at(1, 1), 0.0001f);
-}
-
-TEST(QTable, ToFixedRounds)
-{
-    QTable q(1, 1);
-    // 0.00006f scales to 0.6: rounds away from zero either side.
-    q.at(0, 0) = 0.00006f;
-    EXPECT_EQ(q.toFixed(10000)[0], 1);
-    q.at(0, 0) = -0.00006f;
-    EXPECT_EQ(q.toFixed(10000)[0], -1);
-    // 0.00004f scales to 0.4: rounds to zero.
-    q.at(0, 0) = 0.00004f;
-    EXPECT_EQ(q.toFixed(10000)[0], 0);
 }
 
 TEST(QTable, AverageOfIdenticalTablesIsNearIdentity)

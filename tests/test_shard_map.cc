@@ -178,6 +178,43 @@ TEST(ShardRouting, HaloIsSortedUniqueRemoteNonTerminals)
 
 // --- localized packing ------------------------------------------------
 
+/** packLocalizedChunk into a fresh buffer. */
+std::vector<std::uint8_t>
+localized(const Dataset &d, const ShardRouting &r, const ShardMap &map,
+          std::size_t shard, std::size_t first, std::size_t count,
+          const std::vector<StateId> &halo, bool fp32, std::int32_t scale)
+{
+    std::vector<std::uint8_t> bytes(count * sizeof(PackedTransition));
+    swiftrl::packLocalizedChunk(d, r, map, shard, first, count, halo,
+                                fp32, scale, bytes);
+    return bytes;
+}
+
+/** Dataset::packFp32/packInt32 (scale 0 = FP32) into a fresh buffer. */
+std::vector<std::uint8_t>
+packed(const Dataset &d, std::size_t first, std::size_t count,
+       std::int32_t scale = 0)
+{
+    std::vector<std::uint8_t> bytes(count * sizeof(PackedTransition));
+    if (scale == 0)
+        d.packFp32(first, count, bytes);
+    else
+        d.packInt32(first, count, scale, bytes);
+    return bytes;
+}
+
+/** packHaloWire into a fresh buffer. */
+std::vector<std::uint8_t>
+haloWire(const QTableIo &qio, const QTable &q,
+         const std::vector<StateId> &halo)
+{
+    std::vector<std::uint8_t> bytes(
+        halo.size() * static_cast<std::size_t>(q.numActions()) *
+        swiftrl::rlcore::kQWireBytesPerEntry);
+    swiftrl::packHaloWire(qio, q, halo, bytes);
+    return bytes;
+}
+
 TEST(ShardPacking, LocalizedChunkRewritesIdsAndKeepsRewards)
 {
     const Dataset d = crossShardData();
@@ -187,8 +224,8 @@ TEST(ShardPacking, LocalizedChunkRewritesIdsAndKeepsRewards)
                                            r.shardFirst[0],
                                            r.shardCount[0]);
 
-    const auto bytes = swiftrl::packLocalizedChunk(
-        d, r, map, 0, r.shardFirst[0], r.shardCount[0], halo, true, 0);
+    const auto bytes = localized(d, r, map, 0, r.shardFirst[0],
+                                 r.shardCount[0], halo, true, 0);
     ASSERT_EQ(bytes.size(), 4 * sizeof(PackedTransition));
 
     std::vector<PackedTransition> recs(4);
@@ -212,7 +249,7 @@ TEST(ShardPacking, LocalizedChunkRewritesIdsAndKeepsRewards)
     EXPECT_EQ(recs[3].nextStateBits, 5u);
 
     // Reward bits match the unsharded FP32 encoding exactly.
-    const auto ref = d.packFp32(1, 1); // dataset record 1
+    const auto ref = packed(d, 1, 1); // dataset record 1
     PackedTransition ref_rec;
     std::memcpy(&ref_rec, ref.data(), sizeof(ref_rec));
     EXPECT_EQ(recs[0].rewardBits, ref_rec.rewardBits);
@@ -234,13 +271,10 @@ TEST(ShardPacking, SingleShardLocalizedChunkMatchesDatasetPack)
     const ShardRouting r = swiftrl::routeByOwner(d, map);
     const std::vector<StateId> halo; // single shard: nothing remote
 
-    const auto fp32 = swiftrl::packLocalizedChunk(
-        d, r, map, 0, 0, d.size(), halo, true, 0);
-    EXPECT_EQ(fp32, d.packFp32(0, d.size()));
-
-    const auto int32 = swiftrl::packLocalizedChunk(
-        d, r, map, 0, 0, d.size(), halo, false, 1 << 16);
-    EXPECT_EQ(int32, d.packInt32(0, d.size(), 1 << 16));
+    EXPECT_EQ(localized(d, r, map, 0, 0, d.size(), halo, true, 0),
+              packed(d, 0, d.size()));
+    EXPECT_EQ(localized(d, r, map, 0, 0, d.size(), halo, false, 1 << 16),
+              packed(d, 0, d.size(), 1 << 16));
 }
 
 QTable
@@ -292,7 +326,7 @@ TEST(ShardPacking, HaloWirePacksRowsInHaloOrder)
     const QTableIo qio(w, Hyper{});
     const std::vector<StateId> halo{5, 6};
 
-    const auto wire = swiftrl::packHaloWire(qio, q, halo, 3);
+    const auto wire = haloWire(qio, q, halo);
     ASSERT_EQ(wire.size(), 2u * 3u * sizeof(float));
     std::vector<float> rows(6);
     std::memcpy(rows.data(), wire.data(), wire.size());
@@ -301,7 +335,25 @@ TEST(ShardPacking, HaloWirePacksRowsInHaloOrder)
         EXPECT_EQ(rows[3 + std::size_t(a)], q.at(6, a));
     }
 
-    EXPECT_TRUE(swiftrl::packHaloWire(qio, q, {}, 3).empty());
+    EXPECT_TRUE(haloWire(qio, q, {}).empty());
+}
+
+TEST(ShardPacking, HaloWireMatchesPackWireOfTheRows)
+{
+    // The halo rows are encoded exactly as a whole-table broadcast
+    // encodes them, in both formats.
+    const QTable q = rampTable(10, 3);
+    const std::vector<StateId> halo{2, 7, 9};
+    for (const auto format :
+         {NumericFormat::Fp32, NumericFormat::Int32, NumericFormat::Int8}) {
+        const Workload w{Algorithm::QLearning, Sampling::Seq, format};
+        const QTableIo qio(w, Hyper{});
+        QTable rows(3, 3);
+        for (std::size_t i = 0; i < halo.size(); ++i)
+            for (ActionId a = 0; a < 3; ++a)
+                rows.at(static_cast<StateId>(i), a) = q.at(halo[i], a);
+        EXPECT_EQ(haloWire(qio, q, halo), qio.packWire(rows));
+    }
 }
 
 TEST(ShardPacking, SliceWireDecodesBackThroughQTableIo)
