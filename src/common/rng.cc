@@ -1,7 +1,5 @@
 #include "common/rng.hh"
 
-#include "common/logging.hh"
-
 namespace swiftrl::common {
 
 XorShift128::XorShift128(std::uint64_t seed)
@@ -12,40 +10,6 @@ XorShift128::XorShift128(std::uint64_t seed)
     // A zero state would lock the generator at zero forever.
     if (_s0 == 0 && _s1 == 0)
         _s1 = 0x9e3779b97f4a7c15ull;
-}
-
-std::uint64_t
-XorShift128::next()
-{
-    std::uint64_t x = _s0;
-    const std::uint64_t y = _s1;
-    _s0 = y;
-    x ^= x << 23;
-    _s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
-    return _s1 + y;
-}
-
-std::uint64_t
-XorShift128::nextBounded(std::uint64_t bound)
-{
-    SWIFTRL_ASSERT(bound > 0, "nextBounded requires a positive bound");
-    // Lemire's multiply-shift with rejection for exact uniformity.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (true) {
-        const std::uint64_t r = next();
-        const unsigned __int128 wide =
-            static_cast<unsigned __int128>(r) * bound;
-        const std::uint64_t low = static_cast<std::uint64_t>(wide);
-        if (low >= threshold)
-            return static_cast<std::uint64_t>(wide >> 64);
-    }
-}
-
-double
-XorShift128::nextReal()
-{
-    // 53 random mantissa bits -> uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
 }
 
 XorShift128

@@ -20,6 +20,8 @@
 
 #include <cstdint>
 
+#include "common/logging.hh"
+
 namespace swiftrl::common {
 
 /**
@@ -108,13 +110,46 @@ class XorShift128
     explicit XorShift128(std::uint64_t seed = 0xdeadbeefcafef00dull);
 
     /** Next 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        std::uint64_t x = _s0;
+        const std::uint64_t y = _s1;
+        _s0 = y;
+        x ^= x << 23;
+        _s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
+        return _s1 + y;
+    }
 
-    /** Uniform draw in [0, bound) with Lemire rejection (unbiased). */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    /**
+     * Uniform draw in [0, bound) with Lemire rejection (unbiased), in
+     * the "nearly divisionless" form: the rejection threshold
+     * (2^64 - bound) % bound is below bound, so a draw whose low
+     * product word is at least bound is accepted without computing
+     * it. Draws consumed and values returned are those of always
+     * computing the threshold first.
+     */
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        SWIFTRL_ASSERT(bound > 0, "nextBounded requires a positive bound");
+        unsigned __int128 wide =
+            static_cast<unsigned __int128>(next()) * bound;
+        if (static_cast<std::uint64_t>(wide) < bound) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            while (static_cast<std::uint64_t>(wide) < threshold)
+                wide = static_cast<unsigned __int128>(next()) * bound;
+        }
+        return static_cast<std::uint64_t>(wide >> 64);
+    }
 
-    /** Uniform real draw in [0, 1). */
-    double nextReal();
+    /** Uniform real draw in [0, 1): 53 random mantissa bits. */
+    double
+    nextReal()
+    {
+        return static_cast<double>(next() >> 11) *
+               (1.0 / 9007199254740992.0);
+    }
 
     /** Derive an independent child generator (for per-worker streams). */
     XorShift128 split();

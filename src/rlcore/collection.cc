@@ -38,31 +38,36 @@ makeBoltzmannPolicy(QTable q, float temperature)
     };
 }
 
+namespace {
+
+/** Both collectors: one rollout into pre-sized columns. */
+Dataset
+collect(rlenv::Environment &env, const BehaviourPolicy *policy,
+        std::size_t num_transitions, std::uint64_t seed)
+{
+    Dataset data;
+    common::XorShift128 rng(seed);
+    env.rollout(policy, num_transitions, rng,
+                data.resizeColumns(num_transitions));
+    return data;
+}
+
+} // namespace
+
+Dataset
+collectRandomDataset(rlenv::Environment &env,
+                     std::size_t num_transitions, std::uint64_t seed)
+{
+    return collect(env, nullptr, num_transitions, seed);
+}
+
 Dataset
 collectPolicyDataset(rlenv::Environment &env,
                      const BehaviourPolicy &policy,
                      std::size_t num_transitions, std::uint64_t seed)
 {
     SWIFTRL_ASSERT(policy, "collection needs a behaviour policy");
-    Dataset data;
-    common::XorShift128 rng(seed);
-    StateId state = env.reset(rng);
-
-    for (std::size_t i = 0; i < num_transitions; ++i) {
-        const ActionId action = policy(state, rng);
-        const rlenv::StepResult r = env.step(action, rng);
-
-        Transition t;
-        t.state = state;
-        t.action = action;
-        t.reward = r.reward;
-        t.nextState = r.nextState;
-        t.terminal = r.terminated;
-        data.append(t);
-
-        state = r.done() ? env.reset(rng) : r.nextState;
-    }
-    return data;
+    return collect(env, &policy, num_transitions, seed);
 }
 
 std::vector<Dataset>
@@ -123,11 +128,13 @@ collectPolicyBlocks(const EnvFactory &make_env,
 Dataset
 concatBlocks(const std::vector<Dataset> &blocks)
 {
+    std::size_t total = 0;
+    for (const auto &block : blocks)
+        total += block.size();
     Dataset all;
-    for (const auto &block : blocks) {
-        for (std::size_t i = 0; i < block.size(); ++i)
-            all.append(block.get(i));
-    }
+    all.reserve(total);
+    for (const auto &block : blocks)
+        all.append(block);
     return all;
 }
 

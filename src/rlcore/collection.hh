@@ -35,8 +35,7 @@
 namespace swiftrl::rlcore {
 
 /** A behaviour policy: state (+ rollout RNG) -> action. */
-using BehaviourPolicy =
-    std::function<ActionId(StateId, common::XorShift128 &)>;
+using BehaviourPolicy = rlenv::ActionPolicy;
 
 /** Uniform-random behaviour policy (the paper's default). */
 BehaviourPolicy makeRandomPolicy(ActionId num_actions);

@@ -19,6 +19,41 @@ Dataset::append(const Transition &t)
     _terminals.push_back(t.terminal ? 1 : 0);
 }
 
+void
+Dataset::append(const Dataset &other)
+{
+    auto tail = [](auto &into, const auto &from) {
+        into.insert(into.end(), from.begin(), from.end());
+    };
+    tail(_states, other._states);
+    tail(_actions, other._actions);
+    tail(_rewards, other._rewards);
+    tail(_nextStates, other._nextStates);
+    tail(_terminals, other._terminals);
+}
+
+void
+Dataset::reserve(std::size_t n)
+{
+    _states.reserve(n);
+    _actions.reserve(n);
+    _rewards.reserve(n);
+    _nextStates.reserve(n);
+    _terminals.reserve(n);
+}
+
+rlenv::RolloutColumns
+Dataset::resizeColumns(std::size_t n)
+{
+    _states.resize(n);
+    _actions.resize(n);
+    _rewards.resize(n);
+    _nextStates.resize(n);
+    _terminals.resize(n);
+    return {_states.data(), _actions.data(), _rewards.data(),
+            _nextStates.data(), _terminals.data()};
+}
+
 Transition
 Dataset::get(std::size_t i) const
 {
@@ -117,34 +152,6 @@ Dataset::unpackInt32(const PackedTransition &p, std::int32_t scale)
         p.nextStateBits & ~PackedTransition::kTerminalBit);
     t.terminal = (p.nextStateBits & PackedTransition::kTerminalBit) != 0;
     return t;
-}
-
-Dataset
-collectRandomDataset(rlenv::Environment &env,
-                     std::size_t num_transitions, std::uint64_t seed)
-{
-    Dataset data;
-    common::XorShift128 rng(seed);
-    StateId state = env.reset(rng);
-    const auto num_actions =
-        static_cast<std::uint64_t>(env.numActions());
-
-    for (std::size_t i = 0; i < num_transitions; ++i) {
-        const auto action =
-            static_cast<ActionId>(rng.nextBounded(num_actions));
-        const rlenv::StepResult r = env.step(action, rng);
-
-        Transition t;
-        t.state = state;
-        t.action = action;
-        t.reward = r.reward;
-        t.nextState = r.nextState;
-        t.terminal = r.terminated;
-        data.append(t);
-
-        state = r.done() ? env.reset(rng) : r.nextState;
-    }
-    return data;
 }
 
 } // namespace swiftrl::rlcore

@@ -64,6 +64,18 @@ class Dataset
     /** Append one transition. */
     void append(const Transition &t);
 
+    /** Append every transition of @p other, a whole column at a time. */
+    void append(const Dataset &other);
+
+    /** Reserve room for @p n transitions in every column. */
+    void reserve(std::size_t n);
+
+    /**
+     * Resize to exactly @p n transitions and return the columns for a
+     * bulk writer (Environment::rollout) to fill.
+     */
+    rlenv::RolloutColumns resizeColumns(std::size_t n);
+
     /** Reassemble transition @p i. */
     Transition get(std::size_t i) const;
 
@@ -117,6 +129,9 @@ class Dataset
  * @param env environment to roll out in (its state is consumed).
  * @param num_transitions tuples to log.
  * @param seed RNG seed for both the policy and the dynamics.
+ *
+ * Shares its loop (Environment::rollout) with collectPolicyDataset,
+ * next to which it is defined (collection.cc).
  */
 Dataset collectRandomDataset(rlenv::Environment &env,
                              std::size_t num_transitions,

@@ -1,6 +1,7 @@
 #include "rlenv/cliff_walking.hh"
 
 #include "common/logging.hh"
+#include "rlenv/rollout.hh"
 
 namespace swiftrl::rlenv {
 
@@ -69,5 +70,7 @@ CliffWalking::step(ActionId action, common::XorShift128 &rng)
     _episodeDone = result.done();
     return result;
 }
+
+template class RolloutEnvironment<CliffWalking>;
 
 } // namespace swiftrl::rlenv

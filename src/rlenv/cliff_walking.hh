@@ -23,7 +23,7 @@
 namespace swiftrl::rlenv {
 
 /** CliffWalking (Discrete(48) states, Discrete(4) actions). */
-class CliffWalking : public Environment
+class CliffWalking final : public RolloutEnvironment<CliffWalking>
 {
   public:
     /** Action encoding, identical to Gym. */
@@ -58,6 +58,8 @@ class CliffWalking : public Environment
     int _steps = 0;
     bool _episodeDone = true;
 };
+
+extern template class RolloutEnvironment<CliffWalking>;
 
 } // namespace swiftrl::rlenv
 

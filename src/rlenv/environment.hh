@@ -8,7 +8,9 @@
 #ifndef SWIFTRL_RLENV_ENVIRONMENT_HH
 #define SWIFTRL_RLENV_ENVIRONMENT_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/rng.hh"
@@ -38,6 +40,23 @@ struct StepResult
 
     /** True when the episode is over for either reason. */
     bool done() const { return terminated || truncated; }
+};
+
+/** A behaviour policy: state (+ rollout RNG) -> action. */
+using ActionPolicy =
+    std::function<ActionId(StateId, common::XorShift128 &)>;
+
+/**
+ * Caller-owned columns a rollout fills: entry i of each is the i-th
+ * logged transition (s, a, r, s', terminal).
+ */
+struct RolloutColumns
+{
+    StateId *states;
+    ActionId *actions;
+    float *rewards;
+    StateId *nextStates;
+    std::uint8_t *terminals;
 };
 
 /**
@@ -74,6 +93,34 @@ class Environment
 
     /** State the environment is currently in. */
     virtual StateId currentState() const = 0;
+
+    /**
+     * Log @p count transitions into @p out: reset, then per step an
+     * action from @p policy (a uniform draw when it is null), the
+     * step's dynamics draws, and a reset whenever the episode ends.
+     * Every draw comes from @p rng, which is left after the last one.
+     * Concrete environments inherit this from RolloutEnvironment.
+     */
+    virtual void rollout(const ActionPolicy *policy, std::size_t count,
+                         common::XorShift128 &rng,
+                         const RolloutColumns &out) = 0;
+};
+
+/**
+ * CRTP base of every concrete environment: implements rollout() once,
+ * calling Derived::reset/step non-virtually so one collection costs
+ * one virtual call rather than one per step. The loop body lives in
+ * rlenv/rollout.hh; each environment's .cc instantiates it next to
+ * its own step() so that step inlines into the loop, and its header
+ * declares the instantiation extern.
+ */
+template <typename Derived>
+class RolloutEnvironment : public Environment
+{
+  public:
+    void rollout(const ActionPolicy *policy, std::size_t count,
+                 common::XorShift128 &rng,
+                 const RolloutColumns &out) final;
 };
 
 } // namespace swiftrl::rlenv

@@ -1,6 +1,10 @@
 #include "rlenv/frozen_lake.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "common/logging.hh"
+#include "rlenv/rollout.hh"
 
 namespace swiftrl::rlenv {
 
@@ -30,24 +34,20 @@ FrozenLake::isTerminal(StateId state) const
 StateId
 FrozenLake::moveFrom(StateId state, ActionId direction)
 {
-    StateId row = state / kSide;
-    StateId col = state % kSide;
-    switch (direction) {
-      case Left:
-        col = col > 0 ? col - 1 : 0;
-        break;
-      case Down:
-        row = row < kSide - 1 ? row + 1 : kSide - 1;
-        break;
-      case Right:
-        col = col < kSide - 1 ? col + 1 : kSide - 1;
-        break;
-      case Up:
-        row = row > 0 ? row - 1 : 0;
-        break;
-      default:
-        SWIFTRL_PANIC("invalid FrozenLake action ", direction);
-    }
+    SWIFTRL_ASSERT(direction >= 0 && direction < kActions,
+                   "invalid FrozenLake action ", direction);
+    // Offsets of Left, Down, Right, Up, clamped at the walls. Looked
+    // up rather than switched on: a random walk's direction is
+    // unpredictable, and so would be every branch on it.
+    static constexpr std::array<StateId, kActions> kRowStep = {0, 1, 0,
+                                                               -1};
+    static constexpr std::array<StateId, kActions> kColStep = {-1, 0, 1,
+                                                               0};
+    const auto d = static_cast<std::size_t>(direction);
+    const StateId row =
+        std::clamp<StateId>(state / kSide + kRowStep[d], 0, kSide - 1);
+    const StateId col =
+        std::clamp<StateId>(state % kSide + kColStep[d], 0, kSide - 1);
     return row * kSide + col;
 }
 
@@ -90,5 +90,7 @@ FrozenLake::step(ActionId action, common::XorShift128 &rng)
     _episodeDone = result.done();
     return result;
 }
+
+template class RolloutEnvironment<FrozenLake>;
 
 } // namespace swiftrl::rlenv

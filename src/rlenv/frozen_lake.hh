@@ -19,7 +19,7 @@
 namespace swiftrl::rlenv {
 
 /** FrozenLake 4x4 (Discrete(16) states, Discrete(4) actions). */
-class FrozenLake : public Environment
+class FrozenLake final : public RolloutEnvironment<FrozenLake>
 {
   public:
     /** Action encoding, identical to Gym. */
@@ -75,6 +75,8 @@ class FrozenLake : public Environment
     int _steps = 0;
     bool _episodeDone = true;
 };
+
+extern template class RolloutEnvironment<FrozenLake>;
 
 } // namespace swiftrl::rlenv
 

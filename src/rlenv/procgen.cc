@@ -1,8 +1,10 @@
 #include "rlenv/procgen.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
+#include "rlenv/rollout.hh"
 
 namespace swiftrl::rlenv {
 
@@ -73,24 +75,19 @@ ProceduralLake::tileAt(StateId state) const
 StateId
 ProceduralLake::moveFrom(StateId state, ActionId direction) const
 {
-    StateId row = state / _side;
-    StateId col = state % _side;
-    switch (direction) {
-      case Left:
-        col = col > 0 ? col - 1 : 0;
-        break;
-      case Down:
-        row = row < _side - 1 ? row + 1 : _side - 1;
-        break;
-      case Right:
-        col = col < _side - 1 ? col + 1 : _side - 1;
-        break;
-      case Up:
-        row = row > 0 ? row - 1 : 0;
-        break;
-      default:
-        SWIFTRL_PANIC("invalid ProceduralLake action ", direction);
-    }
+    SWIFTRL_ASSERT(direction >= 0 && direction < kActions,
+                   "invalid ProceduralLake action ", direction);
+    // Offsets of Left, Down, Right, Up, clamped at the walls; looked
+    // up, as FrozenLake::moveFrom does, rather than branched on.
+    static constexpr std::array<StateId, kActions> kRowStep = {0, 1, 0,
+                                                               -1};
+    static constexpr std::array<StateId, kActions> kColStep = {-1, 0, 1,
+                                                               0};
+    const auto d = static_cast<std::size_t>(direction);
+    const StateId row =
+        std::clamp<StateId>(state / _side + kRowStep[d], 0, _side - 1);
+    const StateId col =
+        std::clamp<StateId>(state % _side + kColStep[d], 0, _side - 1);
     return row * _side + col;
 }
 
@@ -320,5 +317,8 @@ MultiPassengerTaxi::step(ActionId action, common::XorShift128 &rng)
     _episodeDone = result.done();
     return result;
 }
+
+template class RolloutEnvironment<ProceduralLake>;
+template class RolloutEnvironment<MultiPassengerTaxi>;
 
 } // namespace swiftrl::rlenv

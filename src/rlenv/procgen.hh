@@ -35,7 +35,7 @@ namespace swiftrl::rlenv {
  * the goal pays 1. Slippery dynamics are Gym's is_slippery=True
  * (1/3 intended direction, 1/3 each perpendicular).
  */
-class ProceduralLake : public Environment
+class ProceduralLake final : public RolloutEnvironment<ProceduralLake>
 {
   public:
     /** Action encoding, identical to FrozenLake/Gym. */
@@ -101,7 +101,7 @@ class ProceduralLake : public Environment
  * else -10). The episode terminates when every passenger is
  * delivered.
  */
-class MultiPassengerTaxi : public Environment
+class MultiPassengerTaxi final : public RolloutEnvironment<MultiPassengerTaxi>
 {
   public:
     enum Action : ActionId {
@@ -166,6 +166,9 @@ class MultiPassengerTaxi : public Environment
     int _steps = 0;
     bool _episodeDone = true;
 };
+
+extern template class RolloutEnvironment<ProceduralLake>;
+extern template class RolloutEnvironment<MultiPassengerTaxi>;
 
 } // namespace swiftrl::rlenv
 

@@ -1,6 +1,7 @@
 #include "rlenv/taxi.hh"
 
 #include "common/logging.hh"
+#include "rlenv/rollout.hh"
 
 namespace swiftrl::rlenv {
 
@@ -143,5 +144,7 @@ Taxi::step(ActionId action, common::XorShift128 &rng)
     _episodeDone = result.done();
     return result;
 }
+
+template class RolloutEnvironment<Taxi>;
 
 } // namespace swiftrl::rlenv

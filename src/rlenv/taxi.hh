@@ -21,7 +21,7 @@
 namespace swiftrl::rlenv {
 
 /** Taxi-v3 (Discrete(500) states, Discrete(6) actions). */
-class Taxi : public Environment
+class Taxi final : public RolloutEnvironment<Taxi>
 {
   public:
     /** Action encoding, identical to Gym. */
@@ -79,6 +79,8 @@ class Taxi : public Environment
     int _steps = 0;
     bool _episodeDone = true;
 };
+
+extern template class RolloutEnvironment<Taxi>;
 
 } // namespace swiftrl::rlenv
 

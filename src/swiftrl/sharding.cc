@@ -175,17 +175,22 @@ packSliceWire(const QTableIo &qio, const QTable &aggregated,
 {
     SWIFTRL_ASSERT(aggregated.numStates() == map.numStates(),
                    "aggregate and shard map disagree on shape");
-    const ActionId na = aggregated.numActions();
-    const StateId base = map.firstState(shard);
-    const StateId owned = map.ownedRows(shard);
-    // Padding rows (past ownedRows) stay zero on the wire forever.
-    QTable slice(map.rowsPerShard(), na);
-    const auto row_entries = static_cast<std::size_t>(na);
-    std::copy_n(aggregated.values().begin() +
-                    static_cast<std::size_t>(base) * row_entries,
-                static_cast<std::size_t>(owned) * row_entries,
-                slice.values().begin());
-    return qio.packWire(slice);
+    const auto row_entries =
+        static_cast<std::size_t>(aggregated.numActions());
+    const auto base = static_cast<std::size_t>(map.firstState(shard));
+    const auto owned = static_cast<std::size_t>(map.ownedRows(shard));
+    // Padding rows (past ownedRows) stay zero on the wire forever: a
+    // zero encodes to zero bytes in every wire format.
+    std::vector<std::uint8_t> wire(
+        static_cast<std::size_t>(map.rowsPerShard()) * row_entries *
+        rlcore::kQWireBytesPerEntry);
+    const std::size_t owned_entries = owned * row_entries;
+    qio.encodeWire(
+        std::span<const float>(aggregated.values())
+            .subspan(base * row_entries, owned_entries),
+        std::span<std::uint8_t>(wire).first(
+            owned_entries * rlcore::kQWireBytesPerEntry));
+    return wire;
 }
 
 void

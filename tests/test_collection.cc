@@ -146,6 +146,24 @@ TEST(CollectionBlocks, BlocksAreIndependentOfEachOther)
     expectSameData(full[0], lone[0]);
 }
 
+TEST(CollectionBlocks, ConcatMatchesPerTransitionCopy)
+{
+    // Blocks of unequal length, an empty one among them: the bulk
+    // column append must equal copying one transition at a time.
+    auto blocks = collectPolicyBlocks(
+        makeSlipperyLake, makeRandomPolicy(4), 1000, 300, 8);
+    blocks.insert(blocks.begin() + 1, Dataset{});
+    Dataset copied;
+    for (const auto &block : blocks) {
+        for (std::size_t i = 0; i < block.size(); ++i)
+            copied.append(block.get(i));
+    }
+    const Dataset bulk = concatBlocks(blocks);
+    expectSameData(copied, bulk);
+    EXPECT_EQ(bulk.terminals(), copied.terminals());
+    EXPECT_EQ(concatBlocks({}).size(), 0u);
+}
+
 TEST(CollectionBlocks, EpisodeResetExactlyAtBlockEdge)
 {
     // On the non-slippery lake this policy walks S->G in exactly 6

@@ -318,6 +318,28 @@ TEST(ShardPacking, SliceWirePadsTrailingShardWithZeros)
     EXPECT_EQ(rows[7], 0.0f);
 }
 
+TEST(ShardPacking, SliceWireMatchesPackWireOfPaddedSlice)
+{
+    // Every shard, every wire format: the slice wire is the whole-
+    // table encoding of the shard's rows with zero padding rows.
+    const QTable q = rampTable(10, 3);
+    const ShardMap map(10, 3); // rows 4/4/2(+2 padding)
+    for (const auto format :
+         {NumericFormat::Fp32, NumericFormat::Int32, NumericFormat::Int8}) {
+        const Workload w{Algorithm::QLearning, Sampling::Seq, format};
+        const QTableIo qio(w, Hyper{});
+        for (std::size_t shard = 0; shard < 3; ++shard) {
+            QTable slice(map.rowsPerShard(), 3);
+            for (StateId r = 0; r < map.ownedRows(shard); ++r)
+                for (ActionId a = 0; a < 3; ++a)
+                    slice.at(r, a) = q.at(map.firstState(shard) + r, a);
+            EXPECT_EQ(swiftrl::packSliceWire(qio, q, map, shard),
+                      qio.packWire(slice))
+                << "shard " << shard;
+        }
+    }
+}
+
 TEST(ShardPacking, HaloWirePacksRowsInHaloOrder)
 {
     const QTable q = rampTable(10, 3);
