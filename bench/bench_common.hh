@@ -49,6 +49,14 @@ collectDataset(const std::string &env_name, std::size_t transitions,
     return rlcore::collectRandomDataset(*env, transitions, seed);
 }
 
+/**
+ * Prefix of every output line that reports host wall-clock time. Those
+ * lines differ from run to run; everything else a harness prints is
+ * modelled and deterministic, and tools/golden_modelled.py hashes it
+ * with the tagged lines dropped.
+ */
+inline constexpr const char *kWallTag = "[wall] ";
+
 /** The paper's PIM core counts for the strong-scaling figures. */
 inline const std::vector<std::size_t> kPaperCoreCounts = {
     125, 250, 500, 1000, 2000,

@@ -161,7 +161,8 @@ runScalingFigure(const ScalingFigureConfig &fig)
     }
     t.print(std::cout);
 
-    std::cout << "\nsimulation wall-clock: "
+    std::cout << "\n"
+              << kWallTag << "simulation wall-clock: "
               << TextTable::num(wall.seconds(), 2) << " s ("
               << pool_threads << " host thread(s); results are "
               << "bit-identical for any pool size)\n";

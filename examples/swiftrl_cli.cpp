@@ -471,6 +471,13 @@ main(int argc, char **argv)
     const auto load_path = flags.getString("load-dataset", "");
     if (!load_path.empty()) {
         data = rlcore::loadDataset(load_path);
+        if (const std::string misfit = rlcore::datasetMisfit(
+                data, env->numStates(), env->numActions());
+            !misfit.empty()) {
+            SWIFTRL_FATAL("--load-dataset '", load_path,
+                          "' does not fit --env ", run.env, ": ",
+                          misfit);
+        }
         std::cout << "loaded " << data.size() << " transitions from "
                   << load_path << "\n";
     } else {

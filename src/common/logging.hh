@@ -89,6 +89,19 @@ concat(Args &&...args)
     return oss.str();
 }
 
+/**
+ * The failure path of SWIFTRL_ASSERT, out of line and cold: the message
+ * is built only here, so a call site costs one predicted-not-taken
+ * branch and a call, and small asserting functions stay cheap enough
+ * to inline.
+ */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *file, int line, const Args &...args)
+{
+    panicImpl(file, line, concat(args...));
+}
+
 } // namespace detail
 
 /**
@@ -110,11 +123,10 @@ concat(Args &&...args)
 /** Panic unless an internal invariant holds. */
 #define SWIFTRL_ASSERT(cond, ...) \
     do { \
-        if (!(cond)) { \
-            ::swiftrl::common::detail::panicImpl( \
+        if (__builtin_expect(!(cond), 0)) { \
+            ::swiftrl::common::detail::assertFailed( \
                 __FILE__, __LINE__, \
-                ::swiftrl::common::detail::concat( \
-                    "assertion failed: " #cond " ", ##__VA_ARGS__)); \
+                "assertion failed: " #cond " ", ##__VA_ARGS__); \
         } \
     } while (0)
 

@@ -1,5 +1,6 @@
 #include "rlcore/dataset.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -152,6 +153,51 @@ Dataset::unpackInt32(const PackedTransition &p, std::int32_t scale)
         p.nextStateBits & ~PackedTransition::kTerminalBit);
     t.terminal = (p.nextStateBits & PackedTransition::kTerminalBit) != 0;
     return t;
+}
+
+namespace {
+
+/** Index of the first id outside [0, @p bound), or ids.size(). */
+std::size_t
+firstOutside(std::span<const std::int32_t> ids, std::int32_t bound)
+{
+    // One branch-free pass (a negative id wraps past any bound) settles
+    // the common case, a dataset that fits; only a misfit is searched.
+    const auto limit = static_cast<std::uint32_t>(bound);
+    std::uint32_t outside = 0;
+    for (const std::int32_t id : ids)
+        outside |= static_cast<std::uint32_t>(id) >= limit ? 1u : 0u;
+    if (outside == 0)
+        return ids.size();
+    return static_cast<std::size_t>(
+        std::ranges::find_if(ids, [limit](std::int32_t id) {
+            return static_cast<std::uint32_t>(id) >= limit;
+        }) -
+        ids.begin());
+}
+
+} // namespace
+
+std::string
+datasetMisfit(const Dataset &data, StateId num_states,
+              ActionId num_actions, std::size_t first, std::size_t count)
+{
+    first = std::min(first, data.size());
+    count = std::min(count, data.size() - first);
+    const auto range = [first, count](const std::vector<std::int32_t> &c) {
+        return std::span<const std::int32_t>(c).subspan(first, count);
+    };
+    const std::size_t bad =
+        std::min({firstOutside(range(data.states()), num_states),
+                  firstOutside(range(data.actions()), num_actions),
+                  firstOutside(range(data.nextStates()), num_states)});
+    if (bad == count)
+        return {};
+    const Transition t = data.get(first + bad);
+    return common::detail::concat(
+        "record ", first + bad, " (state ", t.state, ", action ",
+        t.action, ", next state ", t.nextState, ") lies outside the ",
+        num_states, "-state x ", num_actions, "-action Q-table");
 }
 
 } // namespace swiftrl::rlcore

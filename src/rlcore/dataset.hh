@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -119,6 +120,19 @@ class Dataset
     std::vector<StateId> _nextStates;
     std::vector<std::uint8_t> _terminals;
 };
+
+/**
+ * Why records [@p first, @p first + @p count) of @p data (default:
+ * all) cannot train a @p num_states x @p num_actions Q-table: the
+ * first whose state or next state lies outside [0, num_states), or
+ * whose action lies outside [0, num_actions), named by index and
+ * fields. Empty when every record fits. A dataset saved from one
+ * environment and loaded for another fails here, before any of its
+ * ids indexes past a table.
+ */
+std::string datasetMisfit(const Dataset &data, StateId num_states,
+                          ActionId num_actions, std::size_t first = 0,
+                          std::size_t count = SIZE_MAX);
 
 /**
  * Collect an offline dataset by rolling out a uniform-random behaviour

@@ -35,6 +35,23 @@ readAll(std::ifstream &in, void *bytes, std::size_t length,
         SWIFTRL_FATAL("'", path, "' is truncated or unreadable");
 }
 
+/**
+ * Bytes between @p in's read position and the end of its file, so a
+ * declared length can be checked before anything is sized by it.
+ * 0 when the stream cannot seek.
+ */
+std::uint64_t
+remainingBytes(std::ifstream &in)
+{
+    const std::streampos at = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(at);
+    if (!in || at < 0 || end < at)
+        return 0;
+    return static_cast<std::uint64_t>(end - at);
+}
+
 } // namespace
 
 std::uint64_t
@@ -83,6 +100,14 @@ loadDataset(const std::string &path)
 
     std::uint64_t count = 0;
     readAll(in, &count, sizeof(count), path);
+    // The records and the checksum must fit in what is left of the
+    // file; dividing, not multiplying, keeps a huge count from wrapping.
+    const std::uint64_t left = remainingBytes(in);
+    if (left < sizeof(std::uint64_t) ||
+        count > (left - sizeof(std::uint64_t)) / sizeof(PackedTransition))
+        SWIFTRL_FATAL("'", path, "' declares ", count,
+                      " records but holds only ", left,
+                      " more bytes; the file is truncated or corrupt");
 
     std::vector<std::uint8_t> payload(
         count * sizeof(PackedTransition));
@@ -178,6 +203,18 @@ tryLoadQTable(const std::string &path, std::string *error)
     if (ns <= 0 || na <= 0)
         return fail("'" + path + "' declares an invalid shape " +
                     std::to_string(ns) + "x" + std::to_string(na));
+    // Bound the declared shape by the file before sizing anything by
+    // it (ns * na fits 64 bits; the division keeps the byte count from
+    // wrapping).
+    const std::uint64_t entries =
+        static_cast<std::uint64_t>(ns) * static_cast<std::uint64_t>(na);
+    const std::uint64_t left = remainingBytes(in);
+    if (left < sizeof(std::uint64_t) ||
+        entries > (left - sizeof(std::uint64_t)) / sizeof(float))
+        return fail("'" + path + "' declares a " + std::to_string(ns) +
+                    "x" + std::to_string(na) + " table but holds only " +
+                    std::to_string(left) +
+                    " more bytes; the file is truncated or corrupt");
 
     std::vector<float> values(static_cast<std::size_t>(ns) *
                               static_cast<std::size_t>(na));

@@ -167,6 +167,24 @@ struct ScaledHyperPow2
 
 // --- FP32 rules -------------------------------------------------------
 
+/**
+ * The step every FP32 rule ends with once its bootstrap is known:
+ *   slot += alpha * (r + gamma * bootstrap - slot)
+ * Shared with the PIM kernels' functional batch lanes, which compute
+ * the bootstrap their own way.
+ */
+template <typename Ops>
+inline void
+stepFp32(Ops &ops, float &slot, float r, float bootstrap, float alpha,
+         float gamma)
+{
+    const float target = ops.fadd(r, ops.fmul(gamma, bootstrap));
+    const float old_q = ops.wramLoadF32(slot);
+    const float delta = ops.fsub(target, old_q);
+    const float new_q = ops.fadd(old_q, ops.fmul(alpha, delta));
+    ops.wramStoreF32(slot, new_q);
+}
+
 /** max_a Q(row[a]) with priced loads and compares. */
 template <typename Ops>
 inline float
@@ -226,12 +244,8 @@ qlearningUpdateFp32(Ops &ops, float *q, ActionId num_actions,
     if (!terminal)
         bootstrap = maxQFp32(ops, row_n, num_actions);
 
-    const float target = ops.fadd(r, ops.fmul(gamma, bootstrap));
-    const float old_q =
-        ops.wramLoadF32(row_s[static_cast<std::size_t>(a)]);
-    const float delta = ops.fsub(target, old_q);
-    const float new_q = ops.fadd(old_q, ops.fmul(alpha, delta));
-    ops.wramStoreF32(row_s[static_cast<std::size_t>(a)], new_q);
+    stepFp32(ops, row_s[static_cast<std::size_t>(a)], r, bootstrap,
+             alpha, gamma);
 }
 
 /**
@@ -269,15 +283,31 @@ sarsaUpdateFp32(Ops &ops, float *q, ActionId num_actions, StateId s,
             ops.wramLoadF32(row_n[static_cast<std::size_t>(a2)]);
     }
 
-    const float target = ops.fadd(r, ops.fmul(gamma, bootstrap));
-    const float old_q =
-        ops.wramLoadF32(row_s[static_cast<std::size_t>(a)]);
-    const float delta = ops.fsub(target, old_q);
-    const float new_q = ops.fadd(old_q, ops.fmul(alpha, delta));
-    ops.wramStoreF32(row_s[static_cast<std::size_t>(a)], new_q);
+    stepFp32(ops, row_s[static_cast<std::size_t>(a)], r, bootstrap,
+             alpha, gamma);
 }
 
 // --- INT32 fixed-point rules -------------------------------------------
+
+/**
+ * The INT32 rules' step: the two products (gamma * bootstrap and
+ * alpha * delta) widen to 64 bits and rescale with truncating
+ * division. Shared like stepFp32.
+ */
+template <typename Ops>
+inline void
+stepInt32(Ops &ops, std::int32_t &slot, std::int32_t r_scaled,
+          std::int32_t bootstrap, const ScaledHyper &scaled)
+{
+    const std::int32_t discounted = ops.rescale(
+        ops.imul32(scaled.gammaScaled, bootstrap), scaled.scale);
+    const std::int32_t target = ops.iadd(r_scaled, discounted);
+    const std::int32_t old_q = ops.wramLoadI32(slot);
+    const std::int32_t delta = ops.isub(target, old_q);
+    const std::int32_t step = ops.rescale(
+        ops.imul32(scaled.alphaScaled, delta), scaled.scale);
+    ops.wramStoreI32(slot, ops.iadd(old_q, step));
+}
 
 /** max_a over a raw fixed-point row with native integer compares. */
 template <typename Ops>
@@ -342,16 +372,8 @@ qlearningUpdateInt32(Ops &ops, std::int32_t *q, ActionId num_actions,
     if (!terminal)
         bootstrap = maxQInt32(ops, row_n, num_actions);
 
-    const std::int32_t discounted = ops.rescale(
-        ops.imul32(scaled.gammaScaled, bootstrap), scaled.scale);
-    const std::int32_t target = ops.iadd(r_scaled, discounted);
-    const std::int32_t old_q =
-        ops.wramLoadI32(row_s[static_cast<std::size_t>(a)]);
-    const std::int32_t delta = ops.isub(target, old_q);
-    const std::int32_t step = ops.rescale(
-        ops.imul32(scaled.alphaScaled, delta), scaled.scale);
-    ops.wramStoreI32(row_s[static_cast<std::size_t>(a)],
-                     ops.iadd(old_q, step));
+    stepInt32(ops, row_s[static_cast<std::size_t>(a)], r_scaled,
+              bootstrap, scaled);
 }
 
 /** One SARSA update in INT32 fixed point (see FP32 variant). */
@@ -384,19 +406,30 @@ sarsaUpdateInt32(Ops &ops, std::int32_t *q, ActionId num_actions,
             ops.wramLoadI32(row_n[static_cast<std::size_t>(a2)]);
     }
 
-    const std::int32_t discounted = ops.rescale(
-        ops.imul32(scaled.gammaScaled, bootstrap), scaled.scale);
-    const std::int32_t target = ops.iadd(r_scaled, discounted);
-    const std::int32_t old_q =
-        ops.wramLoadI32(row_s[static_cast<std::size_t>(a)]);
-    const std::int32_t delta = ops.isub(target, old_q);
-    const std::int32_t step = ops.rescale(
-        ops.imul32(scaled.alphaScaled, delta), scaled.scale);
-    ops.wramStoreI32(row_s[static_cast<std::size_t>(a)],
-                     ops.iadd(old_q, step));
+    stepInt32(ops, row_s[static_cast<std::size_t>(a)], r_scaled,
+              bootstrap, scaled);
 }
 
 // --- INT8 custom-multiply rules (Sec. 3.2.1 optional optimisation) ----
+
+/**
+ * The INT8 rules' step: narrow multiplies, rescale by an arithmetic
+ * shift. Shared like stepFp32.
+ */
+template <typename Ops>
+inline void
+stepInt8(Ops &ops, std::int32_t &slot, std::int32_t r_scaled,
+         std::int32_t bootstrap, const ScaledHyperPow2 &scaled)
+{
+    const std::int32_t discounted = ops.rescaleShift(
+        ops.imulSmall(bootstrap, scaled.gammaScaled), scaled.shift);
+    const std::int32_t target = ops.iadd(r_scaled, discounted);
+    const std::int32_t old_q = ops.wramLoadI32(slot);
+    const std::int32_t delta = ops.isub(target, old_q);
+    const std::int32_t step = ops.rescaleShift(
+        ops.imulSmall(delta, scaled.alphaScaled), scaled.shift);
+    ops.wramStoreI32(slot, ops.iadd(old_q, step));
+}
 
 /**
  * Q-learning update with the 8-bit-multiplier path: same fixed-point
@@ -425,16 +458,8 @@ qlearningUpdateInt8(Ops &ops, std::int32_t *q, ActionId num_actions,
     if (!terminal)
         bootstrap = maxQInt32(ops, row_n, num_actions);
 
-    const std::int32_t discounted = ops.rescaleShift(
-        ops.imulSmall(bootstrap, scaled.gammaScaled), scaled.shift);
-    const std::int32_t target = ops.iadd(r_scaled, discounted);
-    const std::int32_t old_q =
-        ops.wramLoadI32(row_s[static_cast<std::size_t>(a)]);
-    const std::int32_t delta = ops.isub(target, old_q);
-    const std::int32_t step = ops.rescaleShift(
-        ops.imulSmall(delta, scaled.alphaScaled), scaled.shift);
-    ops.wramStoreI32(row_s[static_cast<std::size_t>(a)],
-                     ops.iadd(old_q, step));
+    stepInt8(ops, row_s[static_cast<std::size_t>(a)], r_scaled,
+             bootstrap, scaled);
 }
 
 /** SARSA update with the 8-bit-multiplier path. */
@@ -468,16 +493,8 @@ sarsaUpdateInt8(Ops &ops, std::int32_t *q, ActionId num_actions,
             ops.wramLoadI32(row_n[static_cast<std::size_t>(a2)]);
     }
 
-    const std::int32_t discounted = ops.rescaleShift(
-        ops.imulSmall(bootstrap, scaled.gammaScaled), scaled.shift);
-    const std::int32_t target = ops.iadd(r_scaled, discounted);
-    const std::int32_t old_q =
-        ops.wramLoadI32(row_s[static_cast<std::size_t>(a)]);
-    const std::int32_t delta = ops.isub(target, old_q);
-    const std::int32_t step = ops.rescaleShift(
-        ops.imulSmall(delta, scaled.alphaScaled), scaled.shift);
-    ops.wramStoreI32(row_s[static_cast<std::size_t>(a)],
-                     ops.iadd(old_q, step));
+    stepInt8(ops, row_s[static_cast<std::size_t>(a)], r_scaled,
+             bootstrap, scaled);
 }
 
 } // namespace swiftrl::rlcore

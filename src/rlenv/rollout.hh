@@ -30,6 +30,8 @@ namespace detail {
  * (flatten): the terminal column is byte-typed and so may alias any
  * object, and a store to it would otherwise force the environment's
  * fields and the caller's generator to be reloaded on every step.
+ * Without flatten GCC keeps each environment's step() an out-of-line
+ * call from this loop (checked in objdump for FrozenLake and Taxi).
  */
 template <typename Env, typename Act>
 [[gnu::flatten]] void

@@ -34,6 +34,47 @@ struct RecordFields
     bool terminal;
 };
 
+/**
+ * Record @p r of a lane's chunk, read straight from the lane's bank
+ * view: the region is read-only for the whole launch (the lane writes
+ * only its Q and visit regions), so the bytes match what per-record
+ * DMA would copy and a fetch is an indexed load. Reading is unpriced
+ * interpreter work — the fetch charges are retired per record in bulk
+ * — so it moves no modelled number.
+ *
+ * A terminal record's next state reads as row 0, as packLocalizedChunk
+ * already stores it for sharded chunks: the lanes form the next-state
+ * row's address whatever the flag (bootstrapRow), and row 0 keeps it
+ * inside the table whatever the dataset holds there.
+ */
+inline RecordFields
+recordAt(const std::uint8_t *data, std::size_t r)
+{
+    const auto word = [at = data + r * kTransitionBytes](std::size_t k) {
+        std::uint32_t w;
+        std::memcpy(&w, at + k * sizeof w, sizeof w);
+        return w;
+    };
+    const std::uint32_t next = word(3);
+    const bool terminal = (next & PackedTransition::kTerminalBit) != 0;
+    // A mask, not a ternary: GCC may compile a ternary into a branch
+    // on the (unpredictable) flag.
+    const std::uint32_t keep = std::uint32_t{terminal} - 1u;
+    return {static_cast<StateId>(word(0)), static_cast<ActionId>(word(1)),
+            static_cast<std::int32_t>(word(2)),
+            static_cast<StateId>(next & keep), terminal};
+}
+
+/** Terminal records among the @p n of a chunk, in one pass. */
+std::size_t
+countTerminals(const std::uint8_t *data, std::size_t n)
+{
+    std::size_t terminal_records = 0;
+    for (std::size_t r = 0; r < n; ++r)
+        terminal_records += recordAt(data, r).terminal ? 1 : 0;
+    return terminal_records;
+}
+
 // --- batch interpreter ------------------------------------------------
 //
 // A literal interpreter would run the kernel once per core, charging
@@ -68,24 +109,17 @@ using ShapeProfile = std::array<std::uint64_t, pimsim::kNumOpClasses>;
 
 /**
  * Functional ops provider for batch lanes: computes like HostOps —
- * bit-identical to KernelContext by construction — while counting LCG
- * draws (to classify the SARSA shape) and replicating KernelContext's
- * operand-range assertions, so a batch run dies on exactly the inputs
- * a scalar run would (e.g. INT8 range violations).
+ * bit-identical to KernelContext by construction — while recording the
+ * LCG draws of the last SARSA update (to classify its shape) and
+ * replicating KernelContext's operand-range assertions, so a batch run
+ * dies on exactly the inputs a scalar run would (e.g. INT8 range
+ * violations). The lanes' functional update rules below run through
+ * it.
  */
 struct LaneOps : rlcore::HostOps
 {
-    /** LCG draws made by the current update; reset per record. */
+    /** LCG draws made by the last SARSA update. */
     unsigned draws = 0;
-
-    std::uint32_t
-    lcgNextBounded(std::uint32_t bound)
-    {
-        SWIFTRL_ASSERT(bound > 0,
-                       "lcgNextBounded requires a positive bound");
-        ++draws;
-        return rlcore::HostOps::lcgNextBounded(bound);
-    }
 
     std::int32_t
     rescale(std::int64_t value, std::int32_t scale)
@@ -175,6 +209,114 @@ struct LaneOpsFastDiv : LaneOps
     std::uint64_t _divLimit = 0;  ///< largest |value| proven exact
 #endif
 };
+
+// --- functional update rules of the batch lanes ----------------------
+//
+// The priced templates in rlcore/update_rules.hh branch on the
+// terminal flag and in max / argmax, because that control flow is what
+// KernelContext charges for. The lanes retire charges from shape
+// tallies instead (calibrateShapes keeps running the priced templates),
+// so their updates only have to produce the same bits. They always
+// scan a row — the next state's, or a row of zeros for a terminal
+// record — and max / argmax select instead of branch: a random-policy
+// dataset's terminal flags are unpredictable, and a mispredicted
+// branch costs more than a scan of num_actions words. Comparisons keep
+// the templates' strict `>`, so ties and signed zeros resolve alike.
+
+/** Row pointer of state @p s in a row-major table of @p na columns. */
+template <typename QWord, typename NumActions>
+inline QWord *
+rowOf(QWord *q, StateId s, NumActions na)
+{
+    return q + static_cast<std::size_t>(s) * static_cast<std::size_t>(na);
+}
+
+/** max over a row, by selects. */
+template <typename QWord, typename NumActions>
+inline QWord
+laneMax(const QWord *row, NumActions na)
+{
+    QWord best = row[0];
+    for (ActionId a = 1; a < na; ++a) {
+        const QWord v = row[static_cast<std::size_t>(a)];
+        best = v > best ? v : best;
+    }
+    return best;
+}
+
+/** argmax over a row, ties to the lowest index, by selects. */
+template <typename QWord, typename NumActions>
+inline ActionId
+laneArgmax(const QWord *row, NumActions na)
+{
+    ActionId best = 0;
+    QWord best_v = row[0];
+    for (ActionId a = 1; a < na; ++a) {
+        const QWord v = row[static_cast<std::size_t>(a)];
+        const bool gt = v > best_v;
+        best_v = gt ? v : best_v;
+        best = gt ? a : best;
+    }
+    return best;
+}
+
+/**
+ * The row a record bootstraps from: its next state's, or @p zeros (a
+ * row of zero words) when terminal. A pointer select, not a select of
+ * the bootstrap value, keeps the flag off the float dependency chain.
+ * Any max or argmax over a zero row picks +0, the templates' terminal
+ * bootstrap.
+ */
+template <typename QWord, typename NumActions>
+inline const QWord *
+bootstrapRow(const QWord *q, const std::vector<QWord> &zeros,
+             NumActions na, const RecordFields &f)
+{
+    // By a mask, as in recordAt: a ternary may become a branch.
+    const auto next = reinterpret_cast<std::uintptr_t>(rowOf(q, f.s2, na));
+    const auto zero = reinterpret_cast<std::uintptr_t>(zeros.data());
+    const std::uintptr_t pick = std::uintptr_t{0} - f.terminal;
+    return reinterpret_cast<const QWord *>((zero & pick) | (next & ~pick));
+}
+
+/** Q-learning's bootstrap: the next row's max, or 0 when terminal. */
+template <typename QWord, typename NumActions>
+inline QWord
+maxBootstrap(const QWord *q, const std::vector<QWord> &zeros,
+             NumActions na, const RecordFields &f)
+{
+    return laneMax(bootstrapRow(q, zeros, na, f), na);
+}
+
+/**
+ * SARSA's bootstrap: Q(s', a') for the epsilon-greedy a', or 0 when
+ * terminal. A terminal record draws nothing, so the epsilon draw is
+ * taken whatever the flag and the stream is rewound, by a mask, on a
+ * terminal record. The explore branch consumes a second draw, so it
+ * stays a branch; @p o's draws count records the shape.
+ */
+template <typename QWord, typename NumActions>
+inline QWord
+sarsaBootstrap(LaneOps &o, const QWord *q,
+               const std::vector<QWord> &zeros, NumActions na,
+               const RecordFields &f, std::int32_t epsilon_milli)
+{
+    const QWord *row_n = bootstrapRow(q, zeros, na, f);
+    ActionId a2 = laneArgmax(row_n, na);
+    const std::uint32_t live = std::uint32_t{f.terminal} - 1u;
+    const std::uint32_t before = o.lcg.state();
+    const bool greedy =
+        static_cast<std::int32_t>(o.lcg.nextBounded(1000)) >=
+        epsilon_milli;
+    const bool explore = !(greedy | f.terminal);
+    if (explore) {
+        a2 = static_cast<ActionId>(
+            o.lcg.nextBounded(static_cast<std::uint32_t>(na)));
+    }
+    o.lcg.seed((o.lcg.state() & live) | (before & ~live));
+    o.draws = (1u + unsigned{explore}) & live;
+    return row_n[static_cast<std::size_t>(a2)];
+}
 
 /**
  * Counting ops provider used to calibrate shape profiles: records the
@@ -283,18 +425,58 @@ class ShapeProbe
 };
 
 /**
- * Measure the charge profile of each shape by running the real update
- * template against a dummy zeroed two-row table (operands s=0, a=0,
- * r=0, s2 in row 1 for the bootstrap scan — zero values satisfy every
- * operand-range assertion). Exact because the profile depends only on
- * the shape and num_actions, never on table values.
+ * Measure the charge profile of each shape by running the workload's
+ * priced update template (rlcore/update_rules.hh — the lanes' own
+ * updates are functional and charge nothing) against a dummy zeroed
+ * two-row table (operands s=0, a=0, r=0, s2 in row 1 for the bootstrap
+ * scan — zero values satisfy every operand-range assertion). Exact
+ * because the profile depends only on the shape and num_actions, never
+ * on table values.
  */
-template <typename QWord, typename UpdateFn>
+template <typename QWord>
 std::array<ShapeProfile, kNumShapes>
-calibrateShapes(const KernelParams &p, bool sarsa,
-                std::int32_t epsilon_milli, UpdateFn &&update)
+calibrateShapes(const KernelParams &p)
 {
-    const std::size_t na = static_cast<std::size_t>(p.numActions);
+    const ActionId num_actions = p.numActions;
+    const bool sarsa = p.workload.algo == rlcore::Algorithm::Sarsa;
+    const auto scaled = rlcore::ScaledHyper::fromHyper(p.hyper);
+    const std::int32_t epsilon_milli = scaled.epsilonMilli;
+    const auto priced = [&](ShapeProbe &o, QWord *q,
+                            const RecordFields &f) {
+        if constexpr (std::is_same_v<QWord, float>) {
+            const float r = std::bit_cast<float>(f.rewardBits);
+            if (sarsa) {
+                rlcore::sarsaUpdateFp32(o, q, num_actions, f.s, f.a, r,
+                                        f.s2, f.terminal, p.hyper.alpha,
+                                        p.hyper.gamma, epsilon_milli);
+            } else {
+                rlcore::qlearningUpdateFp32(o, q, num_actions, f.s, f.a,
+                                            r, f.s2, f.terminal,
+                                            p.hyper.alpha, p.hyper.gamma);
+            }
+        } else if (p.workload.format == rlcore::NumericFormat::Int8) {
+            const auto pow2 = rlcore::ScaledHyperPow2::fromHyper(p.hyper);
+            if (sarsa) {
+                rlcore::sarsaUpdateInt8(o, q, num_actions, f.s, f.a,
+                                        f.rewardBits, f.s2, f.terminal,
+                                        pow2);
+            } else {
+                rlcore::qlearningUpdateInt8(o, q, num_actions, f.s, f.a,
+                                            f.rewardBits, f.s2,
+                                            f.terminal, pow2);
+            }
+        } else if (sarsa) {
+            rlcore::sarsaUpdateInt32(o, q, num_actions, f.s, f.a,
+                                     f.rewardBits, f.s2, f.terminal,
+                                     scaled);
+        } else {
+            rlcore::qlearningUpdateInt32(o, q, num_actions, f.s, f.a,
+                                         f.rewardBits, f.s2, f.terminal,
+                                         scaled);
+        }
+    };
+
+    const std::size_t na = static_cast<std::size_t>(num_actions);
     std::vector<QWord> table(2 * na);
     std::array<ShapeProfile, kNumShapes> out{};
 
@@ -309,7 +491,7 @@ calibrateShapes(const KernelParams &p, bool sarsa,
         f.rewardBits = 0;
         f.s2 = terminal ? 0 : 1;
         f.terminal = terminal;
-        update(probe, table.data(), f);
+        priced(probe, table.data(), f);
         out[shape] = probe.counts;
     };
 
@@ -332,46 +514,19 @@ calibrateShapes(const KernelParams &p, bool sarsa,
 /** Shape tallies of one lane. */
 using Tally = std::array<std::uint64_t, kNumShapes>;
 
-/** Control-flow shape of the update just applied through @p o. */
+/**
+ * Control-flow shape of the update just applied through @p o, by
+ * arithmetic rather than a branch on the terminal flag: a terminal
+ * update draws nothing, a main one at most one LCG number, and only an
+ * explore update two.
+ */
 template <typename Ops>
 std::size_t
 shapeOf(const RecordFields &f, const Ops &o)
 {
-    return f.terminal      ? kShapeTerminal
-           : o.draws == 2 ? kShapeExplore
-                          : kShapeMain;
-}
-
-/**
- * Decode a lane's chunk once into @p recs and return its terminal
- * record count. Transitions are read straight from the lane's bank
- * view: the region is read-only for the whole launch (the lane writes
- * only its Q and visit regions), so the bytes match what per-record
- * DMA would copy and the per-step fetch reduces to an indexed load.
- * Decode is unpriced interpreter work — its charges are retired per
- * record in bulk — so this moves no modelled number.
- */
-std::size_t
-decodeChunk(const std::uint8_t *data, std::size_t n,
-            std::vector<RecordFields> &recs)
-{
-    recs.resize(n);
-    std::size_t terminal_records = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-        PackedTransition rec;
-        std::memcpy(&rec, data + r * kTransitionBytes,
-                    kTransitionBytes);
-        RecordFields &f = recs[r];
-        f.s = rec.state;
-        f.a = rec.action;
-        f.rewardBits = rec.rewardBits;
-        f.s2 = static_cast<StateId>(rec.nextStateBits &
-                                    ~PackedTransition::kTerminalBit);
-        f.terminal =
-            (rec.nextStateBits & PackedTransition::kTerminalBit) != 0;
-        terminal_records += f.terminal ? 1 : 0;
-    }
-    return terminal_records;
+    static_assert(kShapeTerminal == 0 && kShapeMain == 1 &&
+                  kShapeExplore == 2);
+    return std::size_t{!f.terminal} + std::size_t{o.draws == 2};
 }
 
 /**
@@ -430,11 +585,10 @@ chargeBlockMisses(pimsim::KernelContext &ctx, const std::uint32_t *order,
 template <typename QWord, typename Ops, typename UpdateFn>
 void
 trainSingle(pimsim::KernelContext &ctx, const KernelParams &p, bool sarsa,
-            const std::vector<RecordFields> &recs,
-            std::size_t terminal_records, std::vector<std::uint32_t> &order,
-            QWord *q, Ops &o, Tally &t, UpdateFn &update)
+            const std::uint8_t *data, std::size_t n,
+            std::vector<std::uint32_t> &order, QWord *q, Ops &o, Tally &t,
+            UpdateFn &update)
 {
-    const std::size_t n = recs.size();
     const auto eps = static_cast<std::uint64_t>(p.episodes);
 
     if (p.workload.sampling != rlcore::Sampling::Ran) {
@@ -465,12 +619,13 @@ trainSingle(pimsim::KernelContext &ctx, const KernelParams &p, bool sarsa,
             for (std::uint64_t ep = 0; ep < eps; ++ep) {
                 if (seq) {
                     for (std::size_t k = 0; k < n; ++k)
-                        update(o, q, recs[k]);
+                        update(o, q, recordAt(data, k));
                 } else {
                     for (std::size_t k = 0; k < n; ++k)
-                        update(o, q, recs[order[k]]);
+                        update(o, q, recordAt(data, order[k]));
                 }
             }
+            const std::size_t terminal_records = countTerminals(data, n);
             t[kShapeTerminal] += eps * terminal_records;
             t[kShapeMain] += eps * (n - terminal_records);
         } else {
@@ -478,8 +633,8 @@ trainSingle(pimsim::KernelContext &ctx, const KernelParams &p, bool sarsa,
             // classify per visit.
             for (std::uint64_t ep = 0; ep < eps; ++ep) {
                 for (std::size_t k = 0; k < n; ++k) {
-                    const RecordFields &f = recs[seq ? k : order[k]];
-                    o.draws = 0;
+                    const RecordFields f =
+                        recordAt(data, seq ? k : order[k]);
                     update(o, q, f);
                     ++t[shapeOf(f, o)];
                 }
@@ -496,7 +651,8 @@ trainSingle(pimsim::KernelContext &ctx, const KernelParams &p, bool sarsa,
         std::uint64_t term_visits = 0;
         for (std::uint64_t ep = 0; ep < eps; ++ep) {
             for (std::size_t k = 0; k < n; ++k) {
-                const RecordFields &f = recs[o.lcg.nextBounded(bound)];
+                const RecordFields f =
+                    recordAt(data, o.lcg.nextBounded(bound));
                 update(o, q, f);
                 term_visits += f.terminal ? 1 : 0;
             }
@@ -506,8 +662,8 @@ trainSingle(pimsim::KernelContext &ctx, const KernelParams &p, bool sarsa,
     } else {
         for (std::uint64_t ep = 0; ep < eps; ++ep) {
             for (std::size_t k = 0; k < n; ++k) {
-                const RecordFields &f = recs[o.lcg.nextBounded(bound)];
-                o.draws = 0;
+                const RecordFields f =
+                    recordAt(data, o.lcg.nextBounded(bound));
                 update(o, q, f);
                 ++t[shapeOf(f, o)];
             }
@@ -537,13 +693,12 @@ struct Tasklet
 template <typename QWord, typename Ops, typename UpdateFn>
 void
 trainInterleaved(pimsim::KernelContext &ctx, const KernelParams &p,
-                 const std::vector<RecordFields> &recs, std::uint32_t *lcg,
+                 const std::uint8_t *data, std::size_t n, std::uint32_t *lcg,
                  std::vector<std::uint32_t> &order,
                  std::vector<Tasklet<Ops>> &tasklets, QWord *q,
                  std::uint32_t *visits, Tally &tally, UpdateFn &update)
 {
     const unsigned t = p.tasklets;
-    const std::size_t n = recs.size();
     const auto sampling = p.workload.sampling;
     const bool block_mode = sampling != rlcore::Sampling::Ran;
     const bool seq = sampling == rlcore::Sampling::Seq;
@@ -598,8 +753,7 @@ trainInterleaved(pimsim::KernelContext &ctx, const KernelParams &p,
                                       static_cast<std::uint32_t>(tk.count))
                     : seq       ? k
                                 : order[tk.first + k];
-                const RecordFields &f = recs[tk.first + local];
-                o.draws = 0;
+                const RecordFields f = recordAt(data, tk.first + local);
                 update(o, q, f);
                 ++tally[shapeOf(f, o)];
                 if (visits) {
@@ -679,6 +833,79 @@ laneWords(std::span<std::uint8_t> bank, std::size_t offset,
 }
 
 /**
+ * The bank bytes one lane touches: its Q region (owned rows plus,
+ * sharded, the halo right behind them), its visit counters and its
+ * record chunk. The lane's own view and the next-lane prefetch both
+ * take their bounds from laneExtent, so the two cannot diverge.
+ */
+struct LaneExtent
+{
+    std::size_t records = 0;  ///< chunk length; 0 = the lane is skipped
+    std::size_t qEntries = 0; ///< Q words, owned and halo
+    std::size_t end = 0;      ///< bank bytes covering every region
+};
+
+/**
+ * Extent of the lane of core @p core, whose owned Q region holds
+ * @p own_entries words. A core with an empty chunk or a non-positive
+ * episode budget returns before charging anything, so its lane is
+ * skipped (records 0) and its bank never touched.
+ */
+template <typename QWord>
+LaneExtent
+laneExtent(const KernelParams &p, std::size_t core,
+           std::size_t own_entries)
+{
+    SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
+                   "missing chunk table for core ", core);
+    SWIFTRL_ASSERT(p.lcgStates &&
+                       p.lcgStates->size() >= (core + 1) * p.tasklets,
+                   "missing LCG state for core ", core);
+    LaneExtent e;
+    if ((*p.chunkCounts)[core] == 0 || p.episodes <= 0)
+        return e;
+    e.records = (*p.chunkCounts)[core];
+    const bool sharded = p.sliceRows > 0;
+    SWIFTRL_ASSERT(!sharded || (p.haloRows && core < p.haloRows->size()),
+                   "missing halo table for core ", core);
+    const std::size_t halo_rows = sharded ? (*p.haloRows)[core] : 0;
+    e.qEntries =
+        own_entries + halo_rows * static_cast<std::size_t>(p.numActions);
+    e.end = std::max(p.qOffset + e.qEntries * sizeof(QWord),
+                     p.dataOffset + e.records * kTransitionBytes);
+    if (p.trackVisits) {
+        e.end = std::max(e.end, p.visitsOffset +
+                                    e.qEntries * sizeof(std::uint32_t));
+    }
+    return e;
+}
+
+/**
+ * Start pulling a lane's Q region (halo included) and record chunk
+ * into the cache: one prefetch per 64-byte line. A chunk the lane has
+ * not read yet is cold — the scatter or the last round's other lanes
+ * evicted it — and RAN's random reads would otherwise miss line by
+ * line; issued one lane ahead, the fetches overlap the current lane's
+ * updates. Prefetches neither fault nor change a byte.
+ */
+template <typename QWord>
+void
+prefetchLane(std::span<const std::uint8_t> bank, const KernelParams &p,
+             const LaneExtent &e)
+{
+    constexpr std::uintptr_t kLine = 64;
+    const auto lines = [&](std::size_t offset, std::size_t bytes) {
+        const auto first =
+            reinterpret_cast<std::uintptr_t>(bank.data() + offset);
+        for (std::uintptr_t at = first & ~(kLine - 1); at < first + bytes;
+             at += kLine)
+            __builtin_prefetch(reinterpret_cast<const void *>(at));
+    };
+    lines(p.qOffset, e.qEntries * sizeof(QWord));
+    lines(p.dataOffset, e.records * kTransitionBytes);
+}
+
+/**
  * Batch training body: retires every lane of the cohort chunk, one
  * lane at a time. Each lane runs fused, back to back — preamble
  * charges, training loop, tally retirement, writeback charges, LCG
@@ -694,13 +921,17 @@ laneWords(std::span<std::uint8_t> bank, std::size_t offset,
  * per-core interpretation; divergent chunk lengths need no masking,
  * as each lane's loop is simply its own length. Dead cores are
  * already excluded from the cohort by CommandStream::launchBatch.
- * @p Ops picks the functional provider (LaneOps, or LaneOpsFastDiv
- * for the division-heavy INT32 rules).
+ * Before a lane trains, the next lane's bank is prefetched
+ * (prefetchLane).
+ *
+ * @p update is the workload's functional update rule. @p Ops picks
+ * its provider (LaneOps, or LaneOpsFastDiv for the division-heavy
+ * INT32 Q-learning rule).
  */
 template <typename QWord, typename Ops, typename UpdateFn>
 void
 trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
-           bool sarsa, std::int32_t epsilon_milli, UpdateFn &&update)
+           UpdateFn &&update)
 {
     SWIFTRL_ASSERT(p.tasklets >= 1, "at least one tasklet required");
     const bool sharded = p.sliceRows > 0;
@@ -722,62 +953,57 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
                    "halo must directly follow the slice");
 
     std::optional<std::array<ShapeProfile, kNumShapes>> shapes;
+    const bool sarsa = p.workload.algo == rlcore::Algorithm::Sarsa;
     const bool hot_path = p.tasklets == 1 && !p.trackVisits;
-    std::vector<RecordFields> recs;
     std::vector<std::uint32_t> order;
     std::vector<Tasklet<Ops>> tasklets;
 
+    LaneExtent next;
+    if (bctx.lanes() > 0)
+        next = laneExtent<QWord>(p, bctx.dpuId(0), own_entries);
     for (std::size_t i = 0; i < bctx.lanes(); ++i) {
+        const LaneExtent lane = next;
+        if (i + 1 < bctx.lanes()) {
+            next = laneExtent<QWord>(p, bctx.dpuId(i + 1), own_entries);
+            if (next.records > 0) {
+                prefetchLane<QWord>(bctx.dpu(i + 1).mramLane(next.end), p,
+                                    next);
+            }
+        }
+        if (lane.records == 0)
+            continue;
         pimsim::KernelContext &ctx = bctx.lane(i);
         const std::size_t core = ctx.dpuId();
-        SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
-                       "missing chunk table for core ", core);
-        SWIFTRL_ASSERT(p.lcgStates &&
-                           p.lcgStates->size() >= (core + 1) * p.tasklets,
-                       "missing LCG state for core ", core);
-        // A core with an empty chunk or a non-positive episode budget
-        // returns before charging anything, so such lanes are skipped
-        // entirely.
-        const std::size_t n = (*p.chunkCounts)[core];
-        if (n == 0 || p.episodes <= 0)
-            continue;
-        SWIFTRL_ASSERT(!sharded ||
-                           (p.haloRows && core < p.haloRows->size()),
-                       "missing halo table for core ", core);
+        const std::size_t n = lane.records;
         if (!shapes)
-            shapes = calibrateShapes<QWord>(p, sarsa, epsilon_milli,
-                                            update);
+            shapes = calibrateShapes<QWord>(p);
 
         // One bank view covering every region the lane touches, taken
         // before any pointer into it (a later growth would move them).
-        const std::size_t halo_rows = sharded ? (*p.haloRows)[core] : 0;
-        const std::size_t halo_bytes = halo_rows * na * sizeof(QWord);
-        const std::size_t q_entries = own_entries + halo_rows * na;
-        const std::size_t visit_bytes = q_entries * sizeof(std::uint32_t);
-        const std::size_t data_bytes = n * kTransitionBytes;
-        std::size_t end = std::max(p.qOffset + own_bytes + halo_bytes,
-                                   p.dataOffset + data_bytes);
-        if (p.trackVisits)
-            end = std::max(end, p.visitsOffset + visit_bytes);
-        const std::span<std::uint8_t> bank = bctx.dpu(i).mramLane(end);
-        QWord *const q = laneWords<QWord>(bank, p.qOffset, q_entries);
+        const std::size_t halo_bytes =
+            (lane.qEntries - own_entries) * sizeof(QWord);
+        const std::size_t visit_bytes =
+            lane.qEntries * sizeof(std::uint32_t);
+        const std::span<std::uint8_t> bank = bctx.dpu(i).mramLane(lane.end);
+        QWord *const q = laneWords<QWord>(bank, p.qOffset, lane.qEntries);
+        const std::uint8_t *const data =
+            laneWords<const std::uint8_t>(bank, p.dataOffset,
+                                          n * kTransitionBytes);
 
         // Preamble, charge for charge as the kernel's: Q-table WRAM
         // footprint and inbound DMA, then the zeroed visit counters —
         // weights reflect the current round's coverage.
-        ctx.wramAlloc(q_entries * sizeof(QWord));
+        ctx.wramAlloc(lane.qEntries * sizeof(QWord));
         ctx.chargeDmaSpanBulk(own_bytes, 1);
         ctx.chargeDmaSpanBulk(halo_bytes, 1);
         std::uint32_t *visits = nullptr;
         if (p.trackVisits) {
             visits = laneWords<std::uint32_t>(bank, p.visitsOffset,
-                                              q_entries);
+                                              lane.qEntries);
             ctx.wramAlloc(visit_bytes);
-            std::fill_n(visits, q_entries, 0u);
+            std::fill_n(visits, lane.qEntries, 0u);
         }
 
-        const std::size_t terminal_records =
-            decodeChunk(bank.data() + p.dataOffset, n, recs);
         std::uint32_t *const lcg = p.lcgStates->data() + core * p.tasklets;
         Tally tally{};
         if (hot_path) {
@@ -787,11 +1013,11 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
             ctx.lcgSeed(lcg[0]);
             Ops o;
             o.lcg.seed(lcg[0]);
-            trainSingle<QWord>(ctx, p, sarsa, recs, terminal_records,
-                               order, q, o, tally, update);
+            trainSingle<QWord>(ctx, p, sarsa, data, n, order, q, o, tally,
+                               update);
             lcg[0] = o.lcg.state();
         } else {
-            trainInterleaved<QWord>(ctx, p, recs, lcg, order, tasklets,
+            trainInterleaved<QWord>(ctx, p, data, n, lcg, order, tasklets,
                                     q, visits, tally, update);
         }
         retireTally(ctx, p, *shapes, tally);
@@ -820,6 +1046,10 @@ runTrainingKernelBatch(pimsim::BatchKernelContext &batch,
     const auto epsilon_milli = scaled.epsilonMilli;
     const float alpha = p.hyper.alpha;
     const float gamma = p.hyper.gamma;
+    // The row terminal records bootstrap from (bootstrapRow).
+    const auto width = static_cast<std::size_t>(p.numActions);
+    const std::vector<float> fzeros(width);
+    const std::vector<std::int32_t> izeros(width);
 
     // The action count parameterises the update rules' inner max /
     // argmax loops. Dispatching it as a compile-time constant for the
@@ -827,76 +1057,79 @@ runTrainingKernelBatch(pimsim::BatchKernelContext &batch,
     // the batch interpreter; the expression tree and its evaluation
     // order are untouched, so results stay bit-identical to the
     // runtime-width path (which remains the fallback).
-    const auto run = [&](auto num_actions) {
+    const auto run = [&](auto na) {
+        // The Q(s, a) word a record updates.
+        const auto slot = [na](auto *q, const RecordFields &f) -> auto & {
+            return rowOf(q, f.s, na)[static_cast<std::size_t>(f.a)];
+        };
+        const bool sarsa = p.workload.algo == Algorithm::Sarsa;
+        using F = const RecordFields;
         if (p.workload.format == NumericFormat::Fp32) {
-            if (p.workload.algo == Algorithm::QLearning) {
+            const auto r = [](F &f) {
+                return std::bit_cast<float>(f.rewardBits);
+            };
+            if (!sarsa) {
                 trainBatch<float, LaneOps>(
-                    batch, p, /*sarsa=*/false, epsilon_milli,
-                    [&](auto &ops, float *q, const RecordFields &f) {
-                        rlcore::qlearningUpdateFp32(
-                            ops, q, num_actions, f.s, f.a,
-                            std::bit_cast<float>(f.rewardBits), f.s2,
-                            f.terminal, alpha, gamma);
+                    batch, p, [&](LaneOps &o, float *q, F &f) {
+                        rlcore::stepFp32(o, slot(q, f), r(f),
+                                         maxBootstrap(q, fzeros, na, f),
+                                         alpha, gamma);
                     });
             } else {
                 trainBatch<float, LaneOps>(
-                    batch, p, /*sarsa=*/true, epsilon_milli,
-                    [&](auto &ops, float *q, const RecordFields &f) {
-                        rlcore::sarsaUpdateFp32(
-                            ops, q, num_actions, f.s, f.a,
-                            std::bit_cast<float>(f.rewardBits), f.s2,
-                            f.terminal, alpha, gamma, epsilon_milli);
+                    batch, p, [&](LaneOps &o, float *q, F &f) {
+                        rlcore::stepFp32(
+                            o, slot(q, f), r(f),
+                            sarsaBootstrap(o, q, fzeros, na, f,
+                                           epsilon_milli),
+                            alpha, gamma);
                     });
             }
             return;
         }
 
+        using I32 = std::int32_t;
         if (p.workload.format == NumericFormat::Int8) {
-            const auto pow2 =
-                rlcore::ScaledHyperPow2::fromHyper(p.hyper);
-            if (p.workload.algo == Algorithm::QLearning) {
-                trainBatch<std::int32_t, LaneOps>(
-                    batch, p, /*sarsa=*/false, epsilon_milli,
-                    [&](auto &ops, std::int32_t *q,
-                        const RecordFields &f) {
-                        rlcore::qlearningUpdateInt8(
-                            ops, q, num_actions, f.s, f.a,
-                            f.rewardBits, f.s2, f.terminal, pow2);
+            const auto pow2 = rlcore::ScaledHyperPow2::fromHyper(p.hyper);
+            if (!sarsa) {
+                trainBatch<I32, LaneOps>(
+                    batch, p, [&](LaneOps &o, I32 *q, F &f) {
+                        rlcore::stepInt8(o, slot(q, f), f.rewardBits,
+                                         maxBootstrap(q, izeros, na, f),
+                                         pow2);
                     });
             } else {
-                trainBatch<std::int32_t, LaneOps>(
-                    batch, p, /*sarsa=*/true, epsilon_milli,
-                    [&](auto &ops, std::int32_t *q,
-                        const RecordFields &f) {
-                        rlcore::sarsaUpdateInt8(
-                            ops, q, num_actions, f.s, f.a,
-                            f.rewardBits, f.s2, f.terminal, pow2);
+                trainBatch<I32, LaneOps>(
+                    batch, p, [&](LaneOps &o, I32 *q, F &f) {
+                        rlcore::stepInt8(
+                            o, slot(q, f), f.rewardBits,
+                            sarsaBootstrap(o, q, izeros, na, f,
+                                           pow2.epsilonMilli),
+                            pow2);
                     });
             }
             return;
         }
 
-        if (p.workload.algo == Algorithm::QLearning) {
-            trainBatch<std::int32_t, LaneOpsFastDiv>(
-                batch, p, /*sarsa=*/false, epsilon_milli,
-                [&](auto &ops, std::int32_t *q,
-                    const RecordFields &f) {
-                    rlcore::qlearningUpdateInt32(
-                        ops, q, num_actions, f.s, f.a, f.rewardBits,
-                        f.s2, f.terminal, scaled);
+        if (!sarsa) {
+            trainBatch<I32, LaneOpsFastDiv>(
+                batch, p, [&](LaneOpsFastDiv &o, I32 *q, F &f) {
+                    rlcore::stepInt32(o, slot(q, f), f.rewardBits,
+                                      maxBootstrap(q, izeros, na, f),
+                                      scaled);
                 });
         } else {
             // Plain LaneOps measures faster here: SARSA's update is
             // already branch-heavy (epsilon draw, argmax), and the
             // extra inlined magic-divide code costs more than the
             // divides it saves.
-            trainBatch<std::int32_t, LaneOps>(
-                batch, p, /*sarsa=*/true, epsilon_milli,
-                [&](auto &ops, std::int32_t *q,
-                    const RecordFields &f) {
-                    rlcore::sarsaUpdateInt32(
-                        ops, q, num_actions, f.s, f.a, f.rewardBits,
-                        f.s2, f.terminal, scaled);
+            trainBatch<I32, LaneOps>(
+                batch, p, [&](LaneOps &o, I32 *q, F &f) {
+                    rlcore::stepInt32(
+                        o, slot(q, f), f.rewardBits,
+                        sarsaBootstrap(o, q, izeros, na, f,
+                                       scaled.epsilonMilli),
+                        scaled);
                 });
         }
     };

@@ -84,7 +84,14 @@ struct KernelCase
     std::vector<std::size_t> counts{0, 1, 37, 128, 300};
     /** Per-core halo rows (sharded only). */
     std::vector<std::size_t> halo{0, 3, 5, 2, 8};
+    /** Mark every n-th record terminal as well; 0 = the data's own. */
+    std::size_t terminalEvery = 0;
+    /** Terminal records' next states point far past the table. */
+    bool wildTerminals = false;
 };
+
+/** Next-state word of a terminal record far past any test table. */
+constexpr std::uint32_t kWildNextState = 0x7fff'0000u;
 
 /** Everything observable about one core after the launches. */
 struct CoreObs
@@ -213,6 +220,19 @@ class KernelParity : public ::testing::Test
             _data.packInt32(first, n, scale, bytes);
         if (c.sliceRows)
             localise(bytes, c.sliceRows, haloRows(c, i));
+        for (std::size_t r = 0; r < n; ++r) {
+            PackedTransition rec;
+            std::memcpy(&rec, bytes.data() + r * sizeof rec, sizeof rec);
+            if (c.terminalEvery && r % c.terminalEvery == 0)
+                rec.nextStateBits |= PackedTransition::kTerminalBit;
+            if (c.wildTerminals &&
+                (rec.nextStateBits & PackedTransition::kTerminalBit)) {
+                rec.nextStateBits =
+                    (kWildNextState + static_cast<std::uint32_t>(r)) |
+                    PackedTransition::kTerminalBit;
+            }
+            std::memcpy(bytes.data() + r * sizeof rec, &rec, sizeof rec);
+        }
         return bytes;
     }
 
@@ -446,6 +466,60 @@ TEST_F(KernelParity, ShardedHaloRowsMatchOracle)
                 SCOPED_TRACE(label(c) + " rows=" + std::to_string(rows));
                 expectParity(c);
             }
+        }
+    }
+}
+
+TEST_F(KernelParity, TerminalHeavyChunksMatchOracle)
+{
+    // About one record in two terminal, against one in eight in the
+    // random-policy data: the lanes select the bootstrap by the flag
+    // (and SARSA rewinds its epsilon draw on a terminal record) where
+    // the priced templates branch. Every rule family, RAN and SEQ.
+    for (const Algorithm algo : {Algorithm::QLearning, Algorithm::Sarsa}) {
+        for (const NumericFormat fmt :
+             {NumericFormat::Fp32, NumericFormat::Int32,
+              NumericFormat::Int8}) {
+            for (const Sampling sampling : {Sampling::Ran, Sampling::Seq}) {
+                for (const unsigned t : {1u, 3u}) {
+                    KernelCase c;
+                    c.workload = Workload{algo, sampling, fmt};
+                    c.tasklets = t;
+                    c.terminalEvery = 2;
+                    SCOPED_TRACE(label(c));
+                    const auto bytes = chunk(c, 4);
+                    std::size_t terminal = 0;
+                    for (std::size_t off = 0; off < bytes.size();
+                         off += sizeof(PackedTransition)) {
+                        PackedTransition rec;
+                        std::memcpy(&rec, bytes.data() + off, sizeof rec);
+                        terminal += (rec.nextStateBits &
+                                     PackedTransition::kTerminalBit) != 0;
+                    }
+                    EXPECT_GE(2 * terminal, c.counts[4]);
+                    expectParity(c);
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelParity, WildTerminalNextStatesStayInsideTheBank)
+{
+    // Terminal records whose next-state word points about 32 GB past
+    // the table. The priced templates never read that row; the lanes
+    // always scan a next-state row, so they must read row 0 instead —
+    // a read of the stored row would leave the bank and fault — and
+    // still match the oracle bit for bit.
+    for (const Workload &w : swiftrl::extendedWorkloads()) {
+        for (const unsigned t : {1u, 3u}) {
+            KernelCase c;
+            c.workload = w;
+            c.tasklets = t;
+            c.terminalEvery = 2;
+            c.wildTerminals = true;
+            SCOPED_TRACE(label(c));
+            expectParity(c);
         }
     }
 }

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -226,6 +228,35 @@ TEST(SwiftrlCli, ToolIntegerFlagsAreUsageErrors)
         EXPECT_EQ(out.find("training"), std::string::npos) << out;
         EXPECT_EQ(out.find("streaming "), std::string::npos) << out;
     }
+}
+
+TEST(SwiftrlCli, DatasetOfAnotherEnvironmentIsAUsageError)
+{
+    // Taxi's 500 states do not fit FrozenLake's 16: loaded for
+    // --env frozenlake, the dataset must be refused by name before
+    // training, not index past the lanes' Q regions.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("swiftrl_test_cli_taxi_" + std::to_string(::getpid()) + ".ds"))
+            .string();
+    std::string out;
+    ASSERT_EQ(runCli("--env taxi --cores 4 --episodes 1 --transitions 2000 "
+                     "--save-dataset " + path,
+                     out),
+              0)
+        << out;
+    const int status =
+        runCli("--env frozenlake --cores 4 --episodes 1 --load-dataset " +
+                   path,
+               out);
+    std::remove(path.c_str());
+    EXPECT_EQ(status, 1) << out;
+    EXPECT_NE(out.find("--load-dataset '" + path + "'"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("lies outside the 16-state x 4-action"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("training"), std::string::npos) << out;
 }
 
 } // namespace

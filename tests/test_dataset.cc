@@ -206,6 +206,51 @@ TEST(Dataset, TaxiCollectionHasPaperRewardStructure)
     EXPECT_TRUE(saw_illegal);
 }
 
+TEST(Dataset, MisfitNamesTheFirstRecordOutsideTheTable)
+{
+    swiftrl::rlenv::Taxi taxi;
+    const auto data = collectRandomDataset(taxi, 2000, 4);
+    EXPECT_EQ(swiftrl::rlcore::datasetMisfit(data, 500, 6), "");
+
+    // Taxi's ids do not fit FrozenLake's 16 x 4 table.
+    const std::string lake = swiftrl::rlcore::datasetMisfit(data, 16, 4);
+    EXPECT_NE(lake.find("-state x 4-action Q-table"), std::string::npos)
+        << lake;
+
+    // Each column is checked, negative ids too, and the first bad
+    // record is the one named.
+    const struct
+    {
+        Transition bad;
+        const char *what;
+    } cases[] = {
+        {{16, 0, 0.0f, 1, false}, "state 16"},
+        {{-1, 0, 0.0f, 1, false}, "state -1"},
+        {{0, 4, 0.0f, 1, false}, "action 4"},
+        {{0, -2, 0.0f, 1, false}, "action -2"},
+        {{0, 0, 0.0f, 16, false}, "next state 16"},
+        {{0, 0, 0.0f, 99, true}, "next state 99"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        Dataset d;
+        d.append(Transition{1, 1, 0.0f, 2, false});
+        d.append(c.bad);
+        d.append(Transition{2, 5, 0.0f, 3, false});
+        const std::string why = swiftrl::rlcore::datasetMisfit(d, 16, 4);
+        EXPECT_EQ(why.rfind("record 1 ", 0), 0u) << why;
+        EXPECT_NE(why.find(c.what), std::string::npos) << why;
+        // A record range (a scatter lane's chunk) checks only itself,
+        // and names records by their index in the whole dataset.
+        EXPECT_EQ(swiftrl::rlcore::datasetMisfit(d, 16, 4, 0, 1), "");
+        EXPECT_EQ(swiftrl::rlcore::datasetMisfit(d, 16, 4, 1, 1), why);
+        EXPECT_EQ(
+            swiftrl::rlcore::datasetMisfit(d, 16, 4, 2, 1).rfind(
+                "record 2 (state 2, action 5", 0),
+            0u);
+    }
+}
+
 TEST(DatasetDeath, PackOutOfRangePanics)
 {
     Dataset d;

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "rlcore/serialization.hh"
 #include "rlcore/trainers.hh"
@@ -150,6 +154,111 @@ TEST(SerializationDeath, TruncatedFileIsFatal)
     std::filesystem::resize_file(file.path(), 100);
     EXPECT_EXIT((void)loadDataset(file.path()),
                 ::testing::ExitedWithCode(1), "truncated");
+}
+
+/** Overwrite @p bytes of @p path at @p offset with @p value. */
+template <typename T>
+void
+patchFile(const std::string &path, std::streamoff offset, T value)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(offset);
+    f.write(reinterpret_cast<const char *>(&value), sizeof value);
+}
+
+/**
+ * Cap this (death-test child) process's address space at 256 MB above
+ * what it maps now, so an allocation sized by a hostile length field
+ * fails loudly (std::bad_alloc, an abort) instead of passing unseen.
+ * Sanitizer runtimes reserve terabytes of shadow memory up front and
+ * cannot run under the cap; there the huge cases still abort on their
+ * own.
+ */
+void
+capAddressSpace()
+{
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t pages = 0;
+    if (statm >> pages) {
+        const auto mapped = pages * static_cast<std::uint64_t>(
+                                        ::sysconf(_SC_PAGESIZE));
+        const rlimit cap{mapped + (256u << 20), mapped + (256u << 20)};
+        ::setrlimit(RLIMIT_AS, &cap);
+    }
+#endif
+}
+
+/** A valid 100-record dataset file, seeded. */
+void
+writeSeededDataset(const std::string &path)
+{
+    swiftrl::rlenv::FrozenLake env(true);
+    saveDataset(collectRandomDataset(env, 100, 5), path);
+}
+
+// File layouts (serialization.hh): the dataset's u64 record count and
+// the Q-table's i32 shape both sit right after the 8-byte magic.
+constexpr std::streamoff kCountOffset = 8;
+
+TEST(SerializationDeath, InflatedRecordCountIsFatalBeforeAllocating)
+{
+    TempFile file("inflated_count");
+    writeSeededDataset(file.path());
+    // 2^40 records (16 TB), and 2^26 (1 GiB: small enough to allocate
+    // unchecked, which the address-space cap turns into an abort).
+    for (const std::uint64_t count : {std::uint64_t{1} << 40,
+                                      std::uint64_t{1} << 26}) {
+        SCOPED_TRACE(count);
+        patchFile(file.path(), kCountOffset, count);
+        EXPECT_EXIT(
+            {
+                capAddressSpace();
+                (void)loadDataset(file.path());
+            },
+            ::testing::ExitedWithCode(1), "declares [0-9]+ records");
+    }
+}
+
+TEST(SerializationDeath, WrappedRecordCountIsFatal)
+{
+    // 2^60 + 100 records: times 16 bytes the size wraps to exactly the
+    // 100 records the file holds, so an unchecked load would read them,
+    // pass the checksum, and then unpack 2^60 records.
+    TempFile file("wrapped_count");
+    writeSeededDataset(file.path());
+    patchFile(file.path(), kCountOffset,
+              (std::uint64_t{1} << 60) + 100);
+    EXPECT_EXIT(
+        {
+            capAddressSpace();
+            (void)loadDataset(file.path());
+        },
+        ::testing::ExitedWithCode(1), "declares [0-9]+ records");
+}
+
+TEST(SerializationDeath, InflatedQTableShapeReturnsAnError)
+{
+    QTable q(16, 4);
+    q.initArbitrary(11);
+    TempFile file("inflated_shape");
+    saveQTable(q, file.path());
+    // 2e9 x 2e9 entries (16 EB), and 16384 x 16384 (1 GiB).
+    for (const std::int32_t side : {2'000'000'000, 16384}) {
+        SCOPED_TRACE(side);
+        patchFile(file.path(), kCountOffset, side);
+        patchFile(file.path(), kCountOffset + 4, side);
+        EXPECT_EXIT(
+            {
+                capAddressSpace();
+                std::string error;
+                const bool loaded =
+                    tryLoadQTable(file.path(), &error).has_value();
+                std::fprintf(stderr, "%s\n", error.c_str());
+                std::exit(loaded ? 2 : 1);
+            },
+            ::testing::ExitedWithCode(1), "declares a [0-9]+x[0-9]+ table");
+    }
 }
 
 TEST(Serialization, TrainedPolicySurvivesDeployment)

@@ -567,6 +567,46 @@ writeFile(const std::string &path, const std::vector<char> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+TEST(SessionOfflineDeath, DatasetOutsideTheTableIsFatalAtBegin)
+{
+    // A taxi dataset (500 states, 6 actions) armed for a 16 x 4
+    // FrozenLake table: begin refuses it before any launch, sharded or
+    // not, and so does a restore.
+    swiftrl::rlenv::Taxi taxi;
+    const Dataset data = collectRandomDataset(taxi, 256, 2);
+    PimConfig pim;
+    pim.numDpus = 4;
+    for (const int shards : {0, 2}) {
+        SCOPED_TRACE(shards);
+        EXPECT_EXIT(
+            {
+                PimSystem system(pim);
+                SessionConfig cfg = offlineConfig();
+                cfg.shards = shards;
+                swiftrl::TrainerSession session(system, cfg);
+                session.beginOffline(data, 16, 4);
+            },
+            ::testing::ExitedWithCode(1),
+            "dataset does not fit the environment: record [0-9]+");
+    }
+
+    // The checkpoint's system (and its pool threads) is gone before
+    // the death test forks.
+    const auto ck = [&pim] {
+        PimSystem system(pim);
+        PimTrainer trainer(system, offlineConfig());
+        return trainer.trainUntilRound(offlineData(), 16, 4, 1);
+    }();
+    EXPECT_EXIT(
+        {
+            PimSystem fresh(pim);
+            swiftrl::TrainerSession session(fresh, offlineConfig());
+            session.restoreOffline(data, ck);
+        },
+        ::testing::ExitedWithCode(1),
+        "dataset does not fit the environment");
+}
+
 TEST(SessionCheckpointIoDeath, CorruptPayloadFailsIntegrityCheck)
 {
     const auto ck = sampleCheckpoint();
