@@ -175,6 +175,57 @@ double fixedPointRange(std::int32_t scale_factor);
 /** Quantisation step (smallest representable increment) at a scale. */
 double fixedPointResolution(std::int32_t scale_factor);
 
+/**
+ * Non-power-of-two scales whose reciprocal descale is proven to match
+ * the division for every int32: `float(double(raw) * (1.0 / scale))`
+ * has the same bits as `float(double(raw) / scale)` for all 2^32 raw
+ * values. test_fixed_point_exhaustive sweeps every int32 for each
+ * entry; add a scale here only together with that sweep passing.
+ */
+inline constexpr std::int32_t kReciprocalDescaleScales[] = {kDefaultScale};
+
+/**
+ * Whether the descale of @p scale may multiply by the reciprocal: a
+ * power of two (the product is exact, as is the quotient) or one of
+ * kReciprocalDescaleScales.
+ */
+constexpr bool
+descaleByReciprocal(std::int32_t scale)
+{
+    if (scale > 0 && (scale & (scale - 1)) == 0)
+        return true;
+    for (const std::int32_t proven : kReciprocalDescaleScales)
+        if (proven == scale)
+            return true;
+    return false;
+}
+
+/**
+ * The host's descale of raw fixed point to FP32, resolved once per
+ * scale: calls fn(descale), where descale(raw) is
+ * `float(double(raw) / double(scale))` bit for bit — the correctly
+ * rounded quotient, exact for every int32 — but computed as a multiply
+ * by the reciprocal where descaleByReciprocal(scale) proves the bits
+ * equal, since a divide costs several multiplies. The choice is made
+ * outside fn, so a loop in fn runs without a per-value branch.
+ * @return what fn returns.
+ */
+template <typename Fn>
+decltype(auto)
+withDescaleToFloat(std::int32_t scale, Fn &&fn)
+{
+    const double s = static_cast<double>(scale);
+    if (descaleByReciprocal(scale)) {
+        const double inv = 1.0 / s;
+        return fn([inv](std::int32_t raw) {
+            return static_cast<float>(static_cast<double>(raw) * inv);
+        });
+    }
+    return fn([s](std::int32_t raw) {
+        return static_cast<float>(static_cast<double>(raw) / s);
+    });
+}
+
 } // namespace swiftrl::common
 
 #endif // SWIFTRL_COMMON_FIXED_POINT_HH

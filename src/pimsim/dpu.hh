@@ -34,10 +34,13 @@ namespace swiftrl::pimsim {
  *
  * Single-owner rule: a bank is touched by one thread at a time. The
  * lanes of a kernel launch and of a chunk scatter each own distinct
- * banks; everything else (broadcasts, gathers, observers, the
- * session's aggregation) runs on the enqueue thread after the host
- * pool joins. Nothing here locks, so the rule is what keeps a pending
- * payload's copy-in race-free.
+ * banks; everything else (broadcasts, gathers, observers) runs on the
+ * enqueue thread after the host pool joins. The session's aggregation
+ * is the one shared reader: the gather lands every pending payload and
+ * hands out views on the enqueue thread, then the mean's blocks read
+ * disjoint entries of those views concurrently, through the spans
+ * only, never an accessor. Nothing here locks, so the rule is what
+ * keeps a pending payload's copy-in race-free.
  *
  * A scatter lane grows its bank, but the buffer is reserved first on
  * the enqueue thread (reserveLane), so the lane only resizes inside

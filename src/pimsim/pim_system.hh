@@ -19,13 +19,13 @@
 #include "pimsim/cost_model.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/fault_plan.hh"
+#include "pimsim/host_pool.hh"
 #include "pimsim/kernel_context.hh"
 #include "pimsim/transfer_model.hh"
 
 namespace swiftrl::pimsim {
 
 class CommandStream;
-class HostPool;
 
 /** Static configuration of a simulated PIM system. */
 struct PimConfig
@@ -110,6 +110,23 @@ class PimSystem
 
     /** Host threads the engine uses for functional kernel work. */
     unsigned hostThreadCount() const;
+
+    /**
+     * Run fn(index) for index 0..n-1 on the engine's host pool, the
+     * calling thread included, and return when every call is done:
+     * host-side work between commands (the tau-round mean) that splits
+     * into index-pure blocks. The HostPool::parallelFor contract
+     * holds: calls for distinct indices may run concurrently, so fn
+     * must touch nothing another index touches. Not reentrant: call it
+     * from the thread that enqueues commands, never from a pool lane.
+     */
+    template <typename Fn>
+    void
+    hostParallelFor(std::size_t n, Fn &&fn)
+    {
+        _pool->parallelFor(n,
+                           [&fn](std::size_t index, unsigned) { fn(index); });
+    }
 
     // --- accounting ---------------------------------------------------
 

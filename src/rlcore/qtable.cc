@@ -91,13 +91,13 @@ QTable::fromFixed(StateId num_states, ActionId num_actions,
     SWIFTRL_ASSERT(raw.size() == table.entryCount(),
                    "fixed-point buffer size mismatch");
     SWIFTRL_ASSERT(scale > 0, "scale factor must be positive");
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        // Divide in double so the conversion is the correctly-rounded
-        // quotient; the PIM gather path uses the identical expression,
-        // keeping single-core PIM runs bit-equal to the reference.
-        table._values[i] = static_cast<float>(
-            static_cast<double>(raw[i]) / static_cast<double>(scale));
-    }
+    // The correctly rounded quotient; the PIM gather path uses the
+    // identical descale, keeping single-core PIM runs bit-equal to the
+    // reference.
+    common::withDescaleToFloat(scale, [&](auto descale) {
+        for (std::size_t i = 0; i < raw.size(); ++i)
+            table._values[i] = descale(raw[i]);
+    });
     return table;
 }
 

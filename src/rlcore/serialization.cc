@@ -119,13 +119,20 @@ loadDataset(const std::string &path)
         SWIFTRL_FATAL("'", path, "' failed its checksum; the file is "
                       "corrupt");
 
+    // Straight into the columns, sized once: no per-record push_back.
     Dataset data;
-    for (std::uint64_t i = 0; i < count; ++i) {
+    const rlenv::RolloutColumns columns = data.resizeColumns(count);
+    for (std::size_t i = 0; i < count; ++i) {
         PackedTransition p;
         std::memcpy(&p,
                     payload.data() + i * sizeof(PackedTransition),
                     sizeof(p));
-        data.append(Dataset::unpackFp32(p));
+        const Transition t = Dataset::unpackFp32(p);
+        columns.states[i] = t.state;
+        columns.actions[i] = t.action;
+        columns.rewards[i] = t.reward;
+        columns.nextStates[i] = t.nextState;
+        columns.terminals[i] = t.terminal ? 1 : 0;
     }
     return data;
 }

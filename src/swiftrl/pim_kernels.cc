@@ -718,9 +718,6 @@ trainInterleaved(pimsim::KernelContext &ctx, const KernelParams &p,
         k.ops.lcg.seed(lcg[tl]);
         if (k.count == 0)
             continue;
-        // Each tasklet owns a staging buffer in the shared WRAM.
-        ctx.wramAlloc(block_mode ? p.blockTransitions * kTransitionBytes
-                                 : kTransitionBytes);
         longest = std::max(longest, k.count);
         if (sampling == rlcore::Sampling::Str) {
             rlcore::SampleWalker w(
@@ -990,26 +987,24 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
             laneWords<const std::uint8_t>(bank, p.dataOffset,
                                           n * kTransitionBytes);
 
-        // Preamble, charge for charge as the kernel's: Q-table WRAM
-        // footprint and inbound DMA, then the zeroed visit counters —
-        // weights reflect the current round's coverage.
-        ctx.wramAlloc(lane.qEntries * sizeof(QWord));
+        // Preamble, charge for charge as the kernel's: the WRAM
+        // footprint (Q-table, visit counters, staging buffers) and the
+        // inbound DMA, then the zeroed visit counters — weights
+        // reflect the current round's coverage.
+        static_assert(sizeof(QWord) == rlcore::kQWireBytesPerEntry);
+        ctx.wramAlloc(laneWramBytes(p, lane.qEntries, n));
         ctx.chargeDmaSpanBulk(own_bytes, 1);
         ctx.chargeDmaSpanBulk(halo_bytes, 1);
         std::uint32_t *visits = nullptr;
         if (p.trackVisits) {
             visits = laneWords<std::uint32_t>(bank, p.visitsOffset,
                                               lane.qEntries);
-            ctx.wramAlloc(visit_bytes);
             std::fill_n(visits, lane.qEntries, 0u);
         }
 
         std::uint32_t *const lcg = p.lcgStates->data() + core * p.tasklets;
         Tally tally{};
         if (hot_path) {
-            ctx.wramAlloc(p.workload.sampling != rlcore::Sampling::Ran
-                              ? p.blockTransitions * kTransitionBytes
-                              : kTransitionBytes);
             ctx.lcgSeed(lcg[0]);
             Ops o;
             o.lcg.seed(lcg[0]);
@@ -1032,6 +1027,21 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
 }
 
 } // namespace
+
+std::size_t
+laneWramBytes(const KernelParams &p, std::size_t q_entries,
+              std::size_t records)
+{
+    const std::size_t staging =
+        p.workload.sampling != rlcore::Sampling::Ran
+            ? p.blockTransitions * kTransitionBytes
+            : kTransitionBytes;
+    const std::size_t tasklets =
+        std::min<std::size_t>(p.tasklets, records);
+    return q_entries * rlcore::kQWireBytesPerEntry +
+           (p.trackVisits ? q_entries * sizeof(std::uint32_t) : 0) +
+           tasklets * staging;
+}
 
 void
 runTrainingKernelBatch(pimsim::BatchKernelContext &batch,

@@ -140,6 +140,18 @@ void runTrainingKernelBatch(pimsim::BatchKernelContext &batch,
 /** Bytes of one packed transition record. */
 inline constexpr std::size_t kTransitionBytes = 16;
 
+/**
+ * WRAM footprint of one kernel lane, which the lane reserves in one
+ * KernelContext::wramAlloc before it trains: its @p q_entries-word
+ * Q-table, the visit counters when p.trackVisits, and one staging
+ * buffer for each of the min(p.tasklets, @p records) tasklets that
+ * get records — a block of p.blockTransitions records for SEQ/STR,
+ * one record for RAN. runSpecInvalidReason bounds a run with the same
+ * function before any machine exists.
+ */
+std::size_t laneWramBytes(const KernelParams &p, std::size_t q_entries,
+                          std::size_t records);
+
 } // namespace swiftrl
 
 #endif // SWIFTRL_SWIFTRL_PIM_KERNELS_HH

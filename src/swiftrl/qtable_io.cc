@@ -98,28 +98,38 @@ QTableIo::gatherWires(pimsim::CommandStream &stream,
         });
 }
 
+std::size_t
+entryBlockCount(std::size_t entries, unsigned threads)
+{
+    const std::size_t lines =
+        (entries + kEntriesPerLine - 1) / kEntriesPerLine;
+    return std::clamp<std::size_t>(lines / kMinLinesPerBlock, 1,
+                                   std::max(1u, threads));
+}
+
 namespace {
 
 /** Banks whose entries one pass of the mean adds. */
 constexpr std::size_t kBanksPerPass = 8;
 
 /**
- * out[i] += decode(bank, i) over every bank of @p banks, in ascending
- * bank order per entry. Each pass over the entries adds up to
- * kBanksPerPass banks in a register, so the entries are loaded and
- * stored once per pass instead of once per bank; the float additions
- * per entry are the same ones in the same order, so the sum is
- * bit-identical to one bank per pass.
+ * out[i] += decode(bank, i) for i in [first, last) over every bank of
+ * @p banks, in ascending bank order per entry. Each pass over the
+ * entries adds up to kBanksPerPass banks in a register, so the entries
+ * are loaded and stored once per pass instead of once per bank; the
+ * float additions per entry are the same ones in the same order, so
+ * the sum is bit-identical to one bank per pass, and independent of
+ * the range the entry falls in.
  */
 template <typename Decode>
 void
 addBanks(std::span<const std::uint8_t *const> banks, std::span<float> out,
-         Decode decode)
+         std::size_t first, std::size_t last, Decode decode)
 {
     std::size_t b = 0;
     for (; b + kBanksPerPass <= banks.size(); b += kBanksPerPass) {
         const std::uint8_t *const *pass = banks.data() + b;
-        for (std::size_t i = 0; i < out.size(); ++i) {
+        for (std::size_t i = first; i < last; ++i) {
             float acc = out[i];
             for (std::size_t k = 0; k < kBanksPerPass; ++k)
                 acc += decode(pass[k], i);
@@ -129,7 +139,7 @@ addBanks(std::span<const std::uint8_t *const> banks, std::span<float> out,
     if (b == banks.size())
         return;
     const std::span<const std::uint8_t *const> rest = banks.subspan(b);
-    for (std::size_t i = 0; i < out.size(); ++i) {
+    for (std::size_t i = first; i < last; ++i) {
         float acc = out[i];
         for (const std::uint8_t *bank : rest)
             acc += decode(bank, i);
@@ -141,6 +151,7 @@ addBanks(std::span<const std::uint8_t *const> banks, std::span<float> out,
 
 std::size_t
 QTableIo::meanOfWires(
+    pimsim::CommandStream &stream,
     std::span<const std::span<const std::uint8_t>> group,
     std::span<float> out) const
 {
@@ -155,27 +166,33 @@ QTableIo::meanOfWires(
         live.push_back(wire.data());
     }
     SWIFTRL_ASSERT(!live.empty(), "mean over a group with no live core");
-    std::fill(out.begin(), out.end(), 0.0f);
-    // The same per-entry decode as decodeWire.
-    if (_workload.format == NumericFormat::Fp32) {
-        addBanks(live, out, [](const std::uint8_t *bank, std::size_t i) {
-            float v;
-            std::memcpy(&v, bank + i * sizeof v, sizeof v);
-            return v;
-        });
-    } else {
-        const double scale = static_cast<double>(fixedScale());
-        addBanks(live, out,
-                 [scale](const std::uint8_t *bank, std::size_t i) {
-                     std::int32_t raw;
-                     std::memcpy(&raw, bank + i * sizeof raw, sizeof raw);
-                     return static_cast<float>(
-                         static_cast<double>(raw) / scale);
-                 });
-    }
     const float inv = 1.0f / static_cast<float>(live.size());
-    for (float &v : out)
-        v *= inv;
+    // The same per-entry decode as decodeWire.
+    const auto block = [&](std::size_t first, std::size_t last) {
+        std::fill(out.begin() + first, out.begin() + last, 0.0f);
+        if (_workload.format == NumericFormat::Fp32) {
+            addBanks(live, out, first, last,
+                     [](const std::uint8_t *bank, std::size_t i) {
+                         float v;
+                         std::memcpy(&v, bank + i * sizeof v, sizeof v);
+                         return v;
+                     });
+        } else {
+            common::withDescaleToFloat(fixedScale(), [&](auto descale) {
+                addBanks(live, out, first, last,
+                         [descale](const std::uint8_t *bank,
+                                   std::size_t i) {
+                             std::int32_t raw;
+                             std::memcpy(&raw, bank + i * sizeof raw,
+                                         sizeof raw);
+                             return descale(raw);
+                         });
+            });
+        }
+        for (std::size_t i = first; i < last; ++i)
+            out[i] *= inv;
+    };
+    forEachEntryBlock(stream.system(), out.size(), block);
     return live.size();
 }
 

@@ -15,13 +15,16 @@
 #ifndef SWIFTRL_SWIFTRL_QTABLE_IO_HH
 #define SWIFTRL_SWIFTRL_QTABLE_IO_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "common/fixed_point.hh"
 #include "pimsim/command_stream.hh"
+#include "pimsim/pim_system.hh"
 #include "rlcore/dataset.hh"
 #include "rlcore/qtable.hh"
 #include "rlcore/types.hh"
@@ -29,6 +32,54 @@
 #include "swiftrl/workload.hh"
 
 namespace swiftrl {
+
+/** Q entries per 64-byte cache line: the block alignment of the mean. */
+inline constexpr std::size_t kEntriesPerLine =
+    64 / rlcore::kQWireBytesPerEntry;
+
+/**
+ * Lines each block of a split mean must cover. The split pays a pool
+ * dispatch (waking the workers, a few microseconds) and shortens every
+ * bank's run of the vectorised addition to one block, so a table
+ * splits only as far as each block keeps this many lines; smaller
+ * tables (FrozenLake's 4 lines) stay serial on the calling thread.
+ */
+inline constexpr std::size_t kMinLinesPerBlock = 32;
+
+/**
+ * Blocks forEachEntryBlock cuts @p entries into on a pool of
+ * @p threads: one per thread, fewer when a block would hold under
+ * kMinLinesPerBlock lines, and at least one.
+ */
+std::size_t entryBlockCount(std::size_t entries, unsigned threads);
+
+/**
+ * Run fn(first, last) over contiguous entry ranges covering
+ * [0, @p entries): entryBlockCount blocks on @p system's host pool,
+ * their bounds on kEntriesPerLine multiples (the last block ends at
+ * @p entries). Blocks may run concurrently, so fn must touch only its
+ * own entries' outputs; which thread runs a block never matters.
+ */
+template <typename Fn>
+void
+forEachEntryBlock(pimsim::PimSystem &system, std::size_t entries,
+                  Fn &&fn)
+{
+    const std::size_t blocks =
+        entryBlockCount(entries, system.hostThreadCount());
+    if (blocks == 1) {
+        fn(std::size_t{0}, entries);
+        return;
+    }
+    const std::size_t lines =
+        (entries + kEntriesPerLine - 1) / kEntriesPerLine;
+    const auto bound = [&](std::size_t b) {
+        return std::min(entries, b * lines / blocks * kEntriesPerLine);
+    };
+    system.hostParallelFor(blocks, [&](std::size_t b) {
+        fn(bound(b), bound(b + 1));
+    });
+}
 
 /**
  * Stateless helper binding a workload's numeric format (and its
@@ -105,7 +156,7 @@ class QTableIo
     /**
      * Decode one Q wire entry by entry, calling fn(i, value) in
      * ascending i. FP32 wires are reinterpreted; fixed-point wires
-     * are descaled in double precision — float(double(raw) /
+     * are descaled by common::withDescaleToFloat — float(double(raw) /
      * double(scale)), exact for every raw value below 2^53, so a
      * 1-core run roundtrips bit-perfectly (conversionSeconds is what
      * the on-core float conversion would take).
@@ -125,28 +176,32 @@ class QTableIo
             }
             return;
         }
-        const double scale = static_cast<double>(fixedScale());
-        for (std::size_t i = 0; i < entries; ++i) {
-            std::int32_t raw;
-            std::memcpy(&raw, p + i * sizeof raw, sizeof raw);
-            fn(i, static_cast<float>(static_cast<double>(raw) / scale));
-        }
+        common::withDescaleToFloat(fixedScale(), [&](auto descale) {
+            for (std::size_t i = 0; i < entries; ++i) {
+                std::int32_t raw;
+                std::memcpy(&raw, p + i * sizeof raw, sizeof raw);
+                fn(i, descale(raw));
+            }
+        });
     }
 
     /**
      * Fused decode-and-mean of one gathered core group: adds the
      * decoded entries of the group's live cores (non-empty views) into
-     * @p out (zeroed first), eight banks per pass over the entries but
-     * in ascending core order per entry, then scales once by 1/live —
-     * exactly QTable::average's per-entry operations over the decoded
-     * tables, so the result is bit-identical to it, without
-     * materialising any table. Serial: the mean is not split over the
-     * host pool (docs/PERFORMANCE.md). Every live view must hold
+     * @p out, eight banks per pass over the entries but in ascending
+     * core order per entry, then scales once by 1/live — exactly
+     * QTable::average's per-entry operations over the decoded tables,
+     * so the result is bit-identical to it, without materialising any
+     * table. The entries are split into forEachEntryBlock's blocks
+     * over the stream's host pool; every entry gets the same
+     * operations whichever block holds it, so the mean is
+     * bit-identical for any pool size. Every live view must hold
      * out.size() entries.
      * @return the number of live cores averaged (at least one).
      */
     std::size_t
-    meanOfWires(std::span<const std::span<const std::uint8_t>> group,
+    meanOfWires(pimsim::CommandStream &stream,
+                std::span<const std::span<const std::uint8_t>> group,
                 std::span<float> out) const;
 
     /** Decode one Q wire to a table; an empty view (a dropped core)

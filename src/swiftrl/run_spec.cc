@@ -11,6 +11,7 @@
 #include "common/logging.hh"
 #include "pimsim/pim_system.hh"
 #include "rlenv/registry.hh"
+#include "swiftrl/pim_kernels.hh"
 #include "swiftrl/sharding.hh"
 
 namespace swiftrl {
@@ -296,8 +297,31 @@ runSpecInvalidReason(const RunSpec &spec, KeySpelling spelling)
         return label("env", spelling) + ": " + env_error;
     const SessionConfig session = spec.toSessionConfig();
     std::string why = sessionConfigInvalidReason(session);
-    if (!why.empty() || session.shards == 0)
+    if (!why.empty())
         return why;
+    if (session.shards == 0) {
+        // What the first launch would be fatal about: every core holds
+        // the whole table, and after dropouts (or a shrunken fleet
+        // lease) one core's chunk can grow to the whole dataset, so
+        // every tasklet may get records.
+        KernelParams kernel;
+        kernel.workload = session.workload;
+        kernel.tasklets = session.tasklets;
+        kernel.blockTransitions = session.blockTransitions;
+        kernel.trackVisits = session.weightedAggregation;
+        const std::size_t wram = laneWramBytes(
+            kernel,
+            static_cast<std::size_t>(env->numStates()) *
+                static_cast<std::size_t>(env->numActions()),
+            spec.transitions);
+        const std::size_t scratchpad = pimsim::PimConfig{}.wramBytesPerDpu;
+        if (wram > scratchpad)
+            return concat("the kernel needs ", wram,
+                          " bytes of WRAM per core but the scratchpad "
+                          "holds ", scratchpad, "; split the Q-table "
+                          "with ", label("shards", spelling));
+        return "";
+    }
     // What beginOffline would be fatal about, checked before any
     // machine exists: the plan, and the conservative MRAM demand
     // bound against the default bank size.

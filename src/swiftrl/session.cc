@@ -489,7 +489,7 @@ TrainerSession::shardedAggregate()
         // the unsharded path.
         const auto &group = _plan->coresOfShard[s];
         const std::size_t live = _qio.meanOfWires(
-            views.subspan(group.front(), group.size()), mean);
+            *_stream, views.subspan(group.front(), group.size()), mean);
         deepest = std::max(deepest, live);
         // Only the real (un-padded) rows flow back to the aggregate.
         const StateId base = _plan->map.firstState(s);
@@ -660,7 +660,7 @@ TrainerSession::step()
         } else {
             // Plain mean over the *surviving* cores only: a dropped
             // core's view is empty, so it cannot dilute the mean.
-            _qio.meanOfWires(q_views, _aggregated.values());
+            _qio.meanOfWires(*_stream, q_views, _aggregated.values());
         }
     }
     const float delta = QTable::maxAbsDifference(_aggregated, previous);
@@ -772,39 +772,54 @@ TrainerSession::weightedAverage(
     const QTable &previous)
 {
     const std::size_t entries = _entries;
-    std::vector<double> numerator(entries, 0.0);
-    std::vector<double> denominator(entries, 0.0);
-
     // Both gathers alias the same banks, so every Q view must still
     // lie inside its bank's current buffer (the caller re-took them
     // after the visits gather). Dropped cores have empty views and
     // carry no weight.
     for (std::size_t core = 0; core < q_views.size(); ++core) {
-        const auto counts = visit_views[core];
-        if (counts.empty())
+        if (visit_views[core].empty())
             continue;
-        SWIFTRL_ASSERT(counts.size() ==
+        SWIFTRL_ASSERT(visit_views[core].size() ==
                            entries * rlcore::kQWireBytesPerEntry,
                        "count table size mismatch");
         SWIFTRL_ASSERT(viewInside(q_views[core],
                                   _system.dpu(core).mram()),
                        "core ", core,
                        ": Q view outlived its bank buffer");
-        _qio.decodeWire(q_views[core], [&](std::size_t i, float q) {
-            std::uint32_t raw;
-            std::memcpy(&raw, counts.data() + i * sizeof raw,
-                        sizeof raw);
-            const double w = raw;
-            numerator[i] += w * static_cast<double>(q);
-            denominator[i] += w;
-        });
     }
-    for (std::size_t i = 0; i < entries; ++i) {
-        _aggregated.values()[i] =
-            denominator[i] > 0.0
-                ? static_cast<float>(numerator[i] / denominator[i])
-                : previous.values()[i];
-    }
+    // Split over the host pool like the plain mean: each entry's
+    // numerator and denominator accumulate in ascending core order
+    // whichever block holds it.
+    forEachEntryBlock(_system, entries, [&](std::size_t first,
+                                            std::size_t last) {
+        std::vector<double> numerator(last - first, 0.0);
+        std::vector<double> denominator(last - first, 0.0);
+        const std::size_t offset = first * rlcore::kQWireBytesPerEntry;
+        const std::size_t bytes =
+            (last - first) * rlcore::kQWireBytesPerEntry;
+        for (std::size_t core = 0; core < q_views.size(); ++core) {
+            const auto counts = visit_views[core];
+            if (counts.empty())
+                continue;
+            _qio.decodeWire(
+                q_views[core].subspan(offset, bytes),
+                [&](std::size_t j, float q) {
+                    std::uint32_t raw;
+                    std::memcpy(&raw,
+                                counts.data() + offset + j * sizeof raw,
+                                sizeof raw);
+                    const double w = raw;
+                    numerator[j] += w * static_cast<double>(q);
+                    denominator[j] += w;
+                });
+        }
+        for (std::size_t j = 0; j < last - first; ++j) {
+            _aggregated.values()[first + j] =
+                denominator[j] > 0.0
+                    ? static_cast<float>(numerator[j] / denominator[j])
+                    : previous.values()[first + j];
+        }
+    });
 }
 
 TimeBreakdown

@@ -577,7 +577,8 @@ class TrainerSession
      * Visit-count-weighted mean (offline weighted aggregation) into
      * _aggregated, decoding the gathered @p q_views and reading the
      * @p visit_views in place; entries no core visited keep
-     * @p previous.
+     * @p previous. Split over the host pool like
+     * QTableIo::meanOfWires: bit-identical for any pool size.
      */
     void weightedAverage(
         const std::vector<std::span<const std::uint8_t>> &q_views,

@@ -230,6 +230,25 @@ TEST(SwiftrlCli, ToolIntegerFlagsAreUsageErrors)
     }
 }
 
+TEST(SwiftrlCli, KernelThatCannotFitWramIsAUsageError)
+{
+    // lake:64's whole table is the 64-KB scratchpad on its own: the
+    // run must be refused before any collection, with the way out
+    // named, instead of dying inside the first launch.
+    std::string out;
+    EXPECT_EQ(runCli("--env lake:64 --cores 256 --transitions 400000 "
+                     "--format fp32",
+                     out),
+              1)
+        << out;
+    EXPECT_NE(out.find("67584 bytes of WRAM per core but the scratchpad "
+                       "holds 65536; split the Q-table with --shards"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("exceeds the"), std::string::npos) << out;
+    EXPECT_EQ(out.find("training"), std::string::npos) << out;
+}
+
 TEST(SwiftrlCli, DatasetOfAnotherEnvironmentIsAUsageError)
 {
     // Taxi's 500 states do not fit FrozenLake's 16: loaded for

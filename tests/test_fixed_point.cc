@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/fixed_point.hh"
@@ -17,7 +19,9 @@ using swiftrl::common::Fixed;
 using swiftrl::common::Fixed32;
 using swiftrl::common::fixedPointRange;
 using swiftrl::common::fixedPointResolution;
+using swiftrl::common::descaleByReciprocal;
 using swiftrl::common::kDefaultScale;
+using swiftrl::common::withDescaleToFloat;
 
 TEST(FixedPoint, DefaultIsZero)
 {
@@ -172,5 +176,46 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{0.1, 0.95}, std::pair{-5.0, 3.25},
                       std::pair{100.0, -99.5}, std::pair{0.0, 0.0},
                       std::pair{20.0, 20.0}, std::pair{-0.3, -0.7}));
+
+TEST(Descale, ReciprocalOnlyWhereProven)
+{
+    for (int shift = 0; shift <= 30; ++shift)
+        EXPECT_TRUE(descaleByReciprocal(std::int32_t{1} << shift)) << shift;
+    EXPECT_TRUE(descaleByReciprocal(kDefaultScale));
+    for (const std::int32_t scale : {3, 7, 1000, 9999, 10001, 100000})
+        EXPECT_FALSE(descaleByReciprocal(scale)) << scale;
+    EXPECT_FALSE(descaleByReciprocal(0));
+    EXPECT_FALSE(descaleByReciprocal(-4));
+}
+
+TEST(Descale, EqualsTheDivisionAtEveryScale)
+{
+    // A strided sweep of the int32 range, both ends included; every
+    // scale, proven or not, must give the correctly rounded quotient.
+    // (test_fixed_point_exhaustive sweeps every int32 for the proven
+    // non-power-of-two scales.)
+    const auto check = [](std::int32_t scale) {
+        withDescaleToFloat(scale, [&](auto descale) {
+            std::int64_t mismatches = 0;
+            const auto probe = [&](std::int32_t raw) {
+                const float want = static_cast<float>(
+                    static_cast<double>(raw) / static_cast<double>(scale));
+                mismatches += std::bit_cast<std::uint32_t>(descale(raw)) !=
+                              std::bit_cast<std::uint32_t>(want);
+            };
+            for (std::int64_t raw = std::numeric_limits<std::int32_t>::min();
+                 raw <= std::numeric_limits<std::int32_t>::max();
+                 raw += 65'537)
+                probe(static_cast<std::int32_t>(raw));
+            probe(std::numeric_limits<std::int32_t>::max());
+            for (std::int32_t raw = -100'000; raw <= 100'000; ++raw)
+                probe(raw);
+            EXPECT_EQ(mismatches, 0) << "scale " << scale;
+        });
+    };
+    for (const std::int32_t scale :
+         {1, 2, 128, 1 << 20, 3, 7, 1000, kDefaultScale, 100000})
+        check(scale);
+}
 
 } // namespace

@@ -234,7 +234,28 @@ TEST(RunSpec, ValidatorHoldsEveryRule)
     EXPECT_EQ(reasonFor(R"({"env": "frozenlak"})")
                   .rfind("env: unknown environment 'frozenlak'", 0),
               0u);
-    EXPECT_EQ(reasonFor(R"({"env": "lake:64", "cores": 4})"), "");
+    EXPECT_EQ(reasonFor(R"({"env": "lake:62", "cores": 4})"), "");
+    // An unsharded kernel holds the whole table in WRAM: lake:64's
+    // 64 KB of Q words plus a staging block overflow the scratchpad,
+    // which the first launch would die of; sharding is the way out.
+    EXPECT_EQ(reasonFor(R"({"env": "lake:64", "cores": 4})"),
+              "the kernel needs 67584 bytes of WRAM per core but the "
+              "scratchpad holds 65536; split the Q-table with shards");
+    EXPECT_EQ(reasonFor(R"({"env": "lake:64", "cores": 4,
+                          "shards": 2})"),
+              "");
+    // Visit counters double the table; every tasklet stages a block.
+    EXPECT_NE(reasonFor(R"({"env": "lake:46", "weighted": true})")
+                  .find("bytes of WRAM"),
+              std::string::npos);
+    EXPECT_EQ(reasonFor(R"({"env": "lake:46"})"), "");
+    EXPECT_NE(reasonFor(R"({"env": "taxi", "tasklets": 24,
+                          "block_transitions": 256})")
+                  .find("bytes of WRAM"),
+              std::string::npos);
+    EXPECT_EQ(reasonFor(R"({"env": "taxi", "tasklets": 8,
+                          "block_transitions": 256})"),
+              "");
     EXPECT_EQ(reasonFor(R"({"gamma": 2})").rfind("hyper.gamma", 0), 0u);
     EXPECT_EQ(reasonFor(R"({"tau": 0})").rfind("tau:", 0), 0u);
     EXPECT_EQ(reasonFor(R"({"tasklets": 25})").rfind("tasklets:", 0),
@@ -304,6 +325,11 @@ TEST(RunSpecDeath, BadFlagsAreUsageErrorsNamingTheFlag)
                 "--seed must be an integer in \\[0, 9007199254740992\\]");
     EXPECT_EXIT((void)specFromFlags({"--shards", "8", "--cores", "4"}),
                 ::testing::ExitedWithCode(1), "--shards: ");
+    EXPECT_EXIT((void)specFromFlags({"--env", "lake:64", "--cores", "256",
+                                     "--transitions", "400000",
+                                     "--format", "fp32"}),
+                ::testing::ExitedWithCode(1),
+                "67584 bytes of WRAM .* split the Q-table with --shards");
 }
 
 } // namespace

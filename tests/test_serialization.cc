@@ -9,9 +9,11 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -68,6 +70,35 @@ TEST(Serialization, TaxiDatasetRoundtrip)
     ASSERT_EQ(loaded.size(), original.size());
     for (std::size_t i = 0; i < original.size(); ++i)
         ASSERT_EQ(loaded.get(i), original.get(i));
+}
+
+TEST(Serialization, DatasetRoundtripKeepsEveryColumn)
+{
+    // The loader unpacks straight into the columns: each one must come
+    // back whole — negative and fractional rewards bit for bit, the
+    // terminal flags as 0/1 bytes, the state ids without the flag bit.
+    swiftrl::rlenv::Taxi taxi;
+    swiftrl::rlenv::FrozenLake lake(false);
+    Dataset original = collectRandomDataset(taxi, 3000, 7);
+    original.append(collectRandomDataset(lake, 3000, 8));
+    ASSERT_GT(std::count(original.terminals().begin(),
+                         original.terminals().end(), 1),
+              0);
+
+    TempFile file("dataset_columns");
+    saveDataset(original, file.path());
+    const auto loaded = loadDataset(file.path());
+
+    ASSERT_EQ(loaded.size(), original.size());
+    EXPECT_EQ(loaded.states(), original.states());
+    EXPECT_EQ(loaded.actions(), original.actions());
+    EXPECT_EQ(loaded.nextStates(), original.nextStates());
+    EXPECT_EQ(loaded.terminals(), original.terminals());
+    ASSERT_EQ(loaded.rewards().size(), original.rewards().size());
+    EXPECT_EQ(std::memcmp(loaded.rewards().data(),
+                          original.rewards().data(),
+                          original.rewards().size() * sizeof(float)),
+              0);
 }
 
 TEST(Serialization, EmptyDatasetRoundtrip)
