@@ -309,8 +309,8 @@ main(int argc, char **argv)
         if (flags.getBool("streaming", false) ||
             !flags.getString("checkpoint", "").empty() ||
             !flags.getString("restore", "").empty()) {
-            SWIFTRL_FATAL("--fleet is its own mode; it cannot combine "
-                          "with --streaming/--checkpoint/--restore");
+            SWIFTRL_USAGE_ERROR("--fleet is its own mode; it cannot combine "
+                                "with --streaming/--checkpoint/--restore");
         }
         auto spec = fleet::loadFleetSpec(fleet_path);
         constexpr std::string_view kHostThreads[] = {"host_threads"};
@@ -411,9 +411,9 @@ main(int argc, char **argv)
         // --- streaming actor–learner mode ---------------------------
         if (!flags.getString("checkpoint", "").empty() ||
             !flags.getString("restore", "").empty()) {
-            SWIFTRL_FATAL("--checkpoint/--restore drive the offline "
-                          "trainer; streaming runs restore through "
-                          "the TrainerSession API instead");
+            SWIFTRL_USAGE_ERROR("--checkpoint/--restore drive the offline "
+                                "trainer; streaming runs restore through "
+                                "the TrainerSession API instead");
         }
         // --episodes and --transitions are run totals in both modes;
         // streaming splits them evenly across the generations.
@@ -474,9 +474,9 @@ main(int argc, char **argv)
         if (const std::string misfit = rlcore::datasetMisfit(
                 data, env->numStates(), env->numActions());
             !misfit.empty()) {
-            SWIFTRL_FATAL("--load-dataset '", load_path,
-                          "' does not fit --env ", run.env, ": ",
-                          misfit);
+            SWIFTRL_USAGE_ERROR("--load-dataset '", load_path,
+                                "' does not fit --env ", run.env, ": ",
+                                misfit);
         }
         std::cout << "loaded " << data.size() << " transitions from "
                   << load_path << "\n";
@@ -519,8 +519,8 @@ main(int argc, char **argv)
     const auto restore_path = flags.getString("restore", "");
     if (!checkpoint_path.empty()) {
         if (!restore_path.empty())
-            SWIFTRL_FATAL("--checkpoint and --restore are one-at-a-"
-                          "time: pause a run or continue one");
+            SWIFTRL_USAGE_ERROR("--checkpoint and --restore are one-at-a-"
+                                "time: pause a run or continue one");
         const auto ck = trainer.trainUntilRound(
             data, env->numStates(), env->numActions(), ints.pauseRound);
         saveCheckpoint(ck, checkpoint_path);

@@ -43,11 +43,11 @@ CliFlags::CliFlags(int argc, char **argv, std::vector<std::string> known)
             }
         }
         if (!is_known(name))
-            SWIFTRL_FATAL("unknown flag --", name);
+            SWIFTRL_USAGE_ERROR("unknown flag --", name);
         // Last-one-wins would silently ignore half of an experiment
         // command line; repeating a flag is always a mistake here.
         if (_values.count(name) > 0)
-            SWIFTRL_FATAL("duplicate flag --", name);
+            SWIFTRL_USAGE_ERROR("duplicate flag --", name);
         _values[name] = value;
         if (bare)
             _bare.insert(name);
@@ -75,19 +75,19 @@ CliFlags::getInt(const std::string &name, std::int64_t fallback) const
     if (it == _values.end())
         return fallback;
     if (_bare.count(name) > 0)
-        SWIFTRL_FATAL("flag --", name, " expects a value");
+        SWIFTRL_USAGE_ERROR("flag --", name, " expects a value");
     char *end = nullptr;
     errno = 0;
     const long long v = std::strtoll(it->second.c_str(), &end, 10);
     if (end == it->second.c_str() || *end != '\0')
-        SWIFTRL_FATAL("flag --", name, " expects an integer, got '",
-                      it->second, "'");
+        SWIFTRL_USAGE_ERROR("flag --", name, " expects an integer, got '",
+                            it->second, "'");
     // strtoll clamps out-of-range input to the extremes and flags it
     // via errno; silently training with INT64_MAX episodes is not an
     // acceptable reading of a typo'd seed.
     if (errno == ERANGE)
-        SWIFTRL_FATAL("flag --", name, " value '", it->second,
-                      "' is out of range for a 64-bit integer");
+        SWIFTRL_USAGE_ERROR("flag --", name, " value '", it->second,
+                            "' is out of range for a 64-bit integer");
     return v;
 }
 
@@ -95,8 +95,8 @@ void
 CliFlags::outOfRange(const std::string &name, std::int64_t v,
                      const std::string &lo, const std::string &hi) const
 {
-    SWIFTRL_FATAL("--", name, ": must be an integer in [", lo, ", ", hi,
-                  "], got ", v);
+    SWIFTRL_USAGE_ERROR("--", name, ": must be an integer in [", lo, ", ", hi,
+                        "], got ", v);
 }
 
 double
@@ -106,19 +106,19 @@ CliFlags::getDouble(const std::string &name, double fallback) const
     if (it == _values.end())
         return fallback;
     if (_bare.count(name) > 0)
-        SWIFTRL_FATAL("flag --", name, " expects a value");
+        SWIFTRL_USAGE_ERROR("flag --", name, " expects a value");
     char *end = nullptr;
     errno = 0;
     const double v = std::strtod(it->second.c_str(), &end);
     if (end == it->second.c_str() || *end != '\0')
-        SWIFTRL_FATAL("flag --", name, " expects a number, got '",
-                      it->second, "'");
+        SWIFTRL_USAGE_ERROR("flag --", name, " expects a number, got '",
+                            it->second, "'");
     // Overflow clamps to +/-HUGE_VAL with ERANGE; reject it loudly.
     // (Underflow to a denormal also raises ERANGE but is a usable
     // value, so it passes.)
     if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL))
-        SWIFTRL_FATAL("flag --", name, " value '", it->second,
-                      "' is out of range for a double");
+        SWIFTRL_USAGE_ERROR("flag --", name, " value '", it->second,
+                            "' is out of range for a double");
     return v;
 }
 
@@ -133,7 +133,7 @@ CliFlags::getBool(const std::string &name, bool fallback) const
         return true;
     if (v == "false" || v == "0" || v == "no")
         return false;
-    SWIFTRL_FATAL("flag --", name, " expects a boolean, got '", v, "'");
+    SWIFTRL_USAGE_ERROR("flag --", name, " expects a boolean, got '", v, "'");
 }
 
 } // namespace swiftrl::common

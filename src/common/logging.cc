@@ -180,6 +180,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
+usageErrorImpl(const std::string &msg)
+{
+    writeLine("fatal", msg);
+    std::exit(1);
+}
+
+void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     writeLine("panic", concat(msg, " (", file, ":", line, ")"));

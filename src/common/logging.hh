@@ -73,6 +73,7 @@ namespace detail {
 
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
+[[noreturn]] void usageErrorImpl(const std::string &msg);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
@@ -111,6 +112,17 @@ assertFailed(const char *file, int line, const Args &...args)
 #define SWIFTRL_FATAL(...) \
     ::swiftrl::common::detail::fatalImpl( \
         __FILE__, __LINE__, ::swiftrl::common::detail::concat(__VA_ARGS__))
+
+/**
+ * Terminate because the command line is wrong (a bad flag value, flags
+ * that cannot combine, a run spec that cannot run). Prints the
+ * one-line reason and exits with status 1, without the crash-dump
+ * hook: a flight-recorder trail explains a failure inside a run, and a
+ * usage error happens before there is one.
+ */
+#define SWIFTRL_USAGE_ERROR(...) \
+    ::swiftrl::common::detail::usageErrorImpl( \
+        ::swiftrl::common::detail::concat(__VA_ARGS__))
 
 /**
  * Terminate because of a condition that should never happen regardless

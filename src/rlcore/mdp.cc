@@ -66,34 +66,33 @@ MdpModel
 exactFrozenLakeModel(bool slippery)
 {
     using rlenv::FrozenLake;
-    FrozenLake env(slippery);
     MdpModel model(FrozenLake::kStates, FrozenLake::kActions);
 
     for (StateId s = 0; s < FrozenLake::kStates; ++s) {
-        if (env.isTerminal(s))
+        if (FrozenLake::isTerminal(s))
             continue; // terminal states have no outgoing actions
         for (ActionId a = 0; a < FrozenLake::kActions; ++a) {
+            // The environment's own table, one entry per slip draw.
             // Aggregate duplicate landing states (border clamping
             // can map two slip directions to one cell).
-            std::map<StateId, double> mass;
+            std::map<StateId, Outcome> merged;
+            const auto land = [&](ActionId direction, double p) {
+                const rlenv::Outcome &step =
+                    FrozenLake::outcome(s, direction);
+                Outcome &o = merged[step.nextState];
+                o.probability += p;
+                o.nextState = step.nextState;
+                o.reward = step.reward;
+                o.terminal = step.terminated;
+            };
             if (slippery) {
-                for (int slip = -1; slip <= 1; ++slip) {
-                    const auto dir = static_cast<ActionId>(
-                        (a + slip + FrozenLake::kActions) %
-                        FrozenLake::kActions);
-                    mass[FrozenLake::moveFrom(s, dir)] += 1.0 / 3.0;
-                }
+                for (ActionId pick = 0; pick < 3; ++pick)
+                    land(FrozenLake::slide(a, pick), 1.0 / 3.0);
             } else {
-                mass[FrozenLake::moveFrom(s, a)] = 1.0;
+                land(a, 1.0);
             }
-            for (const auto &[next, p] : mass) {
-                Outcome o;
-                o.probability = p;
-                o.nextState = next;
-                o.reward = env.tileAt(next) == 'G' ? 1.0 : 0.0;
-                o.terminal = env.isTerminal(next);
+            for (const auto &[next, o] : merged)
                 model.addOutcome(s, a, o);
-            }
         }
     }
     return model;

@@ -5,12 +5,58 @@
 
 namespace swiftrl::rlenv {
 
-bool
-CliffWalking::isCliff(StateId state)
+namespace {
+
+/** Gym's rule for @p action from @p state. */
+constexpr Outcome
+cliffRule(StateId state, ActionId action)
 {
-    const StateId row = state / kCols;
-    const StateId col = state % kCols;
-    return row == kRows - 1 && col > 0 && col < kCols - 1;
+    constexpr StateId kRows = CliffWalking::kRows;
+    constexpr StateId kCols = CliffWalking::kCols;
+    StateId row = state / kCols;
+    StateId col = state % kCols;
+    switch (action) {
+      case CliffWalking::Up:
+        row = row > 0 ? row - 1 : 0;
+        break;
+      case CliffWalking::Right:
+        col = col < kCols - 1 ? col + 1 : col;
+        break;
+      case CliffWalking::Down:
+        row = row < kRows - 1 ? row + 1 : row;
+        break;
+      case CliffWalking::Left:
+        col = col > 0 ? col - 1 : 0;
+        break;
+      default:
+        SWIFTRL_PANIC("unhandled cliff-walking action ", action);
+    }
+
+    Outcome out;
+    const StateId landed = row * kCols + col;
+    if (CliffWalking::isCliff(landed)) {
+        // Falling off costs -100 and teleports back to the start;
+        // the episode continues (Gym semantics).
+        out.reward = -100.0f;
+        out.nextState = CliffWalking::kStart;
+    } else {
+        out.reward = -1.0f;
+        out.nextState = landed;
+        out.terminated = landed == CliffWalking::kGoal;
+    }
+    return out;
+}
+
+constexpr auto kOutcomes =
+    compileOutcomes<CliffWalking::kStates, CliffWalking::kActions>(
+        cliffRule);
+
+} // namespace
+
+const Outcome &
+CliffWalking::outcome(StateId state, ActionId action)
+{
+    return kOutcomes[static_cast<std::size_t>(state * kActions + action)];
 }
 
 StateId
@@ -32,41 +78,9 @@ CliffWalking::step(ActionId action, common::XorShift128 &rng)
     SWIFTRL_ASSERT(action >= 0 && action < kActions,
                    "invalid action ", action);
 
-    StateId row = _state / kCols;
-    StateId col = _state % kCols;
-    switch (action) {
-      case Up:
-        row = row > 0 ? row - 1 : 0;
-        break;
-      case Right:
-        col = col < kCols - 1 ? col + 1 : col;
-        break;
-      case Down:
-        row = row < kRows - 1 ? row + 1 : row;
-        break;
-      case Left:
-        col = col > 0 ? col - 1 : 0;
-        break;
-      default:
-        SWIFTRL_PANIC("unhandled cliff-walking action ", action);
-    }
-
-    StepResult result;
-    const StateId landed = row * kCols + col;
-    if (isCliff(landed)) {
-        // Falling off costs -100 and teleports back to the start;
-        // the episode continues (Gym semantics).
-        result.reward = -100.0f;
-        _state = kStart;
-    } else {
-        result.reward = -1.0f;
-        _state = landed;
-        result.terminated = landed == kGoal;
-    }
-    ++_steps;
-    result.nextState = _state;
-    result.truncated =
-        !result.terminated && _steps >= maxEpisodeSteps();
+    const Outcome &o = outcome(_state, action);
+    _state = o.nextState;
+    const StepResult result = outcomeStep(o, ++_steps, maxEpisodeSteps());
     _episodeDone = result.done();
     return result;
 }

@@ -41,7 +41,13 @@ class CliffWalking final : public RolloutEnvironment<CliffWalking>
     StateId currentState() const override { return _state; }
 
     /** True when @p state is a cliff cell. */
-    static bool isCliff(StateId state);
+    static constexpr bool
+    isCliff(StateId state)
+    {
+        const StateId row = state / kCols;
+        const StateId col = state % kCols;
+        return row == kRows - 1 && col > 0 && col < kCols - 1;
+    }
 
     /** Grid dimensions. */
     static constexpr StateId kRows = 4;
@@ -52,6 +58,12 @@ class CliffWalking final : public RolloutEnvironment<CliffWalking>
     /** Start and goal cells (bottom row corners). */
     static constexpr StateId kStart = (kRows - 1) * kCols;
     static constexpr StateId kGoal = kRows * kCols - 1;
+
+    /**
+     * Entry (@p state, @p action) of the dynamics table step() reads,
+     * compiled from Gym's rules. Both must be in range (unchecked).
+     */
+    static const Outcome &outcome(StateId state, ActionId action);
 
   private:
     StateId _state = kStart;

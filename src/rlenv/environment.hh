@@ -8,6 +8,7 @@
 #ifndef SWIFTRL_RLENV_ENVIRONMENT_HH
 #define SWIFTRL_RLENV_ENVIRONMENT_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -38,9 +39,55 @@ struct StepResult
     /** Episode ended by hitting the step limit (Gym "truncated"). */
     bool truncated = false;
 
-    /** True when the episode is over for either reason. */
-    bool done() const { return terminated || truncated; }
+    /**
+     * True when the episode is over for either reason. Both flags are
+     * always computed, so this is a bitwise or: the short-circuit form
+     * made GCC branch on each flag in the rollout loop and keep one of
+     * them on the stack across the reset.
+     */
+    bool done() const { return terminated | truncated; }
 };
+
+/**
+ * One (state, move) entry of a fixed-map environment's dynamics
+ * table: where the move lands, what it pays, and whether it ends the
+ * episode. The tables are compiled from each environment's rules
+ * (constexpr), so a step is one load.
+ */
+struct Outcome
+{
+    StateId nextState = 0;
+    float reward = 0.0f;
+    bool terminated = false;
+};
+
+/**
+ * The result of the @p steps-th step of an episode landing on @p o:
+ * truncated (Gym TimeLimit) when it reaches @p limit without
+ * terminating.
+ */
+constexpr StepResult
+outcomeStep(const Outcome &o, int steps, int limit)
+{
+    return {o.nextState, o.reward, o.terminated,
+            static_cast<bool>(!o.terminated & (steps >= limit))};
+}
+
+/**
+ * The dynamics table of a fixed map with @p States states and
+ * @p Moves moves: entry state * Moves + move is rule(state, move).
+ */
+template <StateId States, ActionId Moves, typename Rule>
+constexpr std::array<Outcome, static_cast<std::size_t>(States) * Moves>
+compileOutcomes(Rule rule)
+{
+    std::array<Outcome, static_cast<std::size_t>(States) * Moves> table{};
+    for (StateId s = 0; s < States; ++s)
+        for (ActionId m = 0; m < Moves; ++m)
+            table[static_cast<std::size_t>(s) * Moves +
+                  static_cast<std::size_t>(m)] = rule(s, m);
+    return table;
+}
 
 /** A behaviour policy: state (+ rollout RNG) -> action. */
 using ActionPolicy =

@@ -11,9 +11,11 @@
 #ifndef SWIFTRL_RLENV_FROZEN_LAKE_HH
 #define SWIFTRL_RLENV_FROZEN_LAKE_HH
 
+#include <algorithm>
 #include <array>
 #include <string>
 
+#include "common/logging.hh"
 #include "rlenv/environment.hh"
 
 namespace swiftrl::rlenv {
@@ -41,16 +43,52 @@ class FrozenLake final : public RolloutEnvironment<FrozenLake>
     StateId currentState() const override { return _state; }
 
     /** Tile character ('S','F','H','G') at a state (tests, render). */
-    char tileAt(StateId state) const;
+    static constexpr char
+    tileAt(StateId state)
+    {
+        SWIFTRL_ASSERT(state >= 0 && state < kStates,
+                       "state ", state, " out of range");
+        return kMap[static_cast<std::size_t>(state)];
+    }
 
     /** True when @p state is a hole or the goal. */
-    bool isTerminal(StateId state) const;
+    static constexpr bool
+    isTerminal(StateId state)
+    {
+        const char t = tileAt(state);
+        return t == 'H' || t == 'G';
+    }
 
     /**
      * Deterministic single-direction move used to build the dynamics:
      * clamps at the grid border (the agent bumps into the wall).
      */
-    static StateId moveFrom(StateId state, ActionId direction);
+    static constexpr StateId
+    moveFrom(StateId state, ActionId direction)
+    {
+        SWIFTRL_ASSERT(direction >= 0 && direction < kActions,
+                       "invalid FrozenLake action ", direction);
+        // Offsets of Left, Down, Right, Up, clamped at the walls.
+        constexpr std::array<StateId, kActions> kRowStep = {0, 1, 0, -1};
+        constexpr std::array<StateId, kActions> kColStep = {-1, 0, 1, 0};
+        const auto d = static_cast<std::size_t>(direction);
+        const StateId row = std::clamp<StateId>(
+            state / kSide + kRowStep[d], 0, kSide - 1);
+        const StateId col = std::clamp<StateId>(
+            state % kSide + kColStep[d], 0, kSide - 1);
+        return row * kSide + col;
+    }
+
+    /**
+     * The direction actually taken when @p action slips by slip draw
+     * @p pick in [0, 3): Gym slides uniformly among {a-1, a, a+1}
+     * (mod 4), the intended direction or either perpendicular.
+     */
+    static constexpr ActionId
+    slide(ActionId action, ActionId pick)
+    {
+        return (action + (pick - 1) + kActions) % kActions;
+    }
 
     /** Grid side length. */
     static constexpr StateId kSide = 4;
@@ -60,6 +98,13 @@ class FrozenLake final : public RolloutEnvironment<FrozenLake>
 
     /** Number of actions. */
     static constexpr ActionId kActions = 4;
+
+    /**
+     * Entry (@p state, @p direction) of the dynamics table step()
+     * reads, by the direction actually taken (after the slip). Both
+     * must be in range (unchecked).
+     */
+    static const Outcome &outcome(StateId state, ActionId direction);
 
   private:
     /** The standard Gym 4x4 map, row-major. */

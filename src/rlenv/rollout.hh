@@ -48,7 +48,7 @@ rolloutLoop(Env &env, common::XorShift128 &rng, const Act act,
         out.actions[i] = action;
         out.rewards[i] = r.reward;
         out.nextStates[i] = r.nextState;
-        out.terminals[i] = r.terminated ? 1 : 0;
+        out.terminals[i] = static_cast<std::uint8_t>(r.terminated);
         state = r.done() ? walker.reset(gen) : r.nextState;
     }
     rng = gen;

@@ -5,49 +5,84 @@
 
 namespace swiftrl::rlenv {
 
-StateId
-Taxi::encode(int row, int col, int passenger, int destination)
+namespace {
+
+/** Gym's rule for @p action from @p state. */
+constexpr Outcome
+taxiRule(StateId state, ActionId action)
 {
-    SWIFTRL_ASSERT(row >= 0 && row < kSide, "row out of range");
-    SWIFTRL_ASSERT(col >= 0 && col < kSide, "col out of range");
-    SWIFTRL_ASSERT(passenger >= 0 && passenger <= kInTaxi,
-                   "passenger index out of range");
-    SWIFTRL_ASSERT(destination >= 0 && destination < 4,
-                   "destination index out of range");
-    return static_cast<StateId>(
-        ((row * kSide + col) * 5 + passenger) * 4 + destination);
+    int row = 0, col = 0, passenger = 0, destination = 0;
+    Taxi::decode(state, row, col, passenger, destination);
+
+    Outcome out;
+    out.reward = -1.0f;
+
+    switch (action) {
+      case Taxi::South:
+        row = row < Taxi::kSide - 1 ? row + 1 : row;
+        break;
+      case Taxi::North:
+        row = row > 0 ? row - 1 : row;
+        break;
+      case Taxi::East:
+        if (!Taxi::eastBlocked(row, col))
+            col = col < Taxi::kSide - 1 ? col + 1 : col;
+        break;
+      case Taxi::West:
+        if (col > 0 && !Taxi::eastBlocked(row, col - 1))
+            col = col - 1;
+        break;
+      case Taxi::Pickup:
+        if (passenger < Taxi::kInTaxi &&
+            Taxi::kLandmarks[static_cast<std::size_t>(passenger)] ==
+                std::pair<int, int>{row, col}) {
+            passenger = Taxi::kInTaxi;
+        } else {
+            out.reward = -10.0f;
+        }
+        break;
+      case Taxi::Dropoff: {
+        const std::pair<int, int> here{row, col};
+        if (passenger == Taxi::kInTaxi &&
+            here ==
+                Taxi::kLandmarks[static_cast<std::size_t>(destination)]) {
+            passenger = destination;
+            out.reward = 20.0f;
+            out.terminated = true;
+        } else if (passenger == Taxi::kInTaxi) {
+            // Dropping at a wrong landmark strands the passenger
+            // there (regular -1); elsewhere it is illegal (-10).
+            bool at_landmark = false;
+            for (std::size_t i = 0; i < Taxi::kLandmarks.size(); ++i) {
+                if (Taxi::kLandmarks[i] == here) {
+                    passenger = static_cast<int>(i);
+                    at_landmark = true;
+                    break;
+                }
+            }
+            if (!at_landmark)
+                out.reward = -10.0f;
+        } else {
+            out.reward = -10.0f;
+        }
+        break;
+      }
+      default:
+        SWIFTRL_PANIC("unhandled taxi action ", action);
+    }
+    out.nextState = Taxi::encode(row, col, passenger, destination);
+    return out;
 }
 
-void
-Taxi::decode(StateId state, int &row, int &col, int &passenger,
-             int &destination)
-{
-    SWIFTRL_ASSERT(state >= 0 && state < kStates,
-                   "state ", state, " out of range");
-    destination = state % 4;
-    state /= 4;
-    passenger = state % 5;
-    state /= 5;
-    col = state % kSide;
-    row = state / kSide;
-}
+constexpr auto kOutcomes =
+    compileOutcomes<Taxi::kStates, Taxi::kActions>(taxiRule);
 
-bool
-Taxi::eastBlocked(int row, int col)
+} // namespace
+
+const Outcome &
+Taxi::outcome(StateId state, ActionId action)
 {
-    // Walls of the Gym map:
-    //   +---------+
-    //   |R: | : :G|
-    //   | : | : : |
-    //   | : : : : |
-    //   | | : | : |
-    //   |Y| : |B: |
-    //   +---------+
-    if ((row == 0 || row == 1) && col == 1)
-        return true;
-    if ((row == 3 || row == 4) && (col == 0 || col == 2))
-        return true;
-    return false;
+    return kOutcomes[static_cast<std::size_t>(state * kActions + action)];
 }
 
 StateId
@@ -76,71 +111,9 @@ Taxi::step(ActionId action, common::XorShift128 &rng)
     SWIFTRL_ASSERT(action >= 0 && action < kActions,
                    "invalid action ", action);
 
-    int row, col, passenger, destination;
-    decode(_state, row, col, passenger, destination);
-
-    StepResult result;
-    result.reward = -1.0f;
-
-    switch (action) {
-      case South:
-        row = row < kSide - 1 ? row + 1 : row;
-        break;
-      case North:
-        row = row > 0 ? row - 1 : row;
-        break;
-      case East:
-        if (!eastBlocked(row, col))
-            col = col < kSide - 1 ? col + 1 : col;
-        break;
-      case West:
-        if (col > 0 && !eastBlocked(row, col - 1))
-            col = col - 1;
-        break;
-      case Pickup:
-        if (passenger < kInTaxi &&
-            kLandmarks[static_cast<std::size_t>(passenger)] ==
-                std::pair<int, int>{row, col}) {
-            passenger = kInTaxi;
-        } else {
-            result.reward = -10.0f;
-        }
-        break;
-      case Dropoff: {
-        const std::pair<int, int> here{row, col};
-        if (passenger == kInTaxi &&
-            here ==
-                kLandmarks[static_cast<std::size_t>(destination)]) {
-            passenger = destination;
-            result.reward = 20.0f;
-            result.terminated = true;
-        } else if (passenger == kInTaxi) {
-            // Dropping at a wrong landmark strands the passenger
-            // there (regular -1); elsewhere it is illegal (-10).
-            bool at_landmark = false;
-            for (std::size_t i = 0; i < kLandmarks.size(); ++i) {
-                if (kLandmarks[i] == here) {
-                    passenger = static_cast<int>(i);
-                    at_landmark = true;
-                    break;
-                }
-            }
-            if (!at_landmark)
-                result.reward = -10.0f;
-        } else {
-            result.reward = -10.0f;
-        }
-        break;
-      }
-      default:
-        SWIFTRL_PANIC("unhandled taxi action ", action);
-    }
-
-    _state = encode(row, col, passenger, destination);
-    ++_steps;
-    result.nextState = _state;
-    result.truncated =
-        !result.terminated && _steps >= maxEpisodeSteps();
+    const Outcome &o = outcome(_state, action);
+    _state = o.nextState;
+    const StepResult result = outcomeStep(o, ++_steps, maxEpisodeSteps());
     _episodeDone = result.done();
     return result;
 }

@@ -16,6 +16,7 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.hh"
 #include "rlenv/environment.hh"
 
 namespace swiftrl::rlenv {
@@ -47,12 +48,33 @@ class Taxi final : public RolloutEnvironment<Taxi>
     StateId currentState() const override { return _state; }
 
     /** Pack (row, col, passenger, destination) into a state id. */
-    static StateId encode(int row, int col, int passenger,
-                          int destination);
+    static constexpr StateId
+    encode(int row, int col, int passenger, int destination)
+    {
+        SWIFTRL_ASSERT(row >= 0 && row < kSide, "row out of range");
+        SWIFTRL_ASSERT(col >= 0 && col < kSide, "col out of range");
+        SWIFTRL_ASSERT(passenger >= 0 && passenger <= kInTaxi,
+                       "passenger index out of range");
+        SWIFTRL_ASSERT(destination >= 0 && destination < 4,
+                       "destination index out of range");
+        return static_cast<StateId>(
+            ((row * kSide + col) * 5 + passenger) * 4 + destination);
+    }
 
     /** Unpack a state id; inverse of encode. */
-    static void decode(StateId state, int &row, int &col,
-                       int &passenger, int &destination);
+    static constexpr void
+    decode(StateId state, int &row, int &col, int &passenger,
+           int &destination)
+    {
+        SWIFTRL_ASSERT(state >= 0 && state < kStates,
+                       "state ", state, " out of range");
+        destination = state % 4;
+        state /= 4;
+        passenger = state % 5;
+        state /= 5;
+        col = state % kSide;
+        row = state / kSide;
+    }
 
     /** Landmark coordinates: R, G, Y, B. */
     static constexpr std::array<std::pair<int, int>, 4> kLandmarks = {{
@@ -60,7 +82,23 @@ class Taxi final : public RolloutEnvironment<Taxi>
     }};
 
     /** True when a wall blocks eastward motion out of (row, col). */
-    static bool eastBlocked(int row, int col);
+    static constexpr bool
+    eastBlocked(int row, int col)
+    {
+        // Walls of the Gym map:
+        //   +---------+
+        //   |R: | : :G|
+        //   | : | : : |
+        //   | : : : : |
+        //   | | : | : |
+        //   |Y| : |B: |
+        //   +---------+
+        if ((row == 0 || row == 1) && col == 1)
+            return true;
+        if ((row == 3 || row == 4) && (col == 0 || col == 2))
+            return true;
+        return false;
+    }
 
     /** Grid side length. */
     static constexpr int kSide = 5;
@@ -73,6 +111,12 @@ class Taxi final : public RolloutEnvironment<Taxi>
 
     /** Number of actions. */
     static constexpr ActionId kActions = 6;
+
+    /**
+     * Entry (@p state, @p action) of the dynamics table step() reads,
+     * compiled from Gym's rules. Both must be in range (unchecked).
+     */
+    static const Outcome &outcome(StateId state, ActionId action);
 
   private:
     StateId _state = 0;

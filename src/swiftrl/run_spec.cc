@@ -359,7 +359,7 @@ runSpecFromFlags(const common::CliFlags &flags,
     if (why.empty())
         why = runSpecInvalidReason(spec, KeySpelling::Flag);
     if (!why.empty())
-        SWIFTRL_FATAL(why);
+        SWIFTRL_USAGE_ERROR(why);
     return spec;
 }
 

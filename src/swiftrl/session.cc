@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -1067,7 +1069,7 @@ class ByteWriter
 class ByteReader
 {
   public:
-    ByteReader(const std::vector<std::uint8_t> &bytes,
+    ByteReader(std::span<const std::uint8_t> bytes,
                const std::string &path)
         : _bytes(bytes), _path(path)
     {
@@ -1108,7 +1110,7 @@ class ByteReader
     bool exhausted() const { return _pos == _bytes.size(); }
 
   private:
-    const std::vector<std::uint8_t> &_bytes;
+    std::span<const std::uint8_t> _bytes;
     const std::string &_path;
     std::size_t _pos = 0;
 };
@@ -1234,25 +1236,28 @@ tryLoadCheckpoint(const std::string &path, std::string *error)
             *error = std::move(reason);
         return std::nullopt;
     };
+    // One buffer of exactly the file's size (a regular file's: a
+    // directory or device has none to trust); the payload is read in
+    // place.
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
     std::ifstream in(path, std::ios::binary);
-    if (!in)
+    if (ec || !in)
         return fail("cannot open checkpoint " + path);
-    std::vector<std::uint8_t> file(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
     const std::size_t overhead =
         sizeof(kCheckpointMagic) + sizeof(std::uint64_t);
-    if (file.size() < overhead)
+    if (size < overhead)
         return fail("checkpoint " + path + " too short to be valid");
+    std::vector<std::uint8_t> file(size);
+    if (!in.read(reinterpret_cast<char *>(file.data()),
+                 static_cast<std::streamsize>(size)))
+        return fail("checkpoint " + path + " is unreadable");
     if (std::memcmp(file.data(), kCheckpointMagic,
                     sizeof(kCheckpointMagic)) != 0)
         return fail("checkpoint " + path + " has the wrong magic");
 
-    const std::size_t payload_size = file.size() - overhead;
-    std::vector<std::uint8_t> payload(
-        file.begin() + sizeof(kCheckpointMagic),
-        file.begin() + sizeof(kCheckpointMagic) +
-            static_cast<std::ptrdiff_t>(payload_size));
+    const std::span<const std::uint8_t> payload(
+        file.data() + sizeof(kCheckpointMagic), file.size() - overhead);
     std::uint64_t stored = 0;
     std::memcpy(&stored, file.data() + file.size() - sizeof(stored),
                 sizeof(stored));

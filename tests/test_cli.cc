@@ -227,6 +227,8 @@ TEST(SwiftrlCli, ToolIntegerFlagsAreUsageErrors)
         // Refused before any work: nothing was collected or trained.
         EXPECT_EQ(out.find("training"), std::string::npos) << out;
         EXPECT_EQ(out.find("streaming "), std::string::npos) << out;
+        // A usage error prints its reason, not a crash dump.
+        EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
     }
 }
 
@@ -247,6 +249,7 @@ TEST(SwiftrlCli, KernelThatCannotFitWramIsAUsageError)
         << out;
     EXPECT_EQ(out.find("exceeds the"), std::string::npos) << out;
     EXPECT_EQ(out.find("training"), std::string::npos) << out;
+    EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
 }
 
 TEST(SwiftrlCli, DatasetOfAnotherEnvironmentIsAUsageError)
@@ -276,6 +279,7 @@ TEST(SwiftrlCli, DatasetOfAnotherEnvironmentIsAUsageError)
               std::string::npos)
         << out;
     EXPECT_EQ(out.find("training"), std::string::npos) << out;
+    EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
 }
 
 } // namespace

@@ -149,6 +149,16 @@ TEST(LoggingDeath, FatalDumpsTheFlightRecorder)
                 "failure");
 }
 
+TEST(LoggingDeath, UsageErrorPrintsOnlyTheReason)
+{
+    // A usage error has no run to explain: one line, no flight
+    // recorder dump, even with a breadcrumb in the ring.
+    swiftrl::telemetry::tracer().note("usage breadcrumb");
+    EXPECT_EXIT(SWIFTRL_USAGE_ERROR("--flag: bad value ", 7),
+                ::testing::ExitedWithCode(1),
+                "^\\[[0-9.]+\\] fatal: --flag: bad value 7\n$");
+}
+
 TEST(LoggingDeath, PanicDumpsTheFlightRecorder)
 {
     swiftrl::telemetry::tracer().note("panic breadcrumb");
