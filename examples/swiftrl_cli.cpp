@@ -34,6 +34,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hh"
@@ -470,7 +471,11 @@ main(int argc, char **argv)
     rlcore::Dataset data;
     const auto load_path = flags.getString("load-dataset", "");
     if (!load_path.empty()) {
-        data = rlcore::loadDataset(load_path);
+        std::string error;
+        auto loaded = rlcore::tryLoadDataset(load_path, &error);
+        if (!loaded)
+            SWIFTRL_USAGE_ERROR("--load-dataset: ", error);
+        data = *std::move(loaded);
         if (const std::string misfit = rlcore::datasetMisfit(
                 data, env->numStates(), env->numActions());
             !misfit.empty()) {

@@ -33,14 +33,14 @@ rejectUnknownKeys(const json::JsonValue &object,
     for (const auto &[key, value] : object.members) {
         (void)value;
         if (!allowed.contains(key))
-            SWIFTRL_FATAL("fleet spec: unknown key \"", key, "\" in ",
+            SWIFTRL_USAGE_ERROR("fleet spec: unknown key \"", key, "\" in ",
                           where, " (see docs/SCHEDULER.md for the "
                           "schema)");
     }
 }
 
 /** Integer member @p key that fits T, or @p fallback when absent;
- *  fatal on a fractional or out-of-range value. */
+ *  a usage error on a fractional or out-of-range value. */
 template <std::integral T>
 T
 integerField(const json::JsonValue &object, const char *key,
@@ -48,7 +48,7 @@ integerField(const json::JsonValue &object, const char *key,
 {
     const auto v = object.integerOr<T>(key, fallback);
     if (!v)
-        SWIFTRL_FATAL("fleet spec: ", where, ".", key,
+        SWIFTRL_USAGE_ERROR("fleet spec: ", where, ".", key,
                       " must be an integer in [",
                       std::numeric_limits<T>::min(), ", ",
                       std::numeric_limits<T>::max(), "]");
@@ -62,7 +62,7 @@ positiveInt(const json::JsonValue &object, const char *key,
 {
     const T v = integerField<T>(object, key, fallback, where);
     if (v <= 0)
-        SWIFTRL_FATAL("fleet spec: ", where, ".", key,
+        SWIFTRL_USAGE_ERROR("fleet spec: ", where, ".", key,
                       " must be positive, got ", v);
     return v;
 }
@@ -83,25 +83,25 @@ parseJob(const json::JsonValue &j, std::size_t index,
     JobSpec spec;
     spec.id = j.stringOr("id", "");
     if (spec.id.empty())
-        SWIFTRL_FATAL("fleet spec: ", where, " needs a non-empty "
+        SWIFTRL_USAGE_ERROR("fleet spec: ", where, " needs a non-empty "
                       "\"id\"");
     spec.tenant = j.stringOr("tenant", "");
     if (spec.tenant.empty())
-        SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\" needs a "
+        SWIFTRL_USAGE_ERROR("fleet spec: job \"", spec.id, "\" needs a "
                       "non-empty \"tenant\"");
     spec.priority = integerField<int>(j, "priority", 0, where);
     spec.arrivalSec = j.numberOr("arrival_sec", 0.0);
     if (spec.arrivalSec < 0.0)
-        SWIFTRL_FATAL("fleet spec: job \"", spec.id,
+        SWIFTRL_USAGE_ERROR("fleet spec: job \"", spec.id,
                       "\" arrival_sec must be >= 0");
     spec.ranks = positiveInt<std::size_t>(j, "ranks", 1, where);
     spec.minRanks =
         integerField<std::size_t>(j, "min_ranks", 0, where);
     if (spec.minRanks > spec.ranks)
-        SWIFTRL_FATAL("fleet spec: job \"", spec.id,
+        SWIFTRL_USAGE_ERROR("fleet spec: job \"", spec.id,
                       "\" min_ranks must be in [0, ranks]");
     if (spec.ranks > fleet.totalRanks)
-        SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\" wants ",
+        SWIFTRL_USAGE_ERROR("fleet spec: job \"", spec.id, "\" wants ",
                       spec.ranks, " ranks but the fleet has ",
                       fleet.totalRanks);
 
@@ -113,7 +113,7 @@ parseJob(const json::JsonValue &j, std::size_t index,
     if (why.empty())
         why = runSpecInvalidReason(run);
     if (!why.empty())
-        SWIFTRL_FATAL("fleet spec: job \"", spec.id, "\": ", why);
+        SWIFTRL_USAGE_ERROR("fleet spec: job \"", spec.id, "\": ", why);
     const SessionConfig session = run.toSessionConfig();
     spec.env = run.env;
     spec.workload = session.workload;
@@ -144,9 +144,9 @@ parseFleetSpec(const std::string &json_text)
     std::string error;
     const auto doc = json::parseJson(json_text, &error);
     if (!doc)
-        SWIFTRL_FATAL("fleet spec: malformed JSON (", error, ")");
+        SWIFTRL_USAGE_ERROR("fleet spec: malformed JSON (", error, ")");
     if (!doc->isObject())
-        SWIFTRL_FATAL("fleet spec: the document must be an object");
+        SWIFTRL_USAGE_ERROR("fleet spec: the document must be an object");
     static const std::set<std::string> kTopKeys = {"fleet", "tenants",
                                                   "jobs"};
     rejectUnknownKeys(*doc, kTopKeys, "the top-level object");
@@ -154,7 +154,7 @@ parseFleetSpec(const std::string &json_text)
     FleetSpec spec;
     if (const auto *fleet = doc->find("fleet")) {
         if (!fleet->isObject())
-            SWIFTRL_FATAL("fleet spec: \"fleet\" must be an object");
+            SWIFTRL_USAGE_ERROR("fleet spec: \"fleet\" must be an object");
         static const std::set<std::string> kFleetKeys = {
             "ranks", "dpus_per_rank", "quantum_rounds"};
         rejectUnknownKeys(*fleet, kFleetKeys, "\"fleet\"");
@@ -168,11 +168,11 @@ parseFleetSpec(const std::string &json_text)
 
     if (const auto *tenants = doc->find("tenants")) {
         if (!tenants->isObject())
-            SWIFTRL_FATAL("fleet spec: \"tenants\" must map tenant "
+            SWIFTRL_USAGE_ERROR("fleet spec: \"tenants\" must map tenant "
                           "names to fair-share weights");
         for (const auto &[name, weight] : tenants->members) {
             if (!weight.isNumber() || !(weight.number > 0.0))
-                SWIFTRL_FATAL("fleet spec: tenant \"", name,
+                SWIFTRL_USAGE_ERROR("fleet spec: tenant \"", name,
                               "\" weight must be a positive number");
             spec.config.tenantWeights.emplace_back(name,
                                                    weight.number);
@@ -181,17 +181,17 @@ parseFleetSpec(const std::string &json_text)
 
     const auto *jobs = doc->find("jobs");
     if (!jobs || !jobs->isArray() || jobs->elements.empty())
-        SWIFTRL_FATAL("fleet spec: \"jobs\" must be a non-empty "
+        SWIFTRL_USAGE_ERROR("fleet spec: \"jobs\" must be a non-empty "
                       "array");
     std::set<std::string> seen_ids;
     for (std::size_t i = 0; i < jobs->elements.size(); ++i) {
         const auto &element = jobs->elements[i];
         if (!element.isObject())
-            SWIFTRL_FATAL("fleet spec: jobs[", i,
+            SWIFTRL_USAGE_ERROR("fleet spec: jobs[", i,
                           "] must be an object");
         JobSpec job = parseJob(element, i, spec.config);
         if (!seen_ids.insert(job.id).second)
-            SWIFTRL_FATAL("fleet spec: duplicate job id \"", job.id,
+            SWIFTRL_USAGE_ERROR("fleet spec: duplicate job id \"", job.id,
                           "\"");
         spec.jobs.push_back(std::move(job));
     }
@@ -203,7 +203,7 @@ loadFleetSpec(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        SWIFTRL_FATAL("cannot open fleet spec ", path);
+        SWIFTRL_USAGE_ERROR("cannot open fleet spec ", path);
     std::ostringstream text;
     text << in.rdbuf();
     return parseFleetSpec(text.str());

@@ -159,15 +159,16 @@ struct FleetSpec
 
 /**
  * Parse the operator JSON document (schema in docs/SCHEDULER.md).
- * Fatal on malformed JSON, unknown keys, duplicate job ids, or
- * out-of-range values — the operator surface fails loudly. Each job's
+ * A usage error (one line, exit 1, SWIFTRL_USAGE_ERROR) on malformed
+ * JSON, unknown keys, duplicate job ids, or out-of-range values — the
+ * operator surface fails loudly. Each job's
  * run spec is checked here (runSpecInvalidReason: the environment
  * resolves, the session rules hold), so a bad job fails, naming its
  * id, before the scheduler runs any other.
  */
 FleetSpec parseFleetSpec(const std::string &json_text);
 
-/** Read @p path and parse it; fatal on I/O failure. */
+/** Read @p path and parse it; a usage error when it cannot be read. */
 FleetSpec loadFleetSpec(const std::string &path);
 
 } // namespace fleet

@@ -12,10 +12,8 @@ BatchKernelContext::BatchKernelContext(std::span<Dpu *const> dpus,
 {
     SWIFTRL_ASSERT(!_dpus.empty(),
                    "a batch cohort needs at least one lane");
-    for (Dpu *dpu : _dpus) {
-        _contexts.emplace_back(*dpu, model, wram_capacity,
-                               &this->scratch());
-    }
+    for (Dpu *dpu : _dpus)
+        _contexts.emplace_back(*dpu, model, wram_capacity);
 }
 
 KernelScratch &

@@ -1,28 +1,24 @@
 /**
  * @file
  * Execution context for a *cohort* of simulated PIM cores running the
- * same kernel in lockstep.
+ * same kernel, the context CommandStream::launchBatch hands a batch
+ * kernel once per cohort chunk.
  *
- * CommandStream::launch hands each kernel instance its own
- * KernelContext and interprets the kernel once per core — host cost
- * scales with `cores x ops` even though every core executes the
- * identical instruction stream. A BatchKernelContext instead owns one
- * KernelContext per *lane* (one lane per live core of the cohort) plus
- * a shared scratch arena, so a batch kernel can lay its per-lane state
- * out struct-of-arrays and retire one op-class step for the whole
- * cohort per host instruction (see swiftrl::runTrainingKernelBatch and
- * docs/PERFORMANCE.md §batch interpreter).
+ * A BatchKernelContext owns one KernelContext — the charge ledger —
+ * per *lane* (one lane per live core of the chunk) plus a shared
+ * scratch arena. The kernel runs each core's program functionally on
+ * host memory and routes every modelled cost of a lane (op charges,
+ * DMA, WRAM accounting, LCG seeding) through that lane's ledger, so
+ * the per-core cycles, op counts and DMA bytes are exactly those of
+ * the DPU program on that core; how the kernel schedules the lanes on
+ * the host (see swiftrl::runTrainingKernelBatch and
+ * docs/PERFORMANCE.md §batch interpreter) moves no modelled number.
  *
- * The split of responsibilities mirrors the per-core path: this
- * class is pure pimsim machinery — lane bookkeeping, per-lane
- * charging via the real KernelContext (so ChargePolicy, WRAM
- * accounting, DMA padding and the fault-site numbering all stay
- * byte-for-byte identical to per-core execution) — while the SoA
- * views over Q-slices, transition chunks and LCG streams are built on
- * top by the swiftrl-layer batch kernel. Charges committed through a
- * lane context are indistinguishable from a per-core run of the same
- * kernel on that core: batch ≡ per-core oracle bit-identity is a
- * tested invariant (tests/test_batch_context.cc).
+ * This class is pure pimsim machinery — lane bookkeeping and per-lane
+ * ledgers — while the views over Q-slices, transition chunks and LCG
+ * streams are built on top by the swiftrl-layer batch kernel. The
+ * batch kernel's lanes match a scalar per-core oracle that charges
+ * op by op (tests/test_batch_context.cc).
  *
  * A BatchKernelContext is confined to one host-pool worker (its
  * scratch arena is not thread-safe); CommandStream::launchBatch forms
@@ -69,10 +65,9 @@ class BatchKernelContext
     std::size_t lanes() const { return _dpus.size(); }
 
     /**
-     * The per-core context of lane @p i: the batch kernel routes
-     * every priced effect for that lane (bulk op charges, DMA, WRAM
-     * accounting, LCG seeding) through it, exactly as the scalar
-     * kernel instance would.
+     * The charge ledger of lane @p i: the batch kernel routes every
+     * priced effect for that lane (bulk op charges, DMA, WRAM
+     * accounting, LCG seeding) through it.
      */
     KernelContext &lane(std::size_t i) { return _contexts[i]; }
 
@@ -105,11 +100,12 @@ class BatchKernelContext
 };
 
 /**
- * A batch kernel is executed once per cohort chunk. Like KernelFn
- * instances, concurrent invocations must confine their effects to the
- * chunk's own lanes (and host buffers indexed by dpuId).
+ * A batch kernel is executed once per cohort chunk. The engine may run
+ * chunks on a host thread pool, so concurrent invocations must confine
+ * their effects to the chunk's own lanes (and host buffers indexed by
+ * dpuId).
  */
-using BatchKernelFn = std::function<void(BatchKernelContext &)>;
+using BatchKernel = std::function<void(BatchKernelContext &)>;
 
 } // namespace swiftrl::pimsim
 

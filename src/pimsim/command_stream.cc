@@ -403,10 +403,11 @@ CommandStream::finishLaunch(TimeBucket bucket, std::string_view label)
 }
 
 CommandStatus
-CommandStream::launch(const KernelFn &kernel, unsigned tasklets,
-                      TimeBucket bucket, std::string_view label)
+CommandStream::launchBatch(const BatchKernel &kernel,
+                           unsigned tasklets, TimeBucket bucket,
+                           std::string_view label)
 {
-    SWIFTRL_ASSERT(kernel, "launch of an empty kernel");
+    SWIFTRL_ASSERT(kernel, "launch of an empty batch kernel");
     SWIFTRL_ASSERT(tasklets >= 1 && tasklets <= 24,
                    "UPMEM DPUs support 1-24 tasklets, got ",
                    tasklets);
@@ -425,58 +426,9 @@ CommandStream::launch(const KernelFn &kernel, unsigned tasklets,
     auto &dpus = _system._dpus;
     const std::size_t n = dpus.size();
     _effective.assign(n, 0);
-    // Functional execution across the host pool: one item per core,
-    // each touching only its own Dpu, its host worker's reusable
-    // context + scratch arena, and its _effective[] slot. Dropped
-    // cores run nothing and stay at their last clock.
-    _system._pool->parallelFor(n, [&](std::size_t i,
-                                      unsigned worker) {
-        if (_dead[i])
-            return;
-        LaunchWorker &w = launchWorker(worker);
-        w.scratch.reset();
-        if (w.ctx)
-            w.ctx->rebind(dpus[i]);
-        else
-            w.ctx = std::make_unique<KernelContext>(
-                dpus[i], config.costModel, config.wramBytesPerDpu,
-                &w.scratch);
-        kernel(*w.ctx);
-        // Commit the kernel's ledger to its Dpu while still on the
-        // worker (per-core counters, so this is race-free).
-        w.ctx->flush();
-        _effective[i] = w.ctx->cycles() / speedup;
-    });
-    return finishLaunch(bucket, label);
-}
 
-CommandStatus
-CommandStream::launchBatch(const BatchKernelFn &kernel,
-                           unsigned tasklets, TimeBucket bucket,
-                           std::string_view label)
-{
-    SWIFTRL_ASSERT(kernel, "launch of an empty batch kernel");
-    SWIFTRL_ASSERT(tasklets >= 1 && tasklets <= 24,
-                   "UPMEM DPUs support 1-24 tasklets, got ",
-                   tasklets);
-    const auto &config = _system.config();
-
-    // Same fault site as a scalar launch would consume, same
-    // semantics: the site numbering of a run cannot depend on which
-    // interpreter executes it.
-    if (auto faulted = launchFaultCheck())
-        return *faulted;
-
-    const Cycles speedup = std::min<Cycles>(
-        tasklets, config.costModel.pipelineInterval);
-
-    auto &dpus = _system._dpus;
-    const std::size_t n = dpus.size();
-    _effective.assign(n, 0);
-
-    // Cohort = live cores in ascending id order; dead lanes are
-    // excluded here, the batch-kernel equivalent of launch()'s
-    // per-core _dead check.
+    // Cohort = live cores in ascending id order: dead cores run
+    // nothing and stay at their last clock.
     std::vector<std::size_t> &cohort = _cohortScratch;
     cohort.clear();
     for (std::size_t i = 0; i < n; ++i) {

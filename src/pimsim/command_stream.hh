@@ -12,9 +12,10 @@
  *
  * Inside the engine, the functional work of a kernel launch and of a
  * chunk scatter runs on the owning PimSystem's host thread pool — one
- * work item per DPU instance, which is safe because a kernel instance
- * touches only its own core's MRAM bank, WRAM accounting, and cycle
- * clock, and a scatter lane only its own core's bank.
+ * work item per cohort chunk of a launch and per core of a scatter,
+ * which is safe because a kernel lane touches only its own core's
+ * MRAM bank, charge ledger and cycle clock, and a scatter lane only
+ * its own core's bank.
  * Determinism guarantee: Q-tables, cycle counts, and modelled seconds
  * are bit-identical for any pool size, including 1, because work
  * items are index-pure and every reduction (slowest-core max, cycle
@@ -56,7 +57,6 @@
 
 #include "pimsim/batch_context.hh"
 #include "pimsim/fault_plan.hh"
-#include "pimsim/kernel_context.hh"
 #include "pimsim/kernel_scratch.hh"
 #include "pimsim/timeline.hh"
 
@@ -215,15 +215,23 @@ class CommandStream
                        std::string_view label = "gather(timed)");
 
     /**
-     * Run @p kernel once per core (functionally on the host pool;
-     * temporally in parallel on the modelled machine, so the command
-     * lasts as long as the slowest core plus launch overhead).
+     * Kernel launch: form the live cores into cohort chunks
+     * (CPU-count-aware: at most ~4 chunks per host thread, clamped to
+     * the cohort size) and run @p kernel once per chunk on the host
+     * pool, handing it a BatchKernelContext over that chunk's lanes.
+     * Temporally the cores run in parallel on the modelled machine,
+     * so the command lasts as long as the slowest core plus launch
+     * overhead. Per-core cycles are committed and the slowest core
+     * reduced serially in core order after the pool joins, so every
+     * modelled number is the same for any pool size and any chunking
+     * (see docs/PERFORMANCE.md).
      *
      * A fault site. A transient fault or permanent dropout abandons
      * the launch before *any* core commits work (no MRAM writes, no
      * cycle advance), charges the detection cost to the Recovery
-     * track, and returns the error; dropped-out cores are marked dead
-     * on this stream and skipped from then on.
+     * track, and returns the error; a dropout outranks a transient
+     * fault at the same site. Dropped-out cores are marked dead on
+     * this stream and left out of every later cohort.
      *
      * @param tasklets resident hardware threads per core. The DPU
      *        pipeline issues one instruction per cycle round-robin
@@ -233,26 +241,7 @@ class CommandStream
      *        pipelineInterval). The kernel splits its work across
      *        tasklets (see swiftrl::KernelParams::tasklets).
      */
-    CommandStatus launch(const KernelFn &kernel, unsigned tasklets = 1,
-                         TimeBucket bucket = TimeBucket::Kernel,
-                         std::string_view label = "kernel");
-
-    /**
-     * Batch-interpreted launch: form the live cores into cohort
-     * chunks (CPU-count-aware: at most ~4 chunks per host thread,
-     * clamped to the cohort size) and run @p kernel once per chunk on
-     * the host pool, handing it a BatchKernelContext over that
-     * chunk's lanes. Everything observable — fault-site numbering,
-     * dead-core masking, per-core cycle commits, the slowest-core
-     * reduce, the timeline event, LaunchStats — matches launch() of
-     * an equivalent scalar kernel bit for bit; only the host-side
-     * execution strategy differs. See docs/PERFORMANCE.md.
-     *
-     * A fault site, with exactly launch()'s semantics: one site per
-     * launch, dropouts outrank transient faults, a faulted launch is
-     * abandoned before any lane commits work.
-     */
-    CommandStatus launchBatch(const BatchKernelFn &kernel,
+    CommandStatus launchBatch(const BatchKernel &kernel,
                               unsigned tasklets = 1,
                               TimeBucket bucket = TimeBucket::Kernel,
                               std::string_view label = "kernel");
@@ -424,31 +413,29 @@ class CommandStream
     double checksumSeconds(std::size_t bytes) const;
 
     /**
-     * Shared fault block of launch()/launchBatch(): consume one
-     * fault site while the plan is active and, if the launch is
-     * fated, mark dropouts dead, charge the detection cost, and
-     * return the error status. nullopt = proceed with the launch.
+     * The fault block of launchBatch(): consume one fault site while
+     * the plan is active and, if the launch is fated, mark dropouts
+     * dead, charge the detection cost, and return the error status.
+     * nullopt = proceed with the launch.
      */
     std::optional<CommandStatus> launchFaultCheck();
 
     /**
-     * Shared tail of launch()/launchBatch(): commit per-core clocks
-     * from _effective serially in core order, reduce the slowest
-     * core, record the timeline event, and notify the observer.
+     * The tail of launchBatch(): commit per-core clocks from
+     * _effective serially in core order, reduce the slowest core,
+     * record the timeline event, and notify the observer.
      */
     CommandStatus finishLaunch(TimeBucket bucket,
                                std::string_view label);
 
     /**
      * Per-host-worker launch state, reused across launches: the
-     * staging arena (reset per kernel instance) and a rebindable
-     * KernelContext, so steady-state launches construct nothing.
-     * Heap-allocated individually so workers never false-share.
+     * staging arena, reset per cohort chunk. Heap-allocated
+     * individually so workers never false-share.
      */
     struct LaunchWorker
     {
         KernelScratch scratch;
-        std::unique_ptr<KernelContext> ctx;
     };
 
     /** The launch worker for host-pool worker @p worker (lazy). */

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -25,14 +27,13 @@ writeAll(std::ofstream &out, const void *bytes, std::size_t length,
         SWIFTRL_FATAL("write to '", path, "' failed");
 }
 
-void
-readAll(std::ifstream &in, void *bytes, std::size_t length,
-        const std::string &path)
+/** Read exactly @p length bytes; false when the file ran short. */
+bool
+readExact(std::ifstream &in, void *bytes, std::size_t length)
 {
     in.read(static_cast<char *>(bytes),
             static_cast<std::streamsize>(length));
-    if (!in || in.gcount() != static_cast<std::streamsize>(length))
-        SWIFTRL_FATAL("'", path, "' is truncated or unreadable");
+    return bool(in) && in.gcount() == static_cast<std::streamsize>(length);
 }
 
 /**
@@ -86,38 +87,47 @@ saveDataset(const Dataset &data, const std::string &path)
     writeAll(out, &checksum, sizeof(checksum), path);
 }
 
-Dataset
-loadDataset(const std::string &path)
+std::optional<Dataset>
+tryLoadDataset(const std::string &path, std::string *error)
 {
+    const auto fail = [&](std::string reason) {
+        if (error)
+            *error = std::move(reason);
+        return std::nullopt;
+    };
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        SWIFTRL_FATAL("cannot open '", path, "' for reading");
+        return fail("cannot open '" + path + "' for reading");
 
     char magic[8];
-    readAll(in, magic, sizeof(magic), path);
-    if (std::memcmp(magic, kDatasetMagic, sizeof(magic)) != 0)
-        SWIFTRL_FATAL("'", path, "' is not a SwiftRL dataset file");
-
     std::uint64_t count = 0;
-    readAll(in, &count, sizeof(count), path);
-    // The records and the checksum must fit in what is left of the
+    if (!readExact(in, magic, sizeof(magic)))
+        return fail("'" + path + "' is truncated or unreadable");
+    if (std::memcmp(magic, kDatasetMagic, sizeof(magic)) != 0)
+        return fail("'" + path + "' is not a SwiftRL dataset file");
+    if (!readExact(in, &count, sizeof(count)))
+        return fail("'" + path + "' is truncated or unreadable");
+    // The records and the checksum must fill what is left of the
     // file; dividing, not multiplying, keeps a huge count from wrapping.
     const std::uint64_t left = remainingBytes(in);
     if (left < sizeof(std::uint64_t) ||
         count > (left - sizeof(std::uint64_t)) / sizeof(PackedTransition))
-        SWIFTRL_FATAL("'", path, "' declares ", count,
-                      " records but holds only ", left,
-                      " more bytes; the file is truncated or corrupt");
+        return fail("'" + path + "' declares " + std::to_string(count) +
+                    " records but holds only " + std::to_string(left) +
+                    " more bytes; the file is truncated or corrupt");
+    if (left != count * sizeof(PackedTransition) + sizeof(std::uint64_t))
+        return fail("'" + path + "' holds " + std::to_string(left) +
+                    " bytes past its header for " + std::to_string(count) +
+                    " records; the file is corrupt");
 
-    std::vector<std::uint8_t> payload(
-        count * sizeof(PackedTransition));
-    readAll(in, payload.data(), payload.size(), path);
-
+    std::vector<std::uint8_t> payload(count * sizeof(PackedTransition));
     std::uint64_t checksum = 0;
-    readAll(in, &checksum, sizeof(checksum), path);
+    if (!readExact(in, payload.data(), payload.size()) ||
+        !readExact(in, &checksum, sizeof(checksum)))
+        return fail("'" + path + "' is truncated or unreadable");
     if (checksum != fnv1a(payload.data(), payload.size()))
-        SWIFTRL_FATAL("'", path, "' failed its checksum; the file is "
-                      "corrupt");
+        return fail("'" + path + "' failed its checksum; the file is "
+                    "corrupt");
 
     // Straight into the columns, sized once: no per-record push_back.
     Dataset data;
@@ -135,6 +145,16 @@ loadDataset(const std::string &path)
         columns.terminals[i] = t.terminal ? 1 : 0;
     }
     return data;
+}
+
+Dataset
+loadDataset(const std::string &path)
+{
+    std::string error;
+    auto data = tryLoadDataset(path, &error);
+    if (!data)
+        SWIFTRL_FATAL(error);
+    return *std::move(data);
 }
 
 bool
@@ -184,13 +204,6 @@ tryLoadQTable(const std::string &path, std::string *error)
         if (error)
             *error = std::move(reason);
         return std::nullopt;
-    };
-    const auto readExact = [](std::ifstream &in, void *bytes,
-                              std::size_t length) {
-        in.read(static_cast<char *>(bytes),
-                static_cast<std::streamsize>(length));
-        return bool(in) &&
-               in.gcount() == static_cast<std::streamsize>(length);
     };
 
     std::ifstream in(path, std::ios::binary);

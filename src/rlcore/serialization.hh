@@ -12,9 +12,10 @@
  *   q-table: magic "SWRLQT01" | i32 states | i32 actions |
  *            states*actions x f32 | u64 FNV-1a checksum
  *
- * All loads validate magic, length, and checksum and are fatal on
+ * All loads validate magic, length, and checksum and never accept a
  * mismatch (a corrupt dataset silently training a wrong policy is
- * the worst failure mode).
+ * the worst failure mode): the try* loaders return the reason, the
+ * others are fatal with it.
  */
 
 #ifndef SWIFTRL_RLCORE_SERIALIZATION_HH
@@ -33,6 +34,14 @@ void saveDataset(const Dataset &data, const std::string &path);
 
 /** Read a dataset; fatal on I/O failure or corruption. */
 Dataset loadDataset(const std::string &path);
+
+/**
+ * Non-fatal loadDataset: nullopt on failure with the reason in
+ * @p error (when non-null). Nothing is sized by the file's record
+ * count before the count is checked against the file's length.
+ */
+std::optional<Dataset> tryLoadDataset(const std::string &path,
+                                      std::string *error);
 
 /** Write @p q to @p path; fatal on I/O failure. */
 void saveQTable(const QTable &q, const std::string &path);

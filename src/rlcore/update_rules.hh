@@ -8,8 +8,9 @@
  *
  *  - HostOps (below): computes at native speed, charges nothing —
  *    the CPU reference implementation;
- *  - pimsim::KernelContext: computes the *identical* values while
- *    advancing the simulated DPU's cycle clock per the cost model.
+ *  - swiftrl::PricedOps: computes the *identical* values (through
+ *    HostOps) while charging each op's class to the simulated DPU's
+ *    charge ledger.
  *
  * Because both providers execute the same expression tree in the same
  * order (including the LCG random streams), a single-core PIM run is
@@ -31,8 +32,8 @@
 namespace swiftrl::rlcore {
 
 /**
- * Cost-free arithmetic provider for host-side reference training.
- * Mirrors the functional semantics of pimsim::KernelContext exactly
+ * Cost-free arithmetic provider for host-side reference training, and
+ * the functional half of swiftrl::PricedOps, which computes through it
  * (including wrap-around integer casts and the LCG bounded-draw
  * reduction).
  */

@@ -15,6 +15,7 @@
 #include "rlcore/dataset.hh"
 #include "rlcore/sampling.hh"
 #include "rlcore/update_rules.hh"
+#include "swiftrl/priced_ops.hh"
 
 namespace swiftrl {
 
@@ -109,10 +110,10 @@ using ShapeProfile = std::array<std::uint64_t, pimsim::kNumOpClasses>;
 
 /**
  * Functional ops provider for batch lanes: computes like HostOps —
- * bit-identical to KernelContext by construction — while recording the
+ * bit-identical to PricedOps by construction — while recording the
  * LCG draws of the last SARSA update (to classify its shape) and
- * replicating KernelContext's operand-range assertions, so a batch run
- * dies on exactly the inputs a scalar run would (e.g. INT8 range
+ * replicating PricedOps's operand-range assertions, so a batch run
+ * dies on exactly the inputs the DPU program would (e.g. INT8 range
  * violations). The lanes' functional update rules below run through
  * it.
  */
@@ -214,7 +215,7 @@ struct LaneOpsFastDiv : LaneOps
 //
 // The priced templates in rlcore/update_rules.hh branch on the
 // terminal flag and in max / argmax, because that control flow is what
-// KernelContext charges for. The lanes retire charges from shape
+// PricedOps charges for. The lanes retire charges from shape
 // tallies instead (calibrateShapes keeps running the priced templates),
 // so their updates only have to produce the same bits. They always
 // scan a row — the next state's, or a row of zeros for a terminal
@@ -318,108 +319,40 @@ sarsaBootstrap(LaneOps &o, const QWord *q,
     return row_n[static_cast<std::size_t>(a2)];
 }
 
-/**
- * Counting ops provider used to calibrate shape profiles: records the
- * exact charge KernelContext makes for each priced helper (the
- * mapping below mirrors pimsim/kernel_context.hh line for line) while
- * computing functionally via HostOps. LCG draws return scripted
- * values so the probe can steer the SARSA epsilon branch.
- */
-class ShapeProbe
+/** Charge sink of shape calibration: op counts per class. */
+struct ShapeCounter
 {
-  public:
     ShapeProfile counts{};
 
     void
-    script(std::initializer_list<std::uint32_t> draws)
-    {
-        _scripted.assign(draws);
-        _at = 0;
-    }
-
-    float fadd(float a, float b) { add(Fp32Add); return _f.fadd(a, b); }
-    float fsub(float a, float b) { add(Fp32Add); return _f.fsub(a, b); }
-    float fmul(float a, float b) { add(Fp32Mul); return _f.fmul(a, b); }
-    bool fgt(float a, float b) { add(Fp32Cmp); return _f.fgt(a, b); }
-
-    std::int32_t
-    iadd(std::int32_t a, std::int32_t b)
-    {
-        add(IntAlu);
-        return _f.iadd(a, b);
-    }
-
-    std::int32_t
-    isub(std::int32_t a, std::int32_t b)
-    {
-        add(IntAlu);
-        return _f.isub(a, b);
-    }
-
-    std::int64_t
-    imul32(std::int32_t a, std::int32_t b)
-    {
-        add(Int32Mul);
-        return _f.imul32(a, b);
-    }
-
-    std::int32_t
-    rescale(std::int64_t value, std::int32_t scale)
-    {
-        add(Int32Mul);
-        add(IntAlu, 2);
-        return _f.rescale(value, scale);
-    }
-
-    std::int64_t
-    imulSmall(std::int32_t a, std::int32_t b)
-    {
-        add(Int8Mul, 2);
-        add(IntAlu, 2);
-        return _f.imulSmall(a, b);
-    }
-
-    std::int32_t
-    rescaleShift(std::int64_t value, int shift)
-    {
-        add(IntAlu);
-        return _f.rescaleShift(value, shift);
-    }
-
-    bool igt(std::int32_t a, std::int32_t b) { add(IntAlu); return _f.igt(a, b); }
-
-    float wramLoadF32(const float &slot) { add(WramAccess); return slot; }
-    void wramStoreF32(float &slot, float v) { add(WramAccess); slot = v; }
-    std::int32_t wramLoadI32(const std::int32_t &slot) { add(WramAccess); return slot; }
-    void wramStoreI32(std::int32_t &slot, std::int32_t v) { add(WramAccess); slot = v; }
-
-    void aluOps(std::uint64_t n) { add(IntAlu, n); }
-    void branch(std::uint64_t n = 1) { add(Branch, n); }
-
-    /** Scripted draw; charges exactly like the real helper. */
-    std::uint32_t
-    lcgNextBounded(std::uint32_t)
-    {
-        // lcgNext (Int32Mul + IntAlu) plus the high-bits reduction
-        // (Int32Mul + IntAlu).
-        add(Int32Mul, 2);
-        add(IntAlu, 2);
-        const std::uint32_t v =
-            _at < _scripted.size() ? _scripted[_at] : 0u;
-        ++_at;
-        return v;
-    }
-
-  private:
-    using enum pimsim::OpClass;
-
-    void
-    add(pimsim::OpClass op, std::uint64_t n = 1)
+    chargeBulk(pimsim::OpClass op, std::uint64_t n)
     {
         counts[static_cast<std::size_t>(op)] += n;
     }
+};
 
-    rlcore::HostOps _f;
+/**
+ * Priced ops over a ShapeCounter whose LCG draws return scripted
+ * values, so the probe can steer the SARSA epsilon branch. A draw
+ * charges exactly like the real one.
+ */
+class ShapeProbe : public PricedOps<ShapeCounter>
+{
+  public:
+    ShapeProbe(ShapeCounter &counter,
+               std::initializer_list<std::uint32_t> draws)
+        : PricedOps(counter), _scripted(draws)
+    {
+    }
+
+    std::uint32_t
+    lcgNextBounded(std::uint32_t bound)
+    {
+        PricedOps::lcgNextBounded(bound);
+        return _at < _scripted.size() ? _scripted[_at++] : 0u;
+    }
+
+  private:
     std::vector<std::uint32_t> _scripted;
     std::size_t _at = 0;
 };
@@ -482,8 +415,8 @@ calibrateShapes(const KernelParams &p)
 
     auto run = [&](std::size_t shape, bool terminal,
                    std::initializer_list<std::uint32_t> draws) {
-        ShapeProbe probe;
-        probe.script(draws);
+        ShapeCounter counter;
+        ShapeProbe probe(counter, draws);
         std::fill(table.begin(), table.end(), QWord{});
         RecordFields f;
         f.s = 0;
@@ -492,7 +425,7 @@ calibrateShapes(const KernelParams &p)
         f.s2 = terminal ? 0 : 1;
         f.terminal = terminal;
         priced(probe, table.data(), f);
-        out[shape] = probe.counts;
+        out[shape] = counter.counts;
     };
 
     run(kShapeTerminal, true, {});
@@ -734,11 +667,6 @@ trainInterleaved(pimsim::KernelContext &ctx, const KernelParams &p,
                               eps);
         }
     }
-    // The single-tasklet kernel seeds its one stream at entry; more
-    // tasklets swap theirs in per step (charged with the record).
-    if (t == 1)
-        ctx.lcgSeed(lcg[0]);
-
     for (std::uint64_t ep = 0; ep < eps; ++ep) {
         for (std::size_t k = 0; k < longest; ++k) {
             for (Tasklet<Ops> &tk : tasklets) {
@@ -765,42 +693,78 @@ trainInterleaved(pimsim::KernelContext &ctx, const KernelParams &p,
 }
 
 /**
+ * A lane's charges outside its update rules, made through PricedOps as
+ * the DPU program makes them (the parity tests against the oracle
+ * enforce the match):
+ *   per record:  aluOps(3) + branch   walker/loop bookkeeping
+ *                aluOps(4)            record WRAM reads (fetch tail)
+ *                aluOps(2)            decode: terminal-flag unmask
+ *                block mode: aluOps(2) buffer indexing, every fetch;
+ *                RAN: the sample's lcgNextBounded draw (its 16-byte
+ *                record DMA is charged by retireTally)
+ *                tasklets > 1: lcgSeed swapping in the step's stream
+ *                visit tracking: aluOps(2) counter increment
+ *   per episode: branch               the episode loop
+ *   per lane:    one tasklet: lcgSeed of its stream at entry
+ */
+struct FixedProfiles
+{
+    ShapeProfile record{};
+    ShapeProfile episode{};
+    ShapeProfile lane{};
+};
+
+FixedProfiles
+calibrateFixed(const KernelParams &p)
+{
+    const auto measure = [](auto &&charges) {
+        ShapeCounter counter;
+        PricedOps<ShapeCounter> o(counter);
+        charges(o);
+        return counter.counts;
+    };
+    FixedProfiles out;
+    out.record = measure([&p](auto &o) {
+        o.aluOps(3);
+        o.branch();
+        o.aluOps(4);
+        o.aluOps(2);
+        if (p.workload.sampling == rlcore::Sampling::Ran)
+            o.lcgNextBounded(1);
+        else
+            o.aluOps(2);
+        if (p.tasklets > 1)
+            o.lcgSeed(0);
+        if (p.trackVisits)
+            o.aluOps(2);
+    });
+    out.episode = measure([](auto &o) { o.branch(); });
+    if (p.tasklets == 1)
+        out.lane = measure([](auto &o) { o.lcgSeed(0); });
+    return out;
+}
+
+/**
  * Retire a lane's tallied charges: per-shape profiles times tallies,
- * plus the fixed per-record charges outside the update rule, mirrored
- * from the scalar kernel (the parity tests enforce the match):
- *   aluOps(3) + branch   walker/loop bookkeeping
- *   aluOps(4)            record WRAM reads (fetch tail)
- *   aluOps(2)            decode: terminal-flag unmask
- *   block mode: aluOps(2) buffer indexing, every fetch
- *   RAN: lcgNextBounded draw = Int32Mul x2 + IntAlu x2,
- *        plus one 16-byte record DMA
- *   tasklets > 1: lcgSeed (1 IntAlu) swapping in the step's stream
- *   visit tracking: aluOps(2) counter increment
- * Either sampling mode totals 11 IntAlu per record before the last
- * two. Episodes add one branch each (the episode-loop branch).
+ * plus the fixed profiles times the lane's records and episodes.
  */
 void
 retireTally(pimsim::KernelContext &ctx, const KernelParams &p,
             const std::array<ShapeProfile, kNumShapes> &shapes,
-            const Tally &tally)
+            const FixedProfiles &fixed, const Tally &tally)
 {
-    ShapeProfile total{};
+    ShapeProfile total = fixed.lane;
     std::uint64_t records = 0;
     for (std::size_t s = 0; s < kNumShapes; ++s) {
         records += tally[s];
         for (std::size_t c = 0; c < pimsim::kNumOpClasses; ++c)
             total[c] += shapes[s][c] * tally[s];
     }
-    using enum pimsim::OpClass;
-    const std::uint64_t alu = 11 + (p.tasklets > 1 ? 1 : 0) +
-                              (p.trackVisits ? 2 : 0);
-    total[static_cast<std::size_t>(IntAlu)] += alu * records;
-    total[static_cast<std::size_t>(Branch)] +=
-        records + static_cast<std::uint64_t>(p.episodes);
-    if (p.workload.sampling == rlcore::Sampling::Ran) {
-        total[static_cast<std::size_t>(Int32Mul)] += 2 * records;
+    const auto episodes = static_cast<std::uint64_t>(p.episodes);
+    for (std::size_t c = 0; c < pimsim::kNumOpClasses; ++c)
+        total[c] += fixed.record[c] * records + fixed.episode[c] * episodes;
+    if (p.workload.sampling == rlcore::Sampling::Ran)
         ctx.chargeDmaSpanBulk(kTransitionBytes, records);
-    }
     for (std::size_t c = 0; c < pimsim::kNumOpClasses; ++c) {
         if (total[c] != 0)
             ctx.chargeBulk(static_cast<pimsim::OpClass>(c), total[c]);
@@ -950,6 +914,7 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
                    "halo must directly follow the slice");
 
     std::optional<std::array<ShapeProfile, kNumShapes>> shapes;
+    const FixedProfiles fixed = calibrateFixed(p);
     const bool sarsa = p.workload.algo == rlcore::Algorithm::Sarsa;
     const bool hot_path = p.tasklets == 1 && !p.trackVisits;
     std::vector<std::uint32_t> order;
@@ -970,7 +935,7 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
         if (lane.records == 0)
             continue;
         pimsim::KernelContext &ctx = bctx.lane(i);
-        const std::size_t core = ctx.dpuId();
+        const std::size_t core = bctx.dpuId(i);
         const std::size_t n = lane.records;
         if (!shapes)
             shapes = calibrateShapes<QWord>(p);
@@ -1005,7 +970,6 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
         std::uint32_t *const lcg = p.lcgStates->data() + core * p.tasklets;
         Tally tally{};
         if (hot_path) {
-            ctx.lcgSeed(lcg[0]);
             Ops o;
             o.lcg.seed(lcg[0]);
             trainSingle<QWord>(ctx, p, sarsa, data, n, order, q, o, tally,
@@ -1015,7 +979,7 @@ trainBatch(pimsim::BatchKernelContext &bctx, const KernelParams &p,
             trainInterleaved<QWord>(ctx, p, data, n, lcg, order, tasklets,
                                     q, visits, tally, update);
         }
-        retireTally(ctx, p, *shapes, tally);
+        retireTally(ctx, p, *shapes, fixed, tally);
 
         // Writeback DMA: only the owned slice goes back (halo rows
         // are a stale read-only snapshot the host refreshes from the

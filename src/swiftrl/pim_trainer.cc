@@ -207,7 +207,7 @@ PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
     // synchronisation rounds (the aggregation step "would be
     // unnecessary in this setting", Sec. 3.2.1).
     params.episodes = _config.hyper.episodes;
-    const pimsim::BatchKernelFn kernel =
+    const pimsim::BatchKernel kernel =
         [&params](pimsim::BatchKernelContext &batch) {
             runTrainingKernelBatch(batch, params);
         };

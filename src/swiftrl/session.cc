@@ -208,7 +208,7 @@ TrainerSession::buildKernel()
     _params.haloOffset = _haloOffset;
     _params.haloRows = &_haloRows;
     // One kernel wrapper for every round and retry: the
-    // BatchKernelFn (a std::function) allocates, so it is built once
+    // BatchKernel (a std::function) allocates, so it is built once
     // and reused rather than reconstructed per launch. It reads the
     // episode count through _params at call time.
     _kernel = [this](pimsim::BatchKernelContext &batch) {
@@ -1066,6 +1066,12 @@ class ByteWriter
     std::vector<std::uint8_t> _bytes;
 };
 
+/**
+ * Reads checkpoint fields in order. A short field or array, or an enum
+ * byte past its last enumerator, is not fatal: the reader records the
+ * first such reason, every later read returns zeros, and the loader
+ * reports error() after the last field.
+ */
 class ByteReader
 {
   public:
@@ -1080,9 +1086,10 @@ class ByteReader
     get()
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        if (_pos + sizeof(T) > _bytes.size())
-            SWIFTRL_FATAL("checkpoint ", _path,
-                          " truncated mid-field");
+        if (sizeof(T) > remaining()) {
+            failWith("truncated mid-field");
+            return T{};
+        }
         T v;
         std::memcpy(&v, _bytes.data() + _pos, sizeof(T));
         _pos += sizeof(T);
@@ -1094,9 +1101,10 @@ class ByteReader
     getVector()
     {
         const auto count = get<std::uint64_t>();
-        if (count > (_bytes.size() - _pos) / sizeof(T))
-            SWIFTRL_FATAL("checkpoint ", _path,
-                          " truncated mid-array");
+        if (count > remaining() / sizeof(T)) {
+            failWith("truncated mid-array");
+            return {};
+        }
         std::vector<T> v(count);
         // An empty vector's data() may be null, which memcpy forbids
         // even for zero bytes.
@@ -1107,12 +1115,54 @@ class ByteReader
         return v;
     }
 
+    /** A one-byte enum field whose last enumerator is @p last. */
+    template <typename E>
+    E
+    getEnum(E last, const char *field)
+    {
+        const auto v = get<std::uint8_t>();
+        if (v > static_cast<std::uint8_t>(last)) {
+            failWith(std::string("has an out-of-range ") + field +
+                     " byte " + std::to_string(v));
+            return E{};
+        }
+        return static_cast<E>(v);
+    }
+
+    /**
+     * The element count of an array of arrays, each of which takes at
+     * least its own 8-byte count: a larger count cannot be in the file.
+     */
+    std::size_t
+    getNestedCount()
+    {
+        const auto count = get<std::uint32_t>();
+        if (count > remaining() / sizeof(std::uint64_t)) {
+            failWith("truncated mid-array");
+            return 0;
+        }
+        return count;
+    }
+
+    std::size_t remaining() const { return _bytes.size() - _pos; }
     bool exhausted() const { return _pos == _bytes.size(); }
 
+    /** The first read failure, or empty. */
+    const std::string &error() const { return _error; }
+
   private:
+    void
+    failWith(const std::string &reason)
+    {
+        if (_error.empty())
+            _error = "checkpoint " + _path + " " + reason;
+        _pos = _bytes.size();
+    }
+
     std::span<const std::uint8_t> _bytes;
     const std::string &_path;
     std::size_t _pos = 0;
+    std::string _error;
 };
 
 void
@@ -1276,17 +1326,15 @@ tryLoadCheckpoint(const std::string &path, std::string *error)
                     "; this build reads versions 1 and " +
                     std::to_string(SessionCheckpoint::kVersion));
 
-    // Past the checksum + version gate the payload is authentic;
-    // ByteReader's truncation checks stay fatal (they would indicate
-    // a writer bug, not a bad file).
+    // A checksum only proves the bytes are what some writer wrote: a
+    // short field, a short array or an out-of-range enum is still an
+    // error (ByteReader::error), never a fatal, whoever wrote it.
     SessionCheckpoint ck;
     ck.streaming = r.get<std::uint8_t>() != 0;
-    ck.workload.algo =
-        static_cast<rlcore::Algorithm>(r.get<std::uint8_t>());
-    ck.workload.sampling =
-        static_cast<rlcore::Sampling>(r.get<std::uint8_t>());
+    ck.workload.algo = r.getEnum(rlcore::Algorithm::Sarsa, "algo");
+    ck.workload.sampling = r.getEnum(rlcore::Sampling::Str, "sampling");
     ck.workload.format =
-        static_cast<rlcore::NumericFormat>(r.get<std::uint8_t>());
+        r.getEnum(rlcore::NumericFormat::Int8, "format");
     ck.hyper.alpha = r.get<float>();
     ck.hyper.gamma = r.get<float>();
     ck.hyper.episodes = r.get<std::int32_t>();
@@ -1327,14 +1375,16 @@ tryLoadCheckpoint(const std::string &path, std::string *error)
     ck.streamingPolicyRefreshes = r.get<std::int32_t>();
     ck.streamingCollectSeconds = r.get<double>();
     ck.streamingTrainEndTail = r.getVector<double>();
-    const auto tails = r.get<std::uint32_t>();
+    const std::size_t tails = r.getNestedCount();
     ck.streamingQAfterTail.resize(tails);
-    for (std::uint32_t i = 0; i < tails; ++i)
+    for (std::size_t i = 0; i < tails; ++i)
         ck.streamingQAfterTail[i] = r.getVector<float>();
     ck.streamingPolicyActive = r.get<std::uint8_t>() != 0;
     ck.streamingPolicyEpsilon = r.get<float>();
     ck.streamingPolicySource = r.getVector<float>();
 
+    if (!r.error().empty())
+        return fail(r.error());
     if (!r.exhausted())
         return fail("checkpoint " + path +
                     " carries trailing bytes (corrupt or from a "

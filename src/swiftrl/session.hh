@@ -642,7 +642,7 @@ class TrainerSession
     int _traceFaultsSeen = 0;
 
     KernelParams _params;
-    pimsim::BatchKernelFn _kernel;
+    pimsim::BatchKernel _kernel;
 };
 
 } // namespace swiftrl

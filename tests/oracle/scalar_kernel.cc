@@ -3,12 +3,12 @@
  * Test oracle: the scalar per-core training kernel.
  *
  * Interprets the kernel once per core, charging every priced op as it
- * executes through the core's KernelContext — the straightforward
- * reading of the DPU program. Production runs use the lockstep batch
- * interpreter (swiftrl::runTrainingKernelBatch); this oracle exists
- * so the tests can prove batch == scalar on Q-tables, cycles, op
- * counts, DMA bytes and LCG states, and so the charge-ledger test can
- * drive a real kernel through both ChargePolicy flavours.
+ * executes through the core's CoreOps — the straightforward reading of
+ * the DPU program. Production runs use the batch interpreter
+ * (swiftrl::runTrainingKernelBatch); this oracle exists so the tests
+ * can prove batch == scalar on Q-tables, cycles, op counts, DMA bytes
+ * and LCG states, and so the charge-ledger test can drive a real
+ * kernel through both the ledger and a write-through sink.
  */
 
 #include "oracle/scalar_kernel.hh"
@@ -17,6 +17,7 @@
 #include <bit>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -37,25 +38,21 @@ using rlcore::StateId;
  * records through a WRAM staging buffer (one DMA per block); RAN
  * kernels issue one small DMA per record, since consecutive draws land
  * in unrelated MRAM rows — the access pattern PIM tolerates and caches
- * do not. The staging buffer lives in the context's scratch arena, so
- * it is recycled across launches instead of heap-allocated per core
- * per generation.
+ * do not.
  */
-template <typename Ctx>
+template <typename Ops>
 class TransitionFetcher
 {
   public:
-    TransitionFetcher(Ctx &ctx, std::size_t data_offset,
+    TransitionFetcher(Ops &ctx, std::size_t data_offset,
                       std::size_t count, std::size_t block_transitions,
                       bool block_mode)
         : _ctx(ctx), _dataOffset(data_offset), _count(count),
           _blockTransitions(block_transitions), _blockMode(block_mode)
     {
         SWIFTRL_ASSERT(_blockTransitions > 0, "empty staging block");
-        if (_blockMode) {
-            _buffer = ctx.scratch().template alloc<PackedTransition>(
-                _blockTransitions);
-        }
+        if (_blockMode)
+            _buffer.resize(_blockTransitions);
     }
 
     /** Fetch record @p idx, charging its DMA and WRAM traffic. */
@@ -89,16 +86,16 @@ class TransitionFetcher
             idx / _blockTransitions * _blockTransitions;
         _blockLen = std::min(_blockTransitions, _count - start);
         _ctx.mramToWram(_dataOffset + start * kTransitionBytes,
-                        _buffer, _blockLen * kTransitionBytes);
+                        _buffer.data(), _blockLen * kTransitionBytes);
         _blockStart = start;
     }
 
-    Ctx &_ctx;
+    Ops &_ctx;
     std::size_t _dataOffset;
     std::size_t _count;
     std::size_t _blockTransitions;
     bool _blockMode;
-    PackedTransition *_buffer = nullptr;
+    std::vector<PackedTransition> _buffer;
     std::size_t _blockStart = std::numeric_limits<std::size_t>::max();
     std::size_t _blockLen = 0;
 };
@@ -113,9 +110,9 @@ struct RecordFields
     bool terminal;
 };
 
-template <typename Ctx>
+template <typename Ops>
 RecordFields
-decodeRecord(Ctx &ctx, const PackedTransition &rec)
+decodeRecord(Ops &ctx, const PackedTransition &rec)
 {
     RecordFields f;
     f.s = rec.state;
@@ -131,9 +128,9 @@ decodeRecord(Ctx &ctx, const PackedTransition &rec)
 }
 
 /** Single-tasklet training loop (the paper's configuration). */
-template <typename Ctx, typename QWord, typename UpdateFn>
+template <typename Ops, typename QWord, typename UpdateFn>
 void
-trainCoreSingleTasklet(Ctx &ctx, const KernelParams &p,
+trainCoreSingleTasklet(Ops &ctx, const KernelParams &p,
                        std::size_t count, QWord *q, UpdateFn &&update)
 {
     const std::size_t core = ctx.dpuId();
@@ -148,7 +145,7 @@ trainCoreSingleTasklet(Ctx &ctx, const KernelParams &p,
     rlcore::SampleWalker walker(
         count, p.workload.sampling,
         static_cast<std::size_t>(p.hyper.stride));
-    TransitionFetcher<Ctx> fetcher(ctx, p.dataOffset, count,
+    TransitionFetcher<Ops> fetcher(ctx, p.dataOffset, count,
                                    p.blockTransitions, block_mode);
 
     for (int ep = 0; ep < p.episodes; ++ep) {
@@ -184,9 +181,9 @@ trainCoreSingleTasklet(Ctx &ctx, const KernelParams &p,
  * interleaves round-robin, one update per tasklet per turn, matching
  * the pipeline's fine-grained multithreading order.
  */
-template <typename Ctx, typename QWord, typename UpdateFn>
+template <typename Ops, typename QWord, typename UpdateFn>
 void
-trainCoreMultiTasklet(Ctx &ctx, const KernelParams &p,
+trainCoreMultiTasklet(Ops &ctx, const KernelParams &p,
                       std::size_t count, QWord *q, UpdateFn &&update)
 {
     const std::size_t core = ctx.dpuId();
@@ -212,7 +209,7 @@ trainCoreMultiTasklet(Ctx &ctx, const KernelParams &p,
     }
 
     std::vector<std::unique_ptr<rlcore::SampleWalker>> walkers(t);
-    std::vector<std::unique_ptr<TransitionFetcher<Ctx>>> fetchers(t);
+    std::vector<std::unique_ptr<TransitionFetcher<Ops>>> fetchers(t);
     std::vector<std::uint32_t> lcg(t);
     std::size_t longest = 0;
     for (unsigned tl = 0; tl < t; ++tl) {
@@ -226,7 +223,7 @@ trainCoreMultiTasklet(Ctx &ctx, const KernelParams &p,
         walkers[tl] = std::make_unique<rlcore::SampleWalker>(
             sub_count[tl], p.workload.sampling,
             static_cast<std::size_t>(p.hyper.stride));
-        fetchers[tl] = std::make_unique<TransitionFetcher<Ctx>>(
+        fetchers[tl] = std::make_unique<TransitionFetcher<Ops>>(
             ctx, p.dataOffset, count, p.blockTransitions,
             block_mode);
         longest = std::max(longest, sub_count[tl]);
@@ -267,9 +264,9 @@ trainCoreMultiTasklet(Ctx &ctx, const KernelParams &p,
 }
 
 /** Shared training kernel body, templated on the Q-word type. */
-template <typename QWord, typename Ctx, typename UpdateFn>
+template <typename QWord, typename Ops, typename UpdateFn>
 void
-trainCore(Ctx &ctx, const KernelParams &p, UpdateFn &&update)
+trainCore(Ops &ctx, const KernelParams &p, UpdateFn &&update)
 {
     const std::size_t core = ctx.dpuId();
     SWIFTRL_ASSERT(p.chunkCounts && core < p.chunkCounts->size(),
@@ -301,13 +298,11 @@ trainCore(Ctx &ctx, const KernelParams &p, UpdateFn &&update)
     const std::size_t own_entries = own_rows * na;
     const std::size_t q_entries = (own_rows + halo_rows) * na;
     const std::size_t own_bytes = own_entries * sizeof(QWord);
-    pimsim::KernelScratch &scratch = ctx.scratch();
-
-    // Shared WRAM Q-table, DMA'd in at entry and out at exit. The
-    // host image lives in the launch's scratch arena; the inbound
-    // DMA overwrites every entry.
+    // Shared WRAM Q-table, DMA'd in at entry and out at exit; the
+    // inbound DMA overwrites every entry.
     ctx.wramAlloc(q_entries * sizeof(QWord));
-    QWord *q = scratch.template alloc<QWord>(q_entries);
+    std::vector<QWord> q_image(q_entries);
+    QWord *q = q_image.data();
     ctx.mramToWram(p.qOffset, q, own_bytes);
     if (halo_rows > 0) {
         ctx.mramToWram(p.haloOffset, q + own_entries,
@@ -316,13 +311,14 @@ trainCore(Ctx &ctx, const KernelParams &p, UpdateFn &&update)
 
     // Optional visit counters for weighted aggregation: zeroed each
     // launch (weights reflect the current round's coverage).
+    std::vector<std::uint32_t> visit_image;
     std::uint32_t *visits = nullptr;
     if (p.trackVisits) {
         ctx.wramAlloc(q_entries * sizeof(std::uint32_t));
-        visits = scratch.template alloc<std::uint32_t>(q_entries);
-        std::fill_n(visits, q_entries, 0u);
+        visit_image.assign(q_entries, 0u);
+        visits = visit_image.data();
     }
-    auto counted_update = [&](Ctx &c, QWord *table,
+    auto counted_update = [&](Ops &c, QWord *table,
                               const RecordFields &f) {
         update(c, table, f);
         if (p.trackVisits) {
@@ -351,10 +347,11 @@ trainCore(Ctx &ctx, const KernelParams &p, UpdateFn &&update)
 
 } // namespace
 
-template <typename Ctx>
+template <typename Sink>
 void
-runTrainingKernel(Ctx &ctx, const KernelParams &p)
+runTrainingKernel(CoreOps<Sink> &ctx, const KernelParams &p)
 {
+    using Ops = CoreOps<Sink>;
     using rlcore::Algorithm;
     using rlcore::NumericFormat;
 
@@ -370,7 +367,7 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
         if (p.workload.algo == Algorithm::QLearning) {
             trainCore<float>(
                 ctx, p,
-                [&](Ctx &c, float *q, const RecordFields &f) {
+                [&](Ops &c, float *q, const RecordFields &f) {
                     rlcore::qlearningUpdateFp32(
                         c, q, num_actions, f.s, f.a,
                         std::bit_cast<float>(f.rewardBits), f.s2,
@@ -379,7 +376,7 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
         } else {
             trainCore<float>(
                 ctx, p,
-                [&](Ctx &c, float *q, const RecordFields &f) {
+                [&](Ops &c, float *q, const RecordFields &f) {
                     rlcore::sarsaUpdateFp32(
                         c, q, num_actions, f.s, f.a,
                         std::bit_cast<float>(f.rewardBits), f.s2,
@@ -394,7 +391,7 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
         if (p.workload.algo == Algorithm::QLearning) {
             trainCore<std::int32_t>(
                 ctx, p,
-                [&](Ctx &c, std::int32_t *q,
+                [&](Ops &c, std::int32_t *q,
                     const RecordFields &f) {
                     rlcore::qlearningUpdateInt8(c, q, num_actions,
                                                 f.s, f.a,
@@ -404,7 +401,7 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
         } else {
             trainCore<std::int32_t>(
                 ctx, p,
-                [&](Ctx &c, std::int32_t *q,
+                [&](Ops &c, std::int32_t *q,
                     const RecordFields &f) {
                     rlcore::sarsaUpdateInt8(c, q, num_actions, f.s,
                                             f.a, f.rewardBits, f.s2,
@@ -417,7 +414,7 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
     if (p.workload.algo == Algorithm::QLearning) {
         trainCore<std::int32_t>(
             ctx, p,
-            [&](Ctx &c, std::int32_t *q, const RecordFields &f) {
+            [&](Ops &c, std::int32_t *q, const RecordFields &f) {
                 rlcore::qlearningUpdateInt32(c, q, num_actions, f.s,
                                              f.a, f.rewardBits, f.s2,
                                              f.terminal, scaled);
@@ -425,7 +422,7 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
     } else {
         trainCore<std::int32_t>(
             ctx, p,
-            [&](Ctx &c, std::int32_t *q, const RecordFields &f) {
+            [&](Ops &c, std::int32_t *q, const RecordFields &f) {
                 rlcore::sarsaUpdateInt32(c, q, num_actions, f.s, f.a,
                                          f.rewardBits, f.s2,
                                          f.terminal, scaled);
@@ -434,16 +431,71 @@ runTrainingKernel(Ctx &ctx, const KernelParams &p)
 }
 
 // Instantiated here so kernel code stays out of the header while the
-// tests link either charging flavour.
-template void
-runTrainingKernel<pimsim::BasicKernelContext<
-    pimsim::ChargePolicy::Batched>>(
-    pimsim::BasicKernelContext<pimsim::ChargePolicy::Batched> &,
-    const KernelParams &);
-template void
-runTrainingKernel<pimsim::BasicKernelContext<
-    pimsim::ChargePolicy::Reference>>(
-    pimsim::BasicKernelContext<pimsim::ChargePolicy::Reference> &,
-    const KernelParams &);
+// tests link either sink.
+template void runTrainingKernel(LedgerOps &, const KernelParams &);
+template void runTrainingKernel(CoreOps<WriteThroughSink> &,
+                                const KernelParams &);
+
+WriteThroughSink::WriteThroughSink(pimsim::Dpu &dpu,
+                                   const pimsim::DpuCostModel &model,
+                                   std::size_t wram_capacity)
+    : _dpu(&dpu), _model(&model), _wramCapacity(wram_capacity)
+{
+}
+
+void
+WriteThroughSink::chargeBulk(pimsim::OpClass op, std::uint64_t count)
+{
+    _cycles += _model->cyclesFor(op) * count;
+    _dpu->countOps(op, count);
+}
+
+void
+WriteThroughSink::chargeDmaSpanBulk(std::size_t bytes,
+                                    std::uint64_t times)
+{
+    const std::size_t align = _model->mramDmaAlignBytes;
+    for (std::uint64_t t = 0; t < times; ++t) {
+        for (std::size_t done = 0; done < bytes;) {
+            const std::size_t piece = std::min<std::size_t>(
+                bytes - done, _model->mramDmaMaxBytes);
+            const std::size_t padded =
+                (piece + align - 1) / align * align;
+            _cycles +=
+                _model->dmaCycles(static_cast<std::uint32_t>(padded));
+            _dpu->addDmaBytes(padded);
+            done += piece;
+        }
+    }
+}
+
+void
+WriteThroughSink::wramAlloc(std::size_t bytes)
+{
+    _wramUsed += bytes;
+    if (_wramUsed > _wramCapacity) {
+        SWIFTRL_FATAL("DPU ", _dpu->id(), ": kernel WRAM footprint ",
+                      _wramUsed, " bytes exceeds the ", _wramCapacity,
+                      "-byte scratchpad");
+    }
+}
+
+pimsim::BatchKernel
+perLane(std::function<void(LedgerOps &)> body)
+{
+    return [body = std::move(body)](pimsim::BatchKernelContext &bctx) {
+        for (std::size_t i = 0; i < bctx.lanes(); ++i) {
+            LedgerOps ops(bctx.lane(i), bctx.dpu(i));
+            body(ops);
+        }
+    };
+}
+
+pimsim::BatchKernel
+oracleKernel(const KernelParams &params)
+{
+    return perLane(
+        [&params](LedgerOps &ops) { runTrainingKernel(ops, params); });
+}
 
 } // namespace swiftrl::oracle

@@ -1,12 +1,13 @@
 /**
  * @file
  * Batch-interpreter bit-identity. Every training launch runs the
- * lockstep batch interpreter (runTrainingKernelBatch +
+ * batch interpreter (runTrainingKernelBatch through
  * CommandStream::launchBatch); the per-core scalar kernel survives
- * only as a test oracle (tests/oracle/scalar_kernel.cc). The batch
- * engine must be observationally identical to the oracle — same
- * per-core cycles, per-class op counts, DMA bytes, Q-table and
- * visit-count MRAM bytes, and LCG streams — across every kernel
+ * only as a test oracle (tests/oracle/scalar_kernel.cc), run lane by
+ * lane through the same launch path. The batch interpreter must be
+ * observationally identical to the oracle — same per-core cycles,
+ * per-class op counts, DMA bytes, Q-table and visit-count MRAM bytes,
+ * and LCG streams — across every kernel
  * variant x tasklet counts {1, 2, 3, 24}, visit tracking for
  * weighted aggregation, sharded slices with per-core halo rows, and
  * cohorts with dead cores formed by the launch engine under a fault
@@ -53,7 +54,6 @@ using swiftrl::pimsim::Cycles;
 using swiftrl::pimsim::Dpu;
 using swiftrl::pimsim::DpuCostModel;
 using swiftrl::pimsim::FaultKind;
-using swiftrl::pimsim::KernelContext;
 using swiftrl::pimsim::KernelScratch;
 using swiftrl::pimsim::kNumOpClasses;
 using swiftrl::pimsim::PimConfig;
@@ -319,43 +319,40 @@ class KernelParity : public ::testing::Test
         return run;
     }
 
-    /** Two launches (LCG and Q carry over) through the oracle. */
-    KernelRun
-    runOracle(const KernelCase &c) const
+    /**
+     * The batch interpreter, or the oracle lane by lane, over @p p
+     * (which must outlive the kernel).
+     */
+    static swiftrl::pimsim::BatchKernel
+    kernelOf(const KernelParams &p, bool batch)
     {
-        auto dpus = makeCores(c);
-        auto counts = c.counts;
-        auto halo = c.halo;
-        auto lcg = seeds(c);
-        const auto p = params(c, counts, halo, lcg);
-        std::vector<Cycles> cycles(dpus.size(), 0);
-        for (int launch = 0; launch < 2; ++launch) {
-            for (std::size_t i = 0; i < dpus.size(); ++i) {
-                KernelContext ctx(dpus[i], _model, kWramBytes);
-                swiftrl::oracle::runTrainingKernel(ctx, p);
-                ctx.flush();
-                cycles[i] += ctx.cycles();
-            }
-        }
-        return observe(c, dpus, cycles, lcg);
+        if (!batch)
+            return swiftrl::oracle::oracleKernel(p);
+        return [&p](BatchKernelContext &bctx) {
+            swiftrl::runTrainingKernelBatch(bctx, p);
+        };
     }
 
-    /** The same two launches through one batch cohort. */
+    /**
+     * Two launches (LCG and Q carry over) over one cohort of every
+     * core: the batch interpreter, or the oracle lane by lane.
+     */
     KernelRun
-    runBatch(const KernelCase &c) const
+    runLanes(const KernelCase &c, bool batch) const
     {
         auto dpus = makeCores(c);
         auto counts = c.counts;
         auto halo = c.halo;
         auto lcg = seeds(c);
         const auto p = params(c, counts, halo, lcg);
+        const auto kernel = kernelOf(p, batch);
         std::vector<Cycles> cycles(dpus.size(), 0);
         std::vector<Dpu *> lanes;
         for (Dpu &d : dpus)
             lanes.push_back(&d);
         for (int launch = 0; launch < 2; ++launch) {
             BatchKernelContext bctx(lanes, _model, kWramBytes);
-            swiftrl::runTrainingKernelBatch(bctx, p);
+            kernel(bctx);
             bctx.flushAll();
             for (std::size_t j = 0; j < bctx.lanes(); ++j)
                 cycles[bctx.dpuId(j)] += bctx.lane(j).cycles();
@@ -367,8 +364,8 @@ class KernelParity : public ::testing::Test
     KernelRun
     expectParity(const KernelCase &c) const
     {
-        const KernelRun oracle = runOracle(c);
-        const KernelRun batch = runBatch(c);
+        const KernelRun oracle = runLanes(c, false);
+        const KernelRun batch = runLanes(c, true);
         Cycles total = 0;
         for (std::size_t i = 0; i < c.counts.size(); ++i) {
             SCOPED_TRACE("core " + std::to_string(i));
@@ -580,22 +577,12 @@ class EngineParity : public KernelParity
         auto halo = c.halo;
         auto lcg = seeds(c);
         const auto p = params(c, counts, halo, lcg);
-        const swiftrl::pimsim::KernelFn oracle =
-            [&p](KernelContext &ctx) {
-                swiftrl::oracle::runTrainingKernel(ctx, p);
-            };
-        const swiftrl::pimsim::BatchKernelFn kernel =
-            [&p](BatchKernelContext &bctx) {
-                swiftrl::runTrainingKernelBatch(bctx, p);
-            };
+        const auto kernel = kernelOf(p, batch);
 
         StreamRun r;
         for (int launch = 0; launch < 4; ++launch) {
-            const auto status =
-                batch ? stream.launchBatch(kernel, c.tasklets,
-                                           TimeBucket::Kernel, "kernel")
-                      : stream.launch(oracle, c.tasklets,
-                                      TimeBucket::Kernel, "kernel");
+            const auto status = stream.launchBatch(
+                kernel, c.tasklets, TimeBucket::Kernel, "kernel");
             r.ok.push_back(status.ok());
         }
         for (std::size_t i = 0; i < system.numDpus(); ++i) {
@@ -617,9 +604,11 @@ class EngineParity : public KernelParity
 
 TEST_F(EngineParity, LaunchBatchMatchesPerCoreLaunchUnderFaults)
 {
-    // launch() interprets the oracle once per live core; launchBatch
-    // forms the cohort of live cores and runs the batch kernel on
-    // it. Same fault sites, same failed attempts, same dead core.
+    // launchBatch forms the cohort of live cores and runs either the
+    // batch kernel or the oracle lane by lane on it: the engine's
+    // fault sites, failed attempts and dead-core exclusion hold for
+    // both, and the kernels match bit for bit on what the live cores
+    // commit.
     for (const Workload &w :
          {Workload{Algorithm::QLearning, Sampling::Seq,
                    NumericFormat::Fp32},

@@ -1,12 +1,12 @@
 /**
  * @file
- * Charge-ledger parity: the batched KernelContext must be
- * observationally identical to the write-through
- * ReferenceKernelContext on real training kernels — same cycles,
- * same per-class op counts, same DMA bytes, same functional results
- * (Q-table MRAM bytes, LCG states). This is the test that pins the
- * hot-path batching to the pre-ledger charging semantics bit for
- * bit, across every algorithm x sampling x format variant.
+ * Charge-ledger parity: the batched ledger (pimsim::KernelContext)
+ * must be observationally identical to the oracle's write-through
+ * sink (every charge committed to the Dpu as it is made) on real
+ * training kernels — same cycles, same per-class op counts, same DMA
+ * bytes, same functional results (Q-table MRAM bytes, LCG states).
+ * This is the test that pins the hot-path batching to per-op charging
+ * bit for bit, across every algorithm x sampling x format variant.
  */
 
 #include <array>
@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "oracle/scalar_kernel.hh"
+#include "pimsim/command_stream.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
+#include "pimsim/pim_system.hh"
 #include "rlcore/dataset.hh"
 #include "rlcore/seeds.hh"
 #include "rlenv/registry.hh"
@@ -31,9 +34,12 @@ using swiftrl::Workload;
 using swiftrl::pimsim::Cycles;
 using swiftrl::pimsim::Dpu;
 using swiftrl::pimsim::DpuCostModel;
+using swiftrl::oracle::CoreOps;
+using swiftrl::oracle::LedgerOps;
+using swiftrl::oracle::WriteThroughSink;
 using swiftrl::pimsim::KernelContext;
 using swiftrl::pimsim::kNumOpClasses;
-using swiftrl::pimsim::ReferenceKernelContext;
+using swiftrl::pimsim::OpClass;
 using swiftrl::rlcore::NumericFormat;
 
 /** Everything observable about one kernel run on one core. */
@@ -50,8 +56,8 @@ struct RunResult
 constexpr std::size_t kDataOffset = 64 * 1024;
 constexpr std::size_t kVisitsOffset = 256 * 1024;
 
-/** Run one training launch through the given context type. */
-template <typename Ctx>
+/** Run one training launch charging through the given sink type. */
+template <typename Sink>
 RunResult
 runVariant(const Workload &w, const swiftrl::rlcore::Dataset &data,
            swiftrl::rlcore::StateId num_states,
@@ -95,10 +101,11 @@ runVariant(const Workload &w, const swiftrl::rlcore::Dataset &data,
 
     RunResult r;
     {
-        Ctx ctx(dpu, model, 64 * 1024);
-        swiftrl::oracle::runTrainingKernel(ctx, p);
-        ctx.flush();
-        r.cycles = ctx.cycles();
+        Sink sink(dpu, model, 64 * 1024);
+        CoreOps<Sink> ops(sink, dpu);
+        swiftrl::oracle::runTrainingKernel(ops, p);
+        sink.flush();
+        r.cycles = sink.cycles();
     }
     r.opCounts = dpu.opCounts();
     r.dmaBytes = dpu.dmaBytes();
@@ -151,7 +158,7 @@ TEST_F(ChargeLedger, MatchesReferenceOnEveryWorkloadVariant)
         SCOPED_TRACE(w.name());
         const auto batched = runVariant<KernelContext>(
             w, _data, _env->numStates(), _env->numActions());
-        const auto reference = runVariant<ReferenceKernelContext>(
+        const auto reference = runVariant<WriteThroughSink>(
             w, _data, _env->numStates(), _env->numActions());
         expectIdentical(batched, reference);
         // The run must have charged real work for parity to mean
@@ -171,7 +178,7 @@ TEST_F(ChargeLedger, MatchesReferenceWithMultipleTasklets)
         SCOPED_TRACE(w.name());
         const auto batched = runVariant<KernelContext>(
             w, _data, _env->numStates(), _env->numActions(), 3);
-        const auto reference = runVariant<ReferenceKernelContext>(
+        const auto reference = runVariant<WriteThroughSink>(
             w, _data, _env->numStates(), _env->numActions(), 3);
         expectIdentical(batched, reference);
     }
@@ -182,7 +189,7 @@ TEST_F(ChargeLedger, MatchesReferenceWithVisitTracking)
     Workload w;
     const auto batched = runVariant<KernelContext>(
         w, _data, _env->numStates(), _env->numActions(), 1, true);
-    const auto reference = runVariant<ReferenceKernelContext>(
+    const auto reference = runVariant<WriteThroughSink>(
         w, _data, _env->numStates(), _env->numActions(), 1, true);
     expectIdentical(batched, reference);
     EXPECT_FALSE(batched.visitBytes.empty());
@@ -192,8 +199,10 @@ TEST(ChargeLedgerUnit, CyclesReadableMidKernelWithoutFlush)
 {
     Dpu batched_dpu(0, 1 << 20), reference_dpu(0, 1 << 20);
     const DpuCostModel model;
-    KernelContext batched(batched_dpu, model, 64 * 1024);
-    ReferenceKernelContext reference(reference_dpu, model, 64 * 1024);
+    KernelContext ledger(batched_dpu, model, 64 * 1024);
+    WriteThroughSink through(reference_dpu, model, 64 * 1024);
+    LedgerOps batched(ledger, batched_dpu);
+    CoreOps<WriteThroughSink> reference(through, reference_dpu);
 
     // Interleave priced ops and pending-state reads: cycles() folds
     // the ledger in without committing it.
@@ -202,41 +211,65 @@ TEST(ChargeLedgerUnit, CyclesReadableMidKernelWithoutFlush)
         reference.fadd(1.0f, 2.0f);
         batched.imul32(3, 4);
         reference.imul32(3, 4);
-        EXPECT_EQ(batched.cycles(), reference.cycles());
+        EXPECT_EQ(ledger.cycles(), through.cycles());
     }
     // Nothing has been committed to the batched Dpu yet...
     EXPECT_EQ(batched_dpu.opCounts(),
               (std::array<std::uint64_t, kNumOpClasses>{}));
     // ...until flush, which is idempotent.
-    batched.flush();
-    batched.flush();
+    ledger.flush();
+    ledger.flush();
     EXPECT_EQ(batched_dpu.opCounts(), reference_dpu.opCounts());
-    EXPECT_EQ(batched.cycles(), reference.cycles());
+    EXPECT_EQ(ledger.cycles(), through.cycles());
 }
 
 TEST(ChargeLedgerUnit, RebindResetsPerKernelState)
 {
-    Dpu first(0, 1 << 20), second(1, 1 << 20);
-    const DpuCostModel model;
-    KernelContext ctx(first, model, 64 * 1024);
-    ctx.fadd(1.0f, 2.0f);
-    ctx.lcgSeed(99);
-    ctx.wramAlloc(128);
-    ctx.rebind(second);
+    // Every launch hands each lane a fresh ledger: the per-kernel
+    // state of one launch (cycles, WRAM accounting, LCG) never
+    // carries into the next, while its charges stay committed to the
+    // core.
+    swiftrl::pimsim::PimConfig cfg;
+    cfg.numDpus = 2;
+    cfg.mramBytesPerDpu = 1 << 20;
+    swiftrl::pimsim::PimSystem system(cfg);
+    swiftrl::pimsim::CommandStream stream(system);
+    ASSERT_TRUE(stream
+                    .launchBatch(swiftrl::oracle::perLane(
+                        [](LedgerOps &ctx) {
+                            ctx.fadd(1.0f, 2.0f);
+                            ctx.lcgSeed(99);
+                            ctx.wramAlloc(128);
+                        }))
+                    .ok());
 
-    // The pending charge was flushed to the first core; the rebound
-    // context starts clean on the second.
-    EXPECT_GT(first.opCounts()[static_cast<std::size_t>(
-                  swiftrl::pimsim::OpClass::Fp32Add)],
-              0u);
-    EXPECT_EQ(ctx.cycles(), 0u);
-    EXPECT_EQ(ctx.wramUsed(), 0u);
-    EXPECT_EQ(ctx.dpuId(), 1u);
-    ctx.iadd(1, 1);
-    ctx.flush();
-    EXPECT_EQ(second.opCounts()[static_cast<std::size_t>(
-                  swiftrl::pimsim::OpClass::IntAlu)],
-              1u);
+    std::vector<Cycles> cycles(2, 1);
+    std::vector<std::size_t> wram(2, 1), runs(2, 0);
+    std::vector<std::uint32_t> lcg(2, 0);
+    ASSERT_TRUE(stream
+                    .launchBatch(swiftrl::oracle::perLane(
+                        [&](LedgerOps &ctx) {
+                            cycles[ctx.dpuId()] = ctx.sink().cycles();
+                            wram[ctx.dpuId()] = ctx.sink().wramUsed();
+                            lcg[ctx.dpuId()] = ctx.lcgState();
+                            ++runs[ctx.dpuId()];
+                            ctx.iadd(1, 1);
+                        }))
+                    .ok());
+
+    // The first launch's charges were committed to each core; the
+    // second launch's lanes started clean on their own cores.
+    const swiftrl::common::Lcg32 fresh;
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto &ops = system.dpu(i).opCounts();
+        EXPECT_GT(ops[static_cast<std::size_t>(OpClass::Fp32Add)], 0u);
+        EXPECT_EQ(cycles[i], 0u);
+        EXPECT_EQ(wram[i], 0u);
+        EXPECT_EQ(lcg[i], fresh.state());
+        // One seed in the first launch, one add in the second.
+        EXPECT_EQ(ops[static_cast<std::size_t>(OpClass::IntAlu)], 2u);
+    }
+    EXPECT_EQ(runs, (std::vector<std::size_t>{1, 1}));
 }
 
 } // namespace

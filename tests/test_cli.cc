@@ -282,4 +282,71 @@ TEST(SwiftrlCli, DatasetOfAnotherEnvironmentIsAUsageError)
     EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
 }
 
+TEST(SwiftrlCli, FleetSpecMistakesAreUsageErrors)
+{
+    // An unreadable spec and a spec with an out-of-range value are
+    // operator mistakes: one line naming the problem, exit 1, no crash
+    // dump.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("swiftrl_test_cli_fleet_" + std::to_string(::getpid()) +
+          ".json"))
+            .string();
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(R"({"fleet": {"ranks": 0},
+                       "jobs": [{"id": "a", "tenant": "t"}]})",
+                   f);
+        std::fclose(f);
+    }
+    const struct
+    {
+        std::string args;
+        std::string reason;
+    } cases[] = {
+        {"--fleet /nonexistent.json",
+         "cannot open fleet spec /nonexistent.json"},
+        {"--fleet " + path, "fleet.ranks must be positive, got 0"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.args);
+        std::string out;
+        EXPECT_EQ(runCli(c.args, out), 1) << out;
+        EXPECT_NE(out.find(c.reason), std::string::npos) << out;
+        EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(SwiftrlCli, CorruptDatasetFileIsAUsageError)
+{
+    // A dataset file whose last byte is gone fails its load with the
+    // loader's reason, as a usage error, before training.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("swiftrl_test_cli_short_" + std::to_string(::getpid()) + ".ds"))
+            .string();
+    std::string out;
+    ASSERT_EQ(runCli("--env frozenlake --cores 4 --episodes 1 "
+                     "--transitions 500 --save-dataset " + path,
+                     out),
+              0)
+        << out;
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 1);
+    const int status =
+        runCli("--env frozenlake --cores 4 --episodes 1 --load-dataset " +
+                   path,
+               out);
+    std::remove(path.c_str());
+    EXPECT_EQ(status, 1) << out;
+    EXPECT_NE(out.find("--load-dataset: '" + path + "' declares 500 "
+                       "records"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("training"), std::string::npos) << out;
+    EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
+}
+
 } // namespace

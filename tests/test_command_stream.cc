@@ -32,6 +32,7 @@
 #include <memory>
 #include <sstream>
 
+#include "oracle/scalar_kernel.hh"
 #include "rlenv/frozen_lake.hh"
 #include "rlenv/registry.hh"
 #include "swiftrl/pim_kernels.hh"
@@ -86,10 +87,8 @@ TEST(CommandStream, RecordsContiguousTimeline)
             std::ranges::copy(payload, out.begin());
         });
     summed += stream.pushBroadcast(0, payload);
-    const auto launched = stream.launch(
-        [](swiftrl::pimsim::KernelContext &ctx) {
-            ctx.aluOps(100);
-        });
+    const auto launched = stream.launchBatch(swiftrl::oracle::perLane(
+        [](swiftrl::oracle::LedgerOps &ctx) { ctx.aluOps(100); }));
     ASSERT_TRUE(launched.ok());
     summed += launched.seconds;
     std::vector<std::span<const std::uint8_t>> out;
@@ -207,8 +206,8 @@ TEST(CommandStreamGather, DeadCoreYieldsAnEmptyView)
     CommandStream stream(system);
     const auto payload = pattern(128, 9);
     stream.pushBroadcast(0, payload);
-    const auto launched = stream.launch(
-        [](swiftrl::pimsim::KernelContext &ctx) { ctx.aluOps(10); });
+    const auto launched = stream.launchBatch(swiftrl::oracle::perLane(
+        [](swiftrl::oracle::LedgerOps &ctx) { ctx.aluOps(10); }));
     ASSERT_FALSE(launched.ok());
     ASSERT_TRUE(stream.isDead(2));
 
@@ -404,9 +403,10 @@ TEST(CommandStreamBroadcast, DeadCoreNeverReceivesThePayload)
     const auto before = pattern(64, 7);
     stream.pushBroadcast(0, before);
     ASSERT_FALSE(stream
-                     .launch([](swiftrl::pimsim::KernelContext &ctx) {
-                         ctx.aluOps(1);
-                     })
+                     .launchBatch(swiftrl::oracle::perLane(
+                         [](swiftrl::oracle::LedgerOps &ctx) {
+                             ctx.aluOps(1);
+                         }))
                      .ok());
     ASSERT_TRUE(stream.isDead(2));
 
@@ -531,9 +531,10 @@ runScatterScenario(unsigned pool)
     PimSystem system(cfg);
     CommandStream stream(system);
     EXPECT_FALSE(stream
-                     .launch([](swiftrl::pimsim::KernelContext &ctx) {
-                         ctx.aluOps(1);
-                     })
+                     .launchBatch(swiftrl::oracle::perLane(
+                         [](swiftrl::oracle::LedgerOps &ctx) {
+                             ctx.aluOps(1);
+                         }))
                      .ok());
     ScatterScenario out;
     out.scatterSeconds.push_back(scatterRound(stream, 2048, 0));

@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests for the kernel execution context: exact cycle charging,
- * DMA splitting, WRAM accounting, and the PIM-side LCG.
+ * Tests for a kernel's priced ops over a lane's charge ledger: exact
+ * cycle charging (swiftrl::PricedOps over pimsim::KernelContext), DMA
+ * splitting, WRAM accounting, and the PIM-side LCG (the oracle's
+ * per-core ops on top).
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "oracle/scalar_kernel.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
 
@@ -25,7 +28,8 @@ struct Fixture
 {
     Dpu dpu{0, 1 << 20};
     DpuCostModel model;
-    KernelContext ctx{dpu, model, 64 * 1024};
+    KernelContext ledger{dpu, model, 64 * 1024};
+    swiftrl::oracle::LedgerOps ctx{ledger, dpu};
 };
 
 TEST(KernelContext, ArithmeticComputesCorrectValues)
@@ -57,10 +61,10 @@ TEST(KernelContext, RescaleTruncatesTowardZero)
 TEST(KernelContext, ImulSmallComputesAndCharges)
 {
     Fixture f;
-    const Cycles before = f.ctx.cycles();
+    const Cycles before = f.ledger.cycles();
     EXPECT_EQ(f.ctx.imulSmall(2560, 122), 312320ll);
     EXPECT_EQ(f.ctx.imulSmall(-100, 13), -1300ll);
-    const Cycles per_call = (f.ctx.cycles() - before) / 2;
+    const Cycles per_call = (f.ledger.cycles() - before) / 2;
     EXPECT_EQ(per_call, 2 * f.model.cyclesFor(OpClass::Int8Mul) +
                             2 * f.model.cyclesFor(OpClass::IntAlu));
 }
@@ -88,14 +92,14 @@ TEST(KernelContextDeath, ImulSmallRejectsWideOperands)
 TEST(KernelContext, ChargesMatchTheCostModel)
 {
     Fixture f;
-    const Cycles before = f.ctx.cycles();
+    const Cycles before = f.ledger.cycles();
     f.ctx.fmul(1.0f, 2.0f);
-    EXPECT_EQ(f.ctx.cycles() - before,
+    EXPECT_EQ(f.ledger.cycles() - before,
               f.model.cyclesFor(OpClass::Fp32Mul));
 
-    const Cycles mid = f.ctx.cycles();
+    const Cycles mid = f.ledger.cycles();
     f.ctx.iadd(1, 2);
-    EXPECT_EQ(f.ctx.cycles() - mid,
+    EXPECT_EQ(f.ledger.cycles() - mid,
               f.model.cyclesFor(OpClass::IntAlu));
 }
 
@@ -104,9 +108,9 @@ TEST(KernelContext, Fp32CostsDwarfIntCosts)
     // The core architectural premise of the INT32 optimisation.
     Fixture f;
     f.ctx.iadd(1, 1);
-    const Cycles int_cost = f.ctx.cycles();
+    const Cycles int_cost = f.ledger.cycles();
     f.ctx.fmul(1.0f, 1.0f);
-    const Cycles fp_cost = f.ctx.cycles() - int_cost;
+    const Cycles fp_cost = f.ledger.cycles() - int_cost;
     EXPECT_GT(fp_cost, 10 * int_cost);
 }
 
@@ -118,7 +122,7 @@ TEST(KernelContext, OpCountsRecordedOnDpu)
     f.ctx.branch(5);
     // The ledger batches op counts; Dpu counters update on flush
     // (the command stream flushes at kernel return).
-    f.ctx.flush();
+    f.ledger.flush();
     EXPECT_EQ(f.dpu.opCounts()[static_cast<std::size_t>(
                   OpClass::Fp32Add)],
               2u);
@@ -134,21 +138,21 @@ TEST(KernelContext, DmaMovesDataAndChargesFixedPlusStreaming)
     f.dpu.mramWrite(64, data.data(), data.size());
 
     std::vector<std::uint8_t> out(8);
-    const Cycles before = f.ctx.cycles();
+    const Cycles before = f.ledger.cycles();
     f.ctx.mramToWram(64, out.data(), 8);
     EXPECT_EQ(out, data);
-    EXPECT_EQ(f.ctx.cycles() - before, f.model.dmaCycles(8));
+    EXPECT_EQ(f.ledger.cycles() - before, f.model.dmaCycles(8));
 }
 
 TEST(KernelContext, DmaPadsUnalignedTail)
 {
     Fixture f;
     std::vector<std::uint8_t> out(5);
-    const Cycles before = f.ctx.cycles();
+    const Cycles before = f.ledger.cycles();
     f.ctx.mramToWram(0, out.data(), 5);
     // 5 bytes pad to one 8-byte transfer.
-    EXPECT_EQ(f.ctx.cycles() - before, f.model.dmaCycles(8));
-    f.ctx.flush();
+    EXPECT_EQ(f.ledger.cycles() - before, f.model.dmaCycles(8));
+    f.ledger.flush();
     EXPECT_EQ(f.dpu.dmaBytes(), 8u);
 }
 
@@ -156,13 +160,13 @@ TEST(KernelContext, DmaSplitsAtHardwareLimit)
 {
     Fixture f;
     std::vector<std::uint8_t> out(5000);
-    const Cycles before = f.ctx.cycles();
+    const Cycles before = f.ledger.cycles();
     f.ctx.mramToWram(0, out.data(), 5000);
     // 2048 + 2048 + 904(->904 padded to 904? 904 % 8 == 0).
     const Cycles expected = f.model.dmaCycles(2048) +
                             f.model.dmaCycles(2048) +
                             f.model.dmaCycles(904);
-    EXPECT_EQ(f.ctx.cycles() - before, expected);
+    EXPECT_EQ(f.ledger.cycles() - before, expected);
 }
 
 TEST(KernelContext, WramToMramWritesBack)
@@ -180,7 +184,7 @@ TEST(KernelContext, WramAccountingAccumulates)
     Fixture f;
     f.ctx.wramAlloc(1000);
     f.ctx.wramAlloc(2000);
-    EXPECT_EQ(f.ctx.wramUsed(), 3000u);
+    EXPECT_EQ(f.ledger.wramUsed(), 3000u);
 }
 
 TEST(KernelContextDeath, WramOverflowIsFatal)
@@ -226,9 +230,9 @@ TEST(KernelContext, LcgDrawsCostEmulatedMultiplies)
 {
     Fixture f;
     f.ctx.lcgSeed(1);
-    const Cycles before = f.ctx.cycles();
+    const Cycles before = f.ledger.cycles();
     f.ctx.lcgNext();
-    EXPECT_EQ(f.ctx.cycles() - before,
+    EXPECT_EQ(f.ledger.cycles() - before,
               f.model.cyclesFor(OpClass::Int32Mul) +
                   f.model.cyclesFor(OpClass::IntAlu));
 }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Hostile-input mutation tests for the Q-table and checkpoint loaders:
- * from a small valid file, every truncation length and 256 seeded
- * single-bit flips. Every mutant must come back as an error from the
- * non-fatal loader, and no load may make an allocation larger than
- * the file (or the file stream's own buffer).
+ * Hostile-input mutation tests for the dataset, Q-table and checkpoint
+ * loaders: from a small valid file, every truncation length and 256
+ * seeded single-bit flips, plus checkpoints whose payload is malformed
+ * but carries a correct checksum. Every mutant must come back as an
+ * error from the non-fatal loader, and no load may make an allocation
+ * larger than the file (or the file stream's own buffer).
  *
  * The binary replaces the global operator new to record the largest
  * single request made while a load runs.
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -27,7 +29,9 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "rlcore/dataset.hh"
 #include "rlcore/serialization.hh"
+#include "rlenv/frozen_lake.hh"
 #include "swiftrl/session.hh"
 
 namespace {
@@ -113,10 +117,10 @@ allocationBound(std::size_t size)
 /**
  * Write @p mutant to @p file and load it with @p load (path, error
  * out) -> bool loaded. The load must fail with a reason and stay
- * within allocationBound.
+ * within allocationBound. Returns the reason.
  */
 template <typename Load>
-void
+std::string
 expectRejected(const TempFile &file, const Bytes &mutant, Load load)
 {
     writeBytes(file.path(), mutant);
@@ -128,6 +132,7 @@ expectRejected(const TempFile &file, const Bytes &mutant, Load load)
     EXPECT_FALSE(loaded);
     EXPECT_FALSE(error.empty());
     EXPECT_LE(g_largest, allocationBound(mutant.size()));
+    return error;
 }
 
 /** Every truncation of @p valid, then 256 single-bit flips of it. */
@@ -153,6 +158,21 @@ mutateEveryWay(const TempFile &file, const Bytes &valid,
             static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
         expectRejected(file, mutant, load);
     }
+}
+
+TEST(LoaderMutations, DatasetTruncationsAndBitFlipsAreErrors)
+{
+    swiftrl::rlenv::FrozenLake env(true);
+    TempFile file("dataset");
+    swiftrl::rlcore::saveDataset(
+        swiftrl::rlcore::collectRandomDataset(env, 12, 19), file.path());
+    const Bytes valid = readBytes(file.path());
+    const auto load = [](const std::string &path, std::string *error) {
+        return swiftrl::rlcore::tryLoadDataset(path, error).has_value();
+    };
+    std::string error;
+    ASSERT_TRUE(load(file.path(), &error)) << error;
+    mutateEveryWay(file, valid, 17, load);
 }
 
 TEST(LoaderMutations, QTableTruncationsAndBitFlipsAreErrors)
@@ -218,6 +238,51 @@ TEST(LoaderMutations, CheckpointTruncationsAndBitFlipsAreErrors)
     EXPECT_EQ(loaded->streamingPolicySource,
               smallCheckpoint().streamingPolicySource);
     mutateEveryWay(file, valid, 23, load);
+}
+
+TEST(LoaderMutations, CheckpointPayloadsWithValidChecksumsAreErrors)
+{
+    // What a buggy or hostile writer could produce: the checksum
+    // matches, yet the payload cannot be a checkpoint. Each must be an
+    // error return, not an exit of the host process.
+    TempFile file("crafted");
+    swiftrl::saveCheckpoint(smallCheckpoint(), file.path());
+    const Bytes valid = readBytes(file.path());
+    constexpr std::size_t kMagic = 8, kChecksum = 8;
+    const Bytes payload(valid.begin() + kMagic, valid.end() - kChecksum);
+    // Frame @p body as a file: the magic, @p body, its checksum.
+    const auto frame = [&](const Bytes &body) {
+        Bytes out(kMagic + body.size() + kChecksum);
+        std::copy_n(valid.begin(), kMagic, out.begin());
+        std::ranges::copy(body, out.begin() + kMagic);
+        const std::uint64_t sum =
+            swiftrl::rlcore::fnv1a(body.data(), body.size());
+        std::memcpy(out.data() + kMagic + body.size(), &sum, sizeof sum);
+        return out;
+    };
+    const auto load = [](const std::string &path, std::string *error) {
+        return swiftrl::tryLoadCheckpoint(path, error).has_value();
+    };
+    ASSERT_EQ(frame(payload), valid);
+
+    // The version and nothing else.
+    EXPECT_NE(expectRejected(file, frame(Bytes(payload.begin(),
+                                               payload.begin() + 4)),
+                             load)
+                  .find("truncated mid-field"),
+              std::string::npos);
+    // The last array (the policy source) one float short.
+    EXPECT_NE(expectRejected(file, frame(Bytes(payload.begin(),
+                                               payload.end() - 4)),
+                             load)
+                  .find("truncated mid-array"),
+              std::string::npos);
+    // algo = 7: the byte after the version and the streaming flag.
+    Bytes bad_algo = payload;
+    bad_algo[5] = 7;
+    EXPECT_NE(expectRejected(file, frame(bad_algo), load)
+                  .find("out-of-range algo byte 7"),
+              std::string::npos);
 }
 
 TEST(LoaderMutations, CheckpointThatIsADirectoryIsAnError)

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "oracle/scalar_kernel.hh"
 #include "pimsim/command_stream.hh"
 #include "pimsim/pim_system.hh"
 #include "pimsim/transfer_model.hh"
@@ -17,7 +18,8 @@
 namespace {
 
 using swiftrl::pimsim::CommandStream;
-using swiftrl::pimsim::KernelContext;
+using swiftrl::oracle::LedgerOps;
+using swiftrl::oracle::perLane;
 using swiftrl::pimsim::OpClass;
 using swiftrl::pimsim::PimConfig;
 using swiftrl::pimsim::PimSystem;
@@ -141,9 +143,9 @@ TEST(PimSystem, LaunchRunsKernelOnEveryCore)
     PimSystem sys(smallConfig(5));
     std::vector<int> visited(5, 0);
     ASSERT_TRUE(CommandStream(sys)
-                    .launch([&](KernelContext &ctx) {
+                    .launchBatch(perLane([&](LedgerOps &ctx) {
                         visited[ctx.dpuId()] += 1;
-                    })
+                    }))
                     .ok());
     for (const int v : visited)
         EXPECT_EQ(v, 1);
@@ -153,15 +155,15 @@ TEST(PimSystem, LaunchTimeFollowsSlowestCore)
 {
     PimSystem sys(smallConfig(4));
     // Core 3 does 1000 fp multiplies; others do one int add.
-    const auto status = CommandStream(sys).launch(
-        [](KernelContext &ctx) {
+    const auto status =
+        CommandStream(sys).launchBatch(perLane([](LedgerOps &ctx) {
             if (ctx.dpuId() == 3) {
                 for (int i = 0; i < 1000; ++i)
                     ctx.fmul(1.0f, 1.0f);
             } else {
                 ctx.iadd(1, 1);
             }
-        });
+        }));
     ASSERT_TRUE(status.ok());
     const double t = status.seconds;
     const auto &model = sys.config().costModel;
@@ -177,7 +179,8 @@ TEST(PimSystem, TotalCyclesSumsCores)
 {
     PimSystem sys(smallConfig(3));
     ASSERT_TRUE(CommandStream(sys)
-                    .launch([](KernelContext &ctx) { ctx.iadd(1, 1); })
+                    .launchBatch(
+                        perLane([](LedgerOps &ctx) { ctx.iadd(1, 1); }))
                     .ok());
     const auto &model = sys.config().costModel;
     EXPECT_EQ(sys.totalCycles(),
@@ -188,7 +191,8 @@ TEST(PimSystem, ResetStatsClearsClocks)
 {
     PimSystem sys(smallConfig(2));
     ASSERT_TRUE(CommandStream(sys)
-                    .launch([](KernelContext &ctx) { ctx.fadd(1, 1); })
+                    .launchBatch(
+                        perLane([](LedgerOps &ctx) { ctx.fadd(1, 1); }))
                     .ok());
     EXPECT_GT(sys.maxCycles(), 0u);
     sys.resetStats();

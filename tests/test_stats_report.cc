@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <utility>
 
+#include "oracle/scalar_kernel.hh"
 #include "pimsim/stats_report.hh"
 #include "swiftrl/swiftrl.hh"
 
 namespace {
 
-using swiftrl::pimsim::KernelContext;
+using swiftrl::oracle::LedgerOps;
 using swiftrl::pimsim::OpClass;
 using swiftrl::pimsim::PimConfig;
 using swiftrl::pimsim::PimSystem;
@@ -29,10 +32,11 @@ smallSystem(std::size_t dpus)
 
 /** Run @p kernel once on every core of @p system. */
 void
-launch(PimSystem &system, const swiftrl::pimsim::KernelFn &kernel)
+launch(PimSystem &system, std::function<void(LedgerOps &)> kernel)
 {
-    ASSERT_TRUE(
-        swiftrl::pimsim::CommandStream(system).launch(kernel).ok());
+    ASSERT_TRUE(swiftrl::pimsim::CommandStream(system)
+                    .launchBatch(swiftrl::oracle::perLane(std::move(kernel)))
+                    .ok());
 }
 
 TEST(StatsReport, EmptySystemIsAllZero)
@@ -49,7 +53,7 @@ TEST(StatsReport, EmptySystemIsAllZero)
 TEST(StatsReport, CountsRetiredOpsExactly)
 {
     auto system = smallSystem(2);
-    launch(system, [](KernelContext &ctx) {
+    launch(system, [](LedgerOps &ctx) {
         ctx.fmul(1.0f, 2.0f);
         ctx.fmul(1.0f, 2.0f);
         ctx.iadd(1, 2);
@@ -65,7 +69,7 @@ TEST(StatsReport, CountsRetiredOpsExactly)
 TEST(StatsReport, CycleSharesSumToOne)
 {
     auto system = smallSystem(1);
-    launch(system, [](KernelContext &ctx) {
+    launch(system, [](LedgerOps &ctx) {
         ctx.fadd(1, 2);
         ctx.fmul(1, 2);
         ctx.iadd(1, 2);
@@ -83,7 +87,7 @@ TEST(StatsReport, CycleSharesSumToOne)
 TEST(StatsReport, ImbalanceDetectsSkewedLoad)
 {
     auto system = smallSystem(2);
-    launch(system, [](KernelContext &ctx) {
+    launch(system, [](LedgerOps &ctx) {
         const int reps = ctx.dpuId() == 0 ? 30 : 10;
         for (int i = 0; i < reps; ++i)
             ctx.iadd(1, 1);
@@ -96,7 +100,7 @@ TEST(StatsReport, ImbalanceDetectsSkewedLoad)
 TEST(StatsReport, DmaBytesAndIntensity)
 {
     auto system = smallSystem(1);
-    launch(system, [](KernelContext &ctx) {
+    launch(system, [](LedgerOps &ctx) {
         std::uint8_t buf[64];
         ctx.mramToWram(0, buf, 64);
         for (int i = 0; i < 128; ++i)
@@ -136,7 +140,7 @@ TEST(StatsReport, Fp32KernelDominatedBySoftfloat)
 TEST(StatsReport, PrintRendersAllSections)
 {
     auto system = smallSystem(1);
-    launch(system, [](KernelContext &ctx) { ctx.fadd(1, 2); });
+    launch(system, [](LedgerOps &ctx) { ctx.fadd(1, 2); });
     const auto r = StatsReport::fromSystem(system);
     std::ostringstream oss;
     r.print(oss, "Test report");

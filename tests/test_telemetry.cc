@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "oracle/scalar_kernel.hh"
 #include "pimsim/command_stream.hh"
 #include "pimsim/device_counters.hh"
 #include "swiftrl/swiftrl.hh"
@@ -160,11 +161,12 @@ TEST(EngineCollector, CountsMatchDeviceCounters)
     pimsim::CommandStream stream(system);
     stream.setObserver(&collector);
 
-    const auto status = stream.launch([](pimsim::KernelContext &ctx) {
-        ctx.fmul(1.0f, 2.0f);
-        ctx.iadd(1, 2);
-        ctx.iadd(3, 4);
-    });
+    const auto status = stream.launchBatch(
+        oracle::perLane([](oracle::LedgerOps &ctx) {
+            ctx.fmul(1.0f, 2.0f);
+            ctx.iadd(1, 2);
+            ctx.iadd(3, 4);
+        }));
     ASSERT_TRUE(status.ok());
 
     const auto counters = pimsim::DeviceCounters::fromSystem(system);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the shared update-rule templates: closed-form arithmetic
  * checks, FP32/INT32/INT8 agreement, and exact cycle charging when
- * instantiated with a KernelContext.
+ * instantiated with the priced ops over a lane's charge ledger.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
 #include "rlcore/update_rules.hh"
+#include "swiftrl/priced_ops.hh"
 
 namespace {
 
@@ -19,6 +20,7 @@ using namespace swiftrl::rlcore;
 using swiftrl::pimsim::Dpu;
 using swiftrl::pimsim::DpuCostModel;
 using swiftrl::pimsim::KernelContext;
+using LedgerOps = swiftrl::PricedOps<KernelContext>;
 
 Hyper
 defaultHyper()
@@ -146,7 +148,8 @@ TEST(UpdateRules, KernelContextProducesIdenticalValues)
     host.lcgSeed(3);
     Dpu dpu(0, 1 << 16);
     DpuCostModel model;
-    KernelContext ctx(dpu, model, 64 * 1024);
+    KernelContext ledger(dpu, model, 64 * 1024);
+    LedgerOps ctx(ledger);
     ctx.lcgSeed(3);
 
     std::vector<float> qh{0.3f, -0.2f, 0.7f, 0.1f};
@@ -158,20 +161,21 @@ TEST(UpdateRules, KernelContextProducesIdenticalValues)
                         (i + 1) % 2, i % 7 == 0, 0.1f, 0.95f, 100);
     }
     EXPECT_EQ(qh, qk);
-    EXPECT_GT(ctx.cycles(), 0u);
+    EXPECT_GT(ledger.cycles(), 0u);
 }
 
 TEST(UpdateRules, KernelContextChargesQLearningExactly)
 {
     Dpu dpu(0, 1 << 16);
     DpuCostModel model;
-    KernelContext ctx(dpu, model, 64 * 1024);
+    KernelContext ledger(dpu, model, 64 * 1024);
+    LedgerOps ctx(ledger);
     std::vector<float> q(8, 0.0f);
 
-    const auto before = ctx.cycles();
+    const auto before = ledger.cycles();
     qlearningUpdateFp32(ctx, q.data(), 4, 0, 0, 1.0f, 1, false, 0.1f,
                         0.95f);
-    const auto cost = ctx.cycles() - before;
+    const auto cost = ledger.cycles() - before;
 
     // Expected op mix: 2 alu (addressing), 1 branch (terminal test),
     // maxQ over 4 actions (4 wram loads, 3 fp cmp, 3 branch),
