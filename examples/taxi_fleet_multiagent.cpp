@@ -26,12 +26,12 @@ main(int argc, char **argv)
     const common::CliFlags flags(argc, argv,
                                  {"agents", "transitions",
                                   "episodes"});
-    const auto agents =
-        static_cast<std::size_t>(flags.getInt("agents", 64));
-    const auto transitions = static_cast<std::size_t>(
-        flags.getInt("transitions", 100'000));
-    const auto episodes =
-        static_cast<int>(flags.getInt("episodes", 10));
+    // Each flag is range-checked: a value outside its range is a usage
+    // error naming the flag, not a wrapped count.
+    const auto agents = flags.getIntIn<std::size_t>("agents", 64, 1);
+    const auto transitions =
+        flags.getIntIn<std::size_t>("transitions", 100'000, 1);
+    const auto episodes = flags.getIntIn("episodes", 10, 1);
 
     std::cout << "taxi fleet: " << agents << " independent agents, "
               << transitions << " private transitions each, "

@@ -5,14 +5,14 @@
  * kernel once per cohort chunk.
  *
  * A BatchKernelContext owns one KernelContext — the charge ledger —
- * per *lane* (one lane per live core of the chunk) plus a shared
- * scratch arena. The kernel runs each core's program functionally on
- * host memory and routes every modelled cost of a lane (op charges,
- * DMA, WRAM accounting, LCG seeding) through that lane's ledger, so
- * the per-core cycles, op counts and DMA bytes are exactly those of
- * the DPU program on that core; how the kernel schedules the lanes on
- * the host (see swiftrl::runTrainingKernelBatch and
- * docs/PERFORMANCE.md §batch interpreter) moves no modelled number.
+ * per *lane* (one lane per live core of the chunk). The kernel runs
+ * each core's program functionally on host memory and routes every
+ * modelled cost of a lane (op charges, DMA, WRAM accounting, LCG
+ * seeding) through that lane's ledger, so the per-core cycles, op
+ * counts and DMA bytes are exactly those of the DPU program on that
+ * core; how the kernel schedules the lanes on the host (see
+ * swiftrl::runTrainingKernelBatch and docs/PERFORMANCE.md §batch
+ * interpreter) moves no modelled number.
  *
  * This class is pure pimsim machinery — lane bookkeeping and per-lane
  * ledgers — while the views over Q-slices, transition chunks and LCG
@@ -20,9 +20,9 @@
  * batch kernel's lanes match a scalar per-core oracle that charges
  * op by op (tests/test_batch_context.cc).
  *
- * A BatchKernelContext is confined to one host-pool worker (its
- * scratch arena is not thread-safe); CommandStream::launchBatch forms
- * cohort chunks and runs one context per chunk.
+ * A BatchKernelContext is confined to one host-pool worker;
+ * CommandStream::launchBatch forms cohort chunks and runs one context
+ * per chunk.
  */
 
 #ifndef SWIFTRL_PIMSIM_BATCH_CONTEXT_HH
@@ -30,12 +30,10 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "pimsim/kernel_context.hh"
-#include "pimsim/kernel_scratch.hh"
 
 namespace swiftrl::pimsim {
 
@@ -49,14 +47,10 @@ class BatchKernelContext
      *        construction).
      * @param model instruction cost model; must outlive the context.
      * @param wram_capacity scratchpad size in bytes (per core).
-     * @param scratch host-side staging arena shared by all lanes
-     *        (owned by the caller, e.g. a command-stream worker); a
-     *        private one is created lazily when null.
      */
     BatchKernelContext(std::span<Dpu *const> dpus,
                        const DpuCostModel &model,
-                       std::size_t wram_capacity,
-                       KernelScratch *scratch = nullptr);
+                       std::size_t wram_capacity);
 
     BatchKernelContext(const BatchKernelContext &) = delete;
     BatchKernelContext &operator=(const BatchKernelContext &) = delete;
@@ -77,12 +71,6 @@ class BatchKernelContext
     /** Core id behind lane @p i (host buffers indexed by core). */
     std::size_t dpuId(std::size_t i) const { return _dpus[i]->id(); }
 
-    /**
-     * Staging arena shared by all lanes; reset by the launch engine
-     * per chunk, like the scalar per-instance reset.
-     */
-    KernelScratch &scratch();
-
     /** Commit every lane's pending ledger to its Dpu. */
     void flushAll();
 
@@ -94,9 +82,6 @@ class BatchKernelContext
      * non-movable, and deque growth never relocates elements.
      */
     std::deque<KernelContext> _contexts;
-
-    KernelScratch *_scratch;
-    std::unique_ptr<KernelScratch> _owned;
 };
 
 /**

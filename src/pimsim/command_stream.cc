@@ -45,21 +45,8 @@ traceCommandSpan(Phase phase, TimeBucket bucket, double start,
 CommandStream::CommandStream(PimSystem &system)
     : _system(system),
       _dead(system.numDpus(), false),
-      _liveCount(system.numDpus()),
-      _launchWorkers(system.hostThreadCount())
+      _liveCount(system.numDpus())
 {
-}
-
-CommandStream::LaunchWorker &
-CommandStream::launchWorker(unsigned worker)
-{
-    // One slot per host-pool worker, pre-sized at construction, so
-    // concurrent first touches hit distinct slots and never race on
-    // the vector itself.
-    auto &slot = _launchWorkers[worker];
-    if (!slot)
-        slot = std::make_unique<LaunchWorker>();
-    return *slot;
 }
 
 double
@@ -446,20 +433,17 @@ CommandStream::launchBatch(const BatchKernel &kernel,
                    4);
     if (lanes > 0) {
         _system._pool->parallelFor(chunks, [&](std::size_t c,
-                                               unsigned worker) {
+                                               unsigned) {
             const std::size_t begin = lanes * c / chunks;
             const std::size_t end = lanes * (c + 1) / chunks;
             if (begin == end)
                 return;
-            LaunchWorker &w = launchWorker(worker);
-            w.scratch.reset();
             std::vector<Dpu *> lane_dpus;
             lane_dpus.reserve(end - begin);
             for (std::size_t i = begin; i < end; ++i)
                 lane_dpus.push_back(&dpus[cohort[i]]);
             BatchKernelContext bctx(lane_dpus, config.costModel,
-                                    config.wramBytesPerDpu,
-                                    &w.scratch);
+                                    config.wramBytesPerDpu);
             kernel(bctx);
             bctx.flushAll();
             for (std::size_t i = begin; i < end; ++i) {

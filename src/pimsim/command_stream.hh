@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -57,7 +56,6 @@
 
 #include "pimsim/batch_context.hh"
 #include "pimsim/fault_plan.hh"
-#include "pimsim/kernel_scratch.hh"
 #include "pimsim/timeline.hh"
 
 namespace swiftrl::pimsim {
@@ -428,19 +426,6 @@ class CommandStream
     CommandStatus finishLaunch(TimeBucket bucket,
                                std::string_view label);
 
-    /**
-     * Per-host-worker launch state, reused across launches: the
-     * staging arena, reset per cohort chunk. Heap-allocated
-     * individually so workers never false-share.
-     */
-    struct LaunchWorker
-    {
-        KernelScratch scratch;
-    };
-
-    /** The launch worker for host-pool worker @p worker (lazy). */
-    LaunchWorker &launchWorker(unsigned worker);
-
     PimSystem &_system;
     Timeline _timeline;
     double _cursor = 0.0;
@@ -452,9 +437,6 @@ class CommandStream
 
     /** Fault sites consumed (launches + functional gathers). */
     std::size_t _faultSites = 0;
-
-    /** Per-worker launch state, indexed by host-pool worker id. */
-    std::vector<std::unique_ptr<LaunchWorker>> _launchWorkers;
 
     /** Per-core effective cycles of the current launch (reused). */
     std::vector<Cycles> _effective;

@@ -249,6 +249,13 @@ tryLoadQTable(const std::string &path, std::string *error)
         return fail("'" + path + "' failed its checksum; the file "
                     "is corrupt");
     }
+    // A table and checksum that agree, with bytes after them: a corrupt
+    // file or a newer writer, refused as the other loaders do.
+    const std::uint64_t extra =
+        left - sizeof(checksum) - values.size() * sizeof(float);
+    if (extra != 0)
+        return fail("'" + path + "' holds " + std::to_string(extra) +
+                    " bytes after its checksum; the file is corrupt");
     return QTable::fromFloats(ns, na, values);
 }
 

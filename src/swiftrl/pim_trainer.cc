@@ -1,25 +1,17 @@
 #include "swiftrl/pim_trainer.hh"
 
-#include <cstring>
-#include <optional>
-
 #include "common/logging.hh"
-#include "rlcore/seeds.hh"
-#include "swiftrl/partition.hh"
-#include "swiftrl/pim_kernels.hh"
-#include "telemetry/engine_collector.hh"
+#include "telemetry/metric_registry.hh"
 
 namespace swiftrl {
 
-using pimsim::TimeBucket;
 using rlcore::ActionId;
 using rlcore::Dataset;
 using rlcore::QTable;
 using rlcore::StateId;
 
 PimTrainer::PimTrainer(pimsim::PimSystem &system, PimTrainConfig config)
-    : _system(system), _config(std::move(config)),
-      _qio(_config.workload, _config.hyper)
+    : _system(system), _config(std::move(config))
 {
     const std::string why = sessionConfigInvalidReason(_config);
     if (!why.empty())
@@ -29,41 +21,12 @@ PimTrainer::PimTrainer(pimsim::PimSystem &system, PimTrainConfig config)
                       "streaming runs use StreamingTrainer");
 }
 
-std::size_t
-PimTrainer::dataOffset(std::size_t q_bytes) const
-{
-    // Transitions start at the next 8-byte boundary past the Q region.
-    return (q_bytes + 7) / 8 * 8;
-}
-
-void
-PimTrainer::distribute(pimsim::CommandStream &stream,
-                       const std::vector<Dataset> &agent_data,
-                       TimeBucket bucket, std::string_view label)
-{
-    SWIFTRL_ASSERT(agent_data.size() == _system.numDpus(),
-                   "one agent dataset per core");
-    stream.scatter(
-        _dataOffsetCache,
-        [&](std::size_t i) {
-            return agent_data[i].size() * sizeof(rlcore::PackedTransition);
-        },
-        [&](std::size_t i, std::span<std::uint8_t> out) {
-            _qio.packTransitions(agent_data[i], 0, agent_data[i].size(),
-                                 out);
-        },
-        bucket, label);
-}
-
 PimTrainResult
 PimTrainer::runImpl(const Dataset &data, StateId num_states,
                     ActionId num_actions,
                     const SessionCheckpoint *restore_from,
                     int pause_at_round, SessionCheckpoint *out_ck)
 {
-    PimTrainResult result;
-    result.coresUsed = _system.numDpus();
-
     // The run is one begin/step*-per-round/finish sequence on a
     // TrainerSession, which owns the command stream, the Q-table wire
     // I/O, the LCG streams, and the fault-recovery plumbing. The
@@ -88,13 +51,21 @@ PimTrainer::runImpl(const Dataset &data, StateId num_states,
 
     if (out_ck) {
         *out_ck = session.checkpoint();
-        return result;
+        return {};
     }
 
     // Steps 3+4: final retrieval (Figure 4 (3)), then the result is
     // assembled from the session's whole-run accounting.
     session.finishRetrieval();
-    result.finalQ = session.aggregated();
+    return report(session, session.aggregated());
+}
+
+PimTrainResult
+PimTrainer::report(TrainerSession &session, QTable final_q) const
+{
+    PimTrainResult result;
+    result.finalQ = std::move(final_q);
+    result.coresUsed = _system.numDpus();
     result.roundDeltas = session.roundDeltas();
     result.commRounds = session.commRounds();
     result.time = session.currentTime();
@@ -147,112 +118,13 @@ PimTrainResult
 PimTrainer::trainMultiAgent(const std::vector<Dataset> &agent_data,
                             StateId num_states, ActionId num_actions)
 {
-    const std::size_t n = _system.numDpus();
-    if (agent_data.size() != n) {
-        SWIFTRL_FATAL("multi-agent mode pins one agent per core: got ",
-                      agent_data.size(), " agents for ", n, " cores");
-    }
-    if (_config.workload.algo != rlcore::Algorithm::QLearning) {
-        SWIFTRL_FATAL("SwiftRL's multi-agent mode uses independent "
-                      "Q-learners");
-    }
-    if (_config.shards > 0) {
-        SWIFTRL_FATAL("multi-agent mode trains one whole table per "
-                      "agent; sharding does not apply");
-    }
-
-    const std::size_t entries = static_cast<std::size_t>(num_states) *
-                                static_cast<std::size_t>(num_actions);
-    _dataOffsetCache =
-        dataOffset(entries * rlcore::kQWireBytesPerEntry);
-
-    PimTrainResult result;
-    result.coresUsed = n;
-
-    pimsim::CommandStream stream(_system);
-
-    std::optional<telemetry::EngineCollector> collector;
-    if (_config.metrics) {
-        collector.emplace(*_config.metrics, _system);
-        stream.setObserver(&*collector);
-    }
-
-    std::vector<std::size_t> counts(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (agent_data[i].empty())
-            SWIFTRL_FATAL("agent ", i, " has an empty dataset");
-        counts[i] = agent_data[i].size();
-    }
-    distribute(stream, agent_data);
-    _qio.initQTables(stream, num_states, num_actions);
-
-    const std::size_t streams = n * _config.tasklets;
-    std::vector<std::uint32_t> lcg_states(streams);
-    for (std::size_t i = 0; i < streams; ++i)
-        lcg_states[i] = rlcore::deriveLcgSeed(_config.hyper.seed, i);
-
-    KernelParams params;
-    params.workload = _config.workload;
-    params.hyper = _config.hyper;
-    params.numStates = num_states;
-    params.numActions = num_actions;
-    params.qOffset = _qio.qOffset();
-    params.dataOffset = _dataOffsetCache;
-    params.chunkCounts = &counts;
-    params.lcgStates = &lcg_states;
-    params.blockTransitions = _config.blockTransitions;
-    params.tasklets = _config.tasklets;
-
-    // Independent learners: all episodes in one launch, no
-    // synchronisation rounds (the aggregation step "would be
-    // unnecessary in this setting", Sec. 3.2.1).
-    params.episodes = _config.hyper.episodes;
-    const pimsim::BatchKernel kernel =
-        [&params](pimsim::BatchKernelContext &batch) {
-            runTrainingKernelBatch(batch, params);
-        };
-    runWithRecovery(
-        stream, _config.retry, "kernel:episodes",
-        [&] {
-            return stream.launchBatch(kernel, _config.tasklets,
-                                      TimeBucket::Kernel,
-                                      "kernel:episodes");
-        },
-        [](const pimsim::CommandError &error) {
-            // Independent learners are pinned to their cores: there
-            // is no dataset to redistribute, so a lost core means a
-            // lost agent.
-            SWIFTRL_FATAL("core ", error.dpus.front(),
-                          " dropped out in multi-agent mode; "
-                          "independent learners cannot be "
-                          "redistributed");
-        });
-
-    std::vector<std::span<const std::uint8_t>> views;
-    _qio.gatherWires(stream, entries, TimeBucket::PimToCpu, "gather:q",
-                     _config.retry, views);
-    // Each agent deploys its own table, decoded from its bank view.
-    result.perCore.reserve(views.size());
-    for (const auto &wire : views)
-        result.perCore.push_back(
-            _qio.decodeTable(wire, num_states, num_actions));
-    // finalQ kept as the average for convenience (diagnostics only;
-    // each agent deploys its own table).
-    result.finalQ = QTable::average(result.perCore);
-    result.time = breakdownFromTimeline(stream.timeline());
-    result.timeline = stream.timeline();
-    result.faultsDetected = countFaultEvents(result.timeline);
-    if (_config.metrics) {
-        auto &m = *_config.metrics;
-        m.gauge("rl_epsilon").set(_config.hyper.epsilon);
-        m.counter("rl_faults_detected_total")
-            .add(static_cast<std::uint64_t>(result.faultsDetected));
-        m.gauge("rl_live_cores")
-            .set(static_cast<double>(stream.liveDpuCount()));
-        m.counter("rl_cores_lost_total")
-            .add(static_cast<std::uint64_t>(result.coresLost));
-        m.gauge("rl_recovery_seconds").set(result.time.recovery);
-    }
+    TrainerSession session(_system, _config);
+    session.beginAgents(agent_data, num_states, num_actions);
+    std::vector<QTable> tables = session.trainAgents();
+    // finalQ is the agents' mean, for diagnostics only: each agent
+    // deploys its own table.
+    PimTrainResult result = report(session, QTable::average(tables));
+    result.perCore = std::move(tables);
     return result;
 }
 

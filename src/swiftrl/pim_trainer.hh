@@ -9,12 +9,13 @@
  * with the tau-periodic inter-core synchronisation of Sec. 4.2 and the
  * multi-agent independent-learner mode of Sec. 3.2.1.
  *
- * Each run is issued as an explicit command sequence on a
- * pimsim::CommandStream: every scatter / launch / gather / reduce /
- * broadcast becomes a command with a `{start, end}` interval on the
- * stream's modelled-time timeline. The reported TimeBreakdown is
- * *derived from that timeline* (see breakdownFromTimeline), and the
- * timeline itself ships in the result for Chrome-trace export.
+ * PimTrainer is thin: every run, multi-agent included, is one
+ * TrainerSession, which issues the scatter / launch / gather / reduce /
+ * broadcast commands on its pimsim::CommandStream, each with a
+ * `{start, end}` interval on the stream's modelled-time timeline. The
+ * reported TimeBreakdown is *derived from that timeline* (see
+ * breakdownFromTimeline), and the timeline itself ships in the result
+ * for Chrome-trace export.
  */
 
 #ifndef SWIFTRL_SWIFTRL_PIM_TRAINER_HH
@@ -22,12 +23,10 @@
 
 #include <vector>
 
-#include "pimsim/command_stream.hh"
 #include "pimsim/pim_system.hh"
 #include "pimsim/timeline.hh"
 #include "rlcore/dataset.hh"
 #include "rlcore/qtable.hh"
-#include "swiftrl/qtable_io.hh"
 #include "swiftrl/session.hh"
 #include "swiftrl/time_breakdown.hh"
 #include "swiftrl/workload.hh"
@@ -131,7 +130,8 @@ class PimTrainer
     /**
      * Multi-agent Q-learning (Sec. 3.2.1): one independent learner per
      * core, each with its own dataset; no synchronisation and no final
-     * aggregation. @p agent_data must contain exactly one non-empty
+     * aggregation (TrainerSession::beginAgents/trainAgents, whose
+     * rules apply). @p agent_data must contain exactly one non-empty
      * dataset per core.
      */
     PimTrainResult trainMultiAgent(
@@ -142,14 +142,6 @@ class PimTrainer
     const PimTrainConfig &config() const { return _config; }
 
   private:
-    /** Scatter each agent's whole dataset to its core, packed in
-     *  the core's lane. */
-    void distribute(pimsim::CommandStream &stream,
-                    const std::vector<rlcore::Dataset> &agent_data,
-                    pimsim::TimeBucket bucket =
-                        pimsim::TimeBucket::CpuToPim,
-                    std::string_view label = "scatter:dataset");
-
     /**
      * One code path for train / trainUntilRound / resume: drive a
      * TrainerSession from either a fresh begin or @p restore_from,
@@ -163,20 +155,13 @@ class PimTrainer
                            int pause_at_round,
                            SessionCheckpoint *out_ck);
 
-    std::size_t dataOffset(std::size_t q_bytes) const;
+    /** The result and rl_* metrics of a finished @p session, with
+     *  @p final_q as its table. */
+    PimTrainResult report(TrainerSession &session,
+                          rlcore::QTable final_q) const;
 
     pimsim::PimSystem &_system;
     PimTrainConfig _config;
-
-    /**
-     * Q-table transfer helper shared with the streaming trainer:
-     * packing, broadcast/gather commands, and the on-core
-     * fixed<->float conversion costs all come from here.
-     */
-    QTableIo _qio;
-
-    /** MRAM byte offset of the transition region for the active run. */
-    std::size_t _dataOffsetCache = 0;
 };
 
 } // namespace swiftrl

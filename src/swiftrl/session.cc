@@ -8,6 +8,7 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
 #include "rlcore/seeds.hh"
@@ -253,8 +254,11 @@ TrainerSession::scatterChunks(std::size_t offset,
 
 void
 TrainerSession::scatterActive(TimeBucket bucket, std::string_view label,
-                              bool poke)
+                              bool poke, std::span<const Dataset> agents)
 {
+    const auto source = [&](std::size_t i) -> const Dataset & {
+        return agents.empty() ? *_activeData : agents[i];
+    };
     // Each core's chunk is packed by its scatter lane straight into
     // its bank (CommandStream::scatter). The lane also checks the ids
     // it just packed, while they are cache-hot (a separate pass over
@@ -267,17 +271,19 @@ TrainerSession::scatterActive(TimeBucket bucket, std::string_view label,
         [this](std::size_t i) {
             return _counts[i] * sizeof(PackedTransition);
         },
-        [this, &misfit](std::size_t i, std::span<std::uint8_t> out) {
-            _qio.packTransitions(*_activeData, _firsts[i], _counts[i],
-                                 out);
-            misfit[i] = !rlcore::datasetMisfit(*_activeData, _numStates,
+        [&](std::size_t i, std::span<std::uint8_t> out) {
+            const Dataset &data = source(i);
+            _qio.packTransitions(data, _firsts[i], _counts[i], out);
+            misfit[i] = !rlcore::datasetMisfit(data, _numStates,
                                                _numActions, _firsts[i],
                                                _counts[i])
                              .empty();
         },
         bucket, label, poke);
-    if (std::ranges::find(misfit, 1) != misfit.end())
-        requireFit(*_activeData, _numStates, _numActions);
+    const auto bad = std::ranges::find(misfit, 1);
+    if (bad != misfit.end())
+        requireFit(source(static_cast<std::size_t>(bad - misfit.begin())),
+                   _numStates, _numActions);
 }
 
 void
@@ -543,6 +549,91 @@ TrainerSession::beginOffline(const Dataset &data, StateId num_states,
 }
 
 void
+TrainerSession::beginAgents(std::span<const Dataset> agents,
+                            StateId num_states, ActionId num_actions)
+{
+    SWIFTRL_ASSERT(!_config.streaming,
+                   "beginAgents on a streaming session");
+    const std::size_t n = _system.numDpus();
+    if (agents.size() != n) {
+        SWIFTRL_FATAL("multi-agent mode pins one agent per core: got ",
+                      agents.size(), " agents for ", n, " cores");
+    }
+    if (_config.workload.algo != rlcore::Algorithm::QLearning) {
+        SWIFTRL_FATAL("SwiftRL's multi-agent mode uses independent "
+                      "Q-learners");
+    }
+    if (_config.shards > 0) {
+        SWIFTRL_FATAL("multi-agent mode trains one whole table per "
+                      "agent; sharding does not apply");
+    }
+    if (_config.weightedAggregation) {
+        SWIFTRL_FATAL("weightedAggregation: multi-agent mode never "
+                      "averages its agents' tables, so there are no "
+                      "visits to weight");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (agents[i].empty())
+            SWIFTRL_FATAL("agent ", i, " has an empty dataset");
+    }
+    start(num_states, num_actions);
+    openRunSpan("begin");
+    telemetry::ScopedSpanParent ambient(_traceSpan.id());
+
+    // Each agent's whole dataset goes to its own core. No _activeData:
+    // a lost core is fatal in this mode, so nothing re-packs these
+    // records, and step() refuses to run without a dataset.
+    for (std::size_t i = 0; i < n; ++i)
+        _counts[i] = agents[i].size();
+    scatterActive(TimeBucket::CpuToPim, "scatter:dataset",
+                  /*poke=*/false, agents);
+    _qio.initQTables(*_stream, num_states, num_actions);
+
+    _episodesRemaining = _config.hyper.episodes;
+    _state = SessionState::Ready;
+}
+
+std::vector<QTable>
+TrainerSession::trainAgents()
+{
+    SWIFTRL_ASSERT(_state == SessionState::Ready && !_config.streaming &&
+                       !_activeData && _episodesRemaining > 0,
+                   "trainAgents() needs a session begun with "
+                   "beginAgents()");
+    telemetry::ScopedSpanParent ambient(_traceSpan.id());
+    // Independent learners: all episodes in one launch, no
+    // synchronisation rounds (the aggregation step "would be
+    // unnecessary in this setting", Sec. 3.2.1).
+    _params.episodes = std::exchange(_episodesRemaining, 0);
+    runWithRecovery(
+        *_stream, _config.retry, "kernel:episodes",
+        [&] {
+            return _stream->launchBatch(_kernel, _config.tasklets,
+                                        TimeBucket::Kernel,
+                                        "kernel:episodes");
+        },
+        [](const pimsim::CommandError &error) {
+            // Each learner is pinned to its core: there is no shared
+            // dataset to redistribute, so a lost core is a lost agent.
+            SWIFTRL_FATAL("core ", error.dpus.front(),
+                          " dropped out in multi-agent mode; "
+                          "independent learners cannot be "
+                          "redistributed");
+        });
+
+    std::vector<std::span<const std::uint8_t>> views;
+    _qio.gatherWires(*_stream, _entries, TimeBucket::PimToCpu, "gather:q",
+                     _config.retry, views);
+    std::vector<QTable> tables;
+    tables.reserve(views.size());
+    for (const auto &wire : views)
+        tables.push_back(_qio.decodeTable(wire, _numStates, _numActions));
+    closeRunSpan();
+    _state = SessionState::Done;
+    return tables;
+}
+
+void
 TrainerSession::beginStreaming(StateId num_states,
                                ActionId num_actions)
 {
@@ -759,12 +850,20 @@ TrainerSession::finishRetrieval()
             _traceSpan.id());
         span.attr("rounds", _commRounds);
         span.finish(_stream->now());
-        _traceSpan.attr("rounds", _commRounds)
-            .attr("faults", faultsDetected())
-            .attr("cores_lost", coresLost());
-        _traceSpan.finish(_stream->now());
+        closeRunSpan();
     }
     _state = SessionState::Done;
+}
+
+void
+TrainerSession::closeRunSpan()
+{
+    if (!_traceSpan.active())
+        return;
+    _traceSpan.attr("rounds", _commRounds)
+        .attr("faults", faultsDetected())
+        .attr("cores_lost", coresLost());
+    _traceSpan.finish(_stream->now());
 }
 
 void
@@ -852,6 +951,8 @@ TrainerSession::checkpoint() const
                        _state == SessionState::Paused,
                    "checkpoint() needs a live session at a round "
                    "boundary");
+    SWIFTRL_ASSERT(_config.streaming || _activeData,
+                   "multi-agent runs have no round to checkpoint at");
     SessionCheckpoint ck;
     ck.streaming = _config.streaming;
     ck.workload = _config.workload;

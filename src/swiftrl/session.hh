@@ -11,13 +11,16 @@
  *     Init --begin/restore--> Ready --step()...--> (rounds done)
  *       Ready --pause()--> Paused --resume()--> Ready
  *       Ready --finishRetrieval()--> Done
+ *     Init --beginAgents()--> Ready --trainAgents()--> Done
  *
  * One step() is one tau-round: launch (with bounded retry and
  * dropout redistribution), gather, aggregate, host-reduce, broadcast
  * — exactly the loop body PimTrainer and StreamingTrainer used to
  * own privately. The offline trainer runs one begin/step/finish
- * sequence over a fixed dataset; the streaming trainer re-arms the
- * session once per generation with loadGeneration(); the fleet
+ * sequence over a fixed dataset; multi-agent training (Sec. 3.2.1)
+ * runs the same scatter, q-init, launch and gather without the
+ * tau-sync (beginAgents/trainAgents); the streaming trainer re-arms
+ * the session once per generation with loadGeneration(); the fleet
  * scheduler (src/fleet) drives many sessions in slices, pausing and
  * checkpointing each at preemption and restoring it on a fresh
  * machine at the next grant.
@@ -46,8 +49,8 @@
  * Out of scope, documented rather than restored: the post-restore
  * Timeline holds only post-restore events (traces of a resumed run
  * are partial), and telemetry counters restart (observation never
- * was part of the determinism contract). Multi-agent training has no
- * rounds to checkpoint at and stays a PimTrainer special.
+ * was part of the determinism contract). Multi-agent runs have no
+ * round boundary, so they cannot be checkpointed.
  */
 
 #ifndef SWIFTRL_SWIFTRL_SESSION_HH
@@ -130,8 +133,9 @@ struct SessionConfig
      * negative-reward environments when chunks under-cover the state
      * space (see tests/test_pim_trainer.cc's coverage
      * characterisation); weighting fixes exactly that at the cost of
-     * one extra per-round gather of the count table. Offline mode
-     * only.
+     * one extra per-round gather of the count table. Offline
+     * tau-synchronised runs only: streaming refuses it, and so does
+     * beginAgents, whose independent learners are never averaged.
      */
     bool weightedAggregation = false;
 
@@ -163,7 +167,7 @@ struct SessionConfig
      * degenerate single-shard layout and stays bit-identical to
      * unsharded training. Offline single-table training only:
      * incompatible with streaming and weightedAggregation, and
-     * PimTrainer::trainMultiAgent refuses it.
+     * beginAgents refuses it (each agent trains one whole table).
      */
     std::size_t shards = 0;
 
@@ -367,6 +371,28 @@ class TrainerSession
                       rlcore::ActionId num_actions);
 
     /**
+     * Begin a multi-agent run (Sec. 3.2.1): one independent Q-learner
+     * per core, core i training on the whole of @p agents[i]. Scatters
+     * each agent's records to its core, broadcasts the zero Q-table,
+     * seeds the LCG streams, and arms hyper.episodes episodes for
+     * trainAgents(). Fatal unless there is one non-empty dataset per
+     * core whose records fit the table, the algorithm is Q-learning,
+     * and the config is unsharded and unweighted.
+     */
+    void beginAgents(std::span<const rlcore::Dataset> agents,
+                     rlcore::StateId num_states,
+                     rlcore::ActionId num_actions);
+
+    /**
+     * Train the agents of beginAgents(): every armed episode in one
+     * launch ("kernel:episodes") with no synchronisation, then one
+     * gather of every core's table ("gather:q"), and move to Done.
+     * A lost core is fatal: its agent cannot move. Returns core i's
+     * table at index i.
+     */
+    std::vector<rlcore::QTable> trainAgents();
+
+    /**
      * Begin a streaming run: broadcast the zero Q-table and seed the
      * LCG streams. No dataset yet — arm each generation with
      * loadGeneration().
@@ -510,6 +536,10 @@ class TrainerSession
      *  clock; @p how is "begin" or "restore". Observation-only. */
     void openRunSpan(const char *how);
 
+    /** Finish the "session.run" span, if open, with the run's
+     *  totals. Observation-only. */
+    void closeRunSpan();
+
     /** Fill _params/_kernel once shapes are known. */
     void buildKernel();
 
@@ -525,10 +555,13 @@ class TrainerSession
                        pimsim::TimeBucket bucket, std::string_view label,
                        bool poke);
 
-    /** Scatter _activeData per the current partition, each chunk
-     *  packed in its core's lane (push or poke). */
+    /** Scatter each core's records [_firsts[i], +_counts[i]) of
+     *  @p agents[i], or of _activeData when @p agents is empty, packed
+     *  in its lane (push or poke); fatal when one lies outside the
+     *  table. */
     void scatterActive(pimsim::TimeBucket bucket,
-                       std::string_view label, bool poke);
+                       std::string_view label, bool poke,
+                       std::span<const rlcore::Dataset> agents = {});
 
     /** Dropout recovery: repartition + recovery-track rescatter +
      *  aggregate rebroadcast. */

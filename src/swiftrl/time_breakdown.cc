@@ -3,12 +3,6 @@
 namespace swiftrl {
 
 TimeBreakdown
-breakdownFromTimeline(const pimsim::Timeline &timeline)
-{
-    return breakdownFromTimeline(timeline, TimeBreakdown{});
-}
-
-TimeBreakdown
 breakdownFromTimeline(const pimsim::Timeline &timeline,
                       const TimeBreakdown &base)
 {

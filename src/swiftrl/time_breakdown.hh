@@ -82,22 +82,18 @@ struct TimeBreakdown
  * Derive the four-way breakdown from a command-stream timeline: each
  * event's duration is added to the component named by its TimeBucket,
  * in enqueue order (so the result is bit-identical across runs and
- * host-pool sizes). This is how PimTrainer fills PimTrainResult::time
- * — the breakdown *is* a view of the timeline, never hand-accumulated.
- */
-TimeBreakdown breakdownFromTimeline(const pimsim::Timeline &timeline);
-
-/**
- * Same derivation, continuing from @p base instead of zero — how a
- * restored TrainerSession reports the whole run's breakdown: the
- * checkpoint carries the per-bucket partial sums of the pre-restore
- * prefix, and accumulation continues in event order from there.
- * Identical to full in-order summation of the uninterrupted run, so
- * restore stays bit-exact (double addition is deterministic for a
- * fixed order).
+ * host-pool sizes), starting from @p base. This is how every trainer
+ * fills its result's time — the breakdown *is* a view of the timeline,
+ * never hand-accumulated.
+ *
+ * A restored TrainerSession passes the checkpoint's per-bucket partial
+ * sums of the pre-restore prefix as @p base, and accumulation
+ * continues in event order from there. That is identical to full
+ * in-order summation of the uninterrupted run, so restore stays
+ * bit-exact (double addition is deterministic for a fixed order).
  */
 TimeBreakdown breakdownFromTimeline(const pimsim::Timeline &timeline,
-                                    const TimeBreakdown &base);
+                                    const TimeBreakdown &base = {});
 
 } // namespace swiftrl
 

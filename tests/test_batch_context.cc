@@ -15,8 +15,7 @@
  * how cohorts are chunked, is test_determinism's.) Sharded cases use
  * the session's slice | halo | data bank layout, so the batch lanes
  * train on [slice | halo] in place while the oracle copies both into
- * WRAM; the halo rows must come out untouched. A scratch guard pins
- * the in-place lanes: a chunk's scratch holds no Q image at all.
+ * WRAM; the halo rows must come out untouched.
  */
 
 #include <algorithm>
@@ -36,7 +35,6 @@
 #include "pimsim/command_stream.hh"
 #include "pimsim/dpu.hh"
 #include "pimsim/kernel_context.hh"
-#include "pimsim/kernel_scratch.hh"
 #include "pimsim/pim_system.hh"
 #include "rlcore/dataset.hh"
 #include "rlcore/seeds.hh"
@@ -54,7 +52,6 @@ using swiftrl::pimsim::Cycles;
 using swiftrl::pimsim::Dpu;
 using swiftrl::pimsim::DpuCostModel;
 using swiftrl::pimsim::FaultKind;
-using swiftrl::pimsim::KernelScratch;
 using swiftrl::pimsim::kNumOpClasses;
 using swiftrl::pimsim::PimConfig;
 using swiftrl::pimsim::PimSystem;
@@ -639,61 +636,6 @@ TEST_F(EngineParity, LaunchBatchMatchesPerCoreLaunchUnderFaults)
             }
         }
     }
-}
-
-// --- in-place lane guard ----------------------------------------------
-
-TEST(BatchScratch, ChunkScratchHoldsNoQImage)
-{
-    // A taxi-shaped chunk: 250 lanes of a 500 x 6 table (12 KB)
-    // training 50 records each. Lanes train on their banks in place,
-    // so the chunk's scratch holds no Q image at all — at most a
-    // staging block, inside the arena's slab slack — not one image
-    // (12 KB) and certainly not 250 of them (3 MB).
-    auto env = swiftrl::rlenv::makeEnvironment("taxi");
-    constexpr std::size_t kLanes = 250;
-    constexpr std::size_t kPerLane = 50;
-    const auto data = swiftrl::rlcore::collectRandomDataset(
-        *env, kLanes * kPerLane, 3);
-    const std::size_t q_bytes =
-        static_cast<std::size_t>(env->numStates()) *
-        static_cast<std::size_t>(env->numActions()) * 4;
-
-    std::vector<Dpu> dpus;
-    dpus.reserve(kLanes);
-    std::vector<Dpu *> lanes;
-    for (std::size_t i = 0; i < kLanes; ++i) {
-        dpus.emplace_back(i, 8u << 20);
-        std::vector<std::uint8_t> bytes(
-            kPerLane * sizeof(swiftrl::rlcore::PackedTransition));
-        data.packFp32(i * kPerLane, kPerLane, bytes);
-        dpus.back().mramWrite(kDataOffset, bytes.data(), bytes.size());
-        lanes.push_back(&dpus.back());
-    }
-    std::vector<std::size_t> counts(kLanes, kPerLane);
-    std::vector<std::uint32_t> lcg(kLanes, 1u);
-    KernelParams p;
-    p.hyper.episodes = 1;
-    p.numStates = env->numStates();
-    p.numActions = env->numActions();
-    p.qOffset = 0;
-    p.dataOffset = kDataOffset;
-    p.episodes = 1;
-    p.chunkCounts = &counts;
-    p.lcgStates = &lcg;
-
-    const DpuCostModel model;
-    KernelScratch scratch;
-    BatchKernelContext bctx(lanes, model, kWramBytes, &scratch);
-    swiftrl::runTrainingKernelBatch(bctx, p);
-    bctx.flushAll();
-
-    const std::size_t staging =
-        p.blockTransitions * swiftrl::kTransitionBytes;
-    EXPECT_LE(scratch.usedBytes(), staging);
-    EXPECT_LT(scratch.usedBytes(), q_bytes);
-    EXPECT_LE(scratch.capacityBytes(), staging + 64 * 1024);
-    EXPECT_GT(bctx.lane(kLanes - 1).cycles(), 0u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the command-line flag parser, and for swiftrl_cli's own
- * integer flags: each out-of-range value is a usage error naming the
- * flag, raised before any work starts.
+ * Tests for the command-line flag parser, and for the integer flags of
+ * swiftrl_cli and the taxi fleet example: each out-of-range value is a
+ * usage error naming the flag, raised before any work starts.
  */
 
 #include <gtest/gtest.h>
@@ -178,12 +178,12 @@ TEST(CliDeath, GetIntInOutOfRangeNamesTheFlag)
                 ::testing::ExitedWithCode(1), "--seed: must be an integer");
 }
 
-/** Run swiftrl_cli with @p args; its exit status, output in @p out. */
+/** Run @p binary with @p args; its exit status, output in @p out. */
 int
-runCli(const std::string &args, std::string &out)
+runBinary(const std::string &binary, const std::string &args,
+          std::string &out)
 {
-    const std::string cmd =
-        std::string(SWIFTRL_CLI_PATH) + " " + args + " 2>&1";
+    const std::string cmd = binary + " " + args + " 2>&1";
     FILE *pipe = ::popen(cmd.c_str(), "r");
     if (pipe == nullptr)
         return -1;
@@ -193,6 +193,13 @@ runCli(const std::string &args, std::string &out)
         out += buf;
     const int status = ::pclose(pipe);
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** Run swiftrl_cli with @p args; its exit status, output in @p out. */
+int
+runCli(const std::string &args, std::string &out)
+{
+    return runBinary(SWIFTRL_CLI_PATH, args, out);
 }
 
 TEST(SwiftrlCli, ToolIntegerFlagsAreUsageErrors)
@@ -346,6 +353,19 @@ TEST(SwiftrlCli, CorruptDatasetFileIsAUsageError)
               std::string::npos)
         << out;
     EXPECT_EQ(out.find("training"), std::string::npos) << out;
+    EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
+}
+
+TEST(TaxiFleetExample, NegativeAgentCountIsAUsageError)
+{
+    // -1 agents must be refused by name, not wrapped to SIZE_MAX.
+    std::string out;
+    EXPECT_EQ(runBinary(SWIFTRL_FLEET_EXAMPLE_PATH, "--agents -1", out), 1)
+        << out;
+    EXPECT_NE(out.find("--agents: must be an integer in [1, "),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("taxi fleet:"), std::string::npos) << out;
     EXPECT_EQ(out.find("flight recorder"), std::string::npos) << out;
 }
 

@@ -1082,26 +1082,55 @@ TEST(ScatterPins, StreamingAttachGenerationRestore)
     });
 }
 
+/** The five-agent run both multi-agent pins train, on @p pool host
+ *  threads under @p faults; @p faults_seen gets the run's count. */
+std::uint64_t
+multiAgentPin(unsigned pool, const swiftrl::pimsim::FaultPlan &faults,
+              int *faults_seen = nullptr)
+{
+    std::vector<swiftrl::rlcore::Dataset> agents;
+    for (std::size_t i = 0; i < 5; ++i) {
+        swiftrl::rlenv::FrozenLake env(true);
+        agents.push_back(collectRandomDataset(env, 300 + 37 * i, i));
+    }
+    PimConfig pim;
+    pim.numDpus = 5;
+    pim.hostThreads = pool;
+    pim.faultPlan = faults;
+    PimSystem system(pim);
+    const auto r = PimTrainer(system, pinConfig(NumericFormat::Int32))
+                       .trainMultiAgent(agents, 16, 4);
+    if (faults_seen)
+        *faults_seen = r.faultsDetected;
+    Fnv f;
+    for (const auto &q : r.perCore)
+        f.mix(q);
+    f.mix(r.timeline);
+    return f.h;
+}
+
 TEST(ScatterPins, MultiAgent)
 {
     expectPinned(0xdda79c4d5fde58b9ull, [](unsigned pool) {
-        std::vector<swiftrl::rlcore::Dataset> agents;
-        for (std::size_t i = 0; i < 5; ++i) {
-            swiftrl::rlenv::FrozenLake env(true);
-            agents.push_back(collectRandomDataset(env, 300 + 37 * i, i));
-        }
-        PimConfig pim;
-        pim.numDpus = 5;
-        pim.hostThreads = pool;
-        PimSystem system(pim);
-        const auto r = PimTrainer(system, pinConfig(NumericFormat::Int32))
-                           .trainMultiAgent(agents, 16, 4);
-        Fnv f;
-        for (const auto &q : r.perCore)
-            f.mix(q);
-        f.mix(r.timeline);
-        return f.h;
+        return multiAgentPin(pool, {});
     });
+}
+
+TEST(ScatterPins, MultiAgentUnderFaults)
+{
+    // Transient launch faults and corrupted gathers, retried; no
+    // dropouts (a lost core is a lost agent, which is fatal).
+    swiftrl::pimsim::FaultPlan faults;
+    faults.seed = 2;
+    faults.transientRate = 0.1;
+    faults.corruptRate = 0.15;
+    for (const unsigned pool : {1u, 2u, 8u}) {
+        int seen = 0;
+        const std::uint64_t got = multiAgentPin(pool, faults, &seen);
+        EXPECT_EQ(got, 0xd2336edc63cf9153ull)
+            << "pool " << pool << ": digest 0x" << std::hex << got;
+        EXPECT_GT(seen, 0) << "pool " << pool;
+    }
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Hostile-input mutation tests for the dataset, Q-table and checkpoint
  * loaders: from a small valid file, every truncation length and 256
  * seeded single-bit flips, plus checkpoints whose payload is malformed
- * but carries a correct checksum. Every mutant must come back as an
+ * but carries a correct checksum and a Q-table with bytes appended
+ * after its checksum. Every mutant must come back as an
  * error from the non-fatal loader, and no load may make an allocation
  * larger than the file (or the file stream's own buffer).
  *
@@ -188,6 +189,28 @@ TEST(LoaderMutations, QTableTruncationsAndBitFlipsAreErrors)
     std::string error;
     ASSERT_TRUE(load(file.path(), &error)) << error;
     mutateEveryWay(file, valid, 21, load);
+}
+
+TEST(LoaderMutations, QTableWithAppendedBytesIsAnError)
+{
+    // Bytes after the checksum mean a corrupt file or a newer writer:
+    // the loader refuses them, as the dataset and checkpoint loaders
+    // do, rather than load the prefix.
+    swiftrl::rlcore::QTable q(4, 2);
+    q.initArbitrary(5);
+    TempFile file("qtable_tail");
+    swiftrl::rlcore::saveQTable(q, file.path());
+    Bytes mutant = readBytes(file.path());
+    mutant.insert(mutant.end(), 16, '\0');
+    EXPECT_NE(expectRejected(file, mutant,
+                             [](const std::string &path,
+                                std::string *error) {
+                                 return swiftrl::rlcore::tryLoadQTable(
+                                            path, error)
+                                     .has_value();
+                             })
+                  .find("16 bytes after its checksum"),
+              std::string::npos);
 }
 
 /** A small checkpoint with every array field non-empty. */

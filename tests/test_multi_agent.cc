@@ -2,7 +2,8 @@
  * @file
  * Tests for multi-agent Q-learning on the PIM system (Sec. 3.2.1):
  * one independent learner pinned to each core, agent-specific
- * datasets, no synchronisation, no aggregation.
+ * datasets, no synchronisation, no aggregation; and the runs
+ * TrainerSession::beginAgents refuses before any launch.
  */
 
 #include <gtest/gtest.h>
@@ -158,6 +159,36 @@ TEST(MultiAgentDeath, EmptyAgentDatasetIsFatal)
     PimTrainer trainer(system, multiAgentConfig(5));
     EXPECT_EXIT((void)trainer.trainMultiAgent(data, 16, 4),
                 ::testing::ExitedWithCode(1), "empty dataset");
+}
+
+TEST(MultiAgentDeath, AgentDataOutsideTheTableIsFatal)
+{
+    // Taxi's 500 states do not fit a 16 x 4 table: each lane would
+    // train on rows past its Q region, so the run must stop at the
+    // scatter, before any launch.
+    std::vector<Dataset> data;
+    for (std::size_t i = 0; i < 2; ++i) {
+        swiftrl::rlenv::Taxi env;
+        data.push_back(collectRandomDataset(env, 200, 7 + i));
+    }
+    auto system = makeSystem(2);
+    PimTrainer trainer(system, multiAgentConfig(5));
+    EXPECT_EXIT((void)trainer.trainMultiAgent(data, 16, 4),
+                ::testing::ExitedWithCode(1),
+                "does not fit the environment.*16-state x 4-action");
+}
+
+TEST(MultiAgentDeath, WeightedAggregationIsRejected)
+{
+    // Independent learners are never averaged, so there is nothing
+    // to weight; the flag must not be silently ignored.
+    auto cfg = multiAgentConfig(5);
+    cfg.weightedAggregation = true;
+    auto system = makeSystem(2);
+    PimTrainer trainer(system, cfg);
+    const auto data = agentDatasets(2, 100);
+    EXPECT_EXIT((void)trainer.trainMultiAgent(data, 16, 4),
+                ::testing::ExitedWithCode(1), "weightedAggregation");
 }
 
 } // namespace

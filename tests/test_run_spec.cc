@@ -2,7 +2,8 @@
  * @file
  * Tests for the run-spec table, its reader and its validator
  * (swiftrl/run_spec): the defaults, the seed rule, the tau clamp,
- * checked reads, and the CLI's flag adapter.
+ * checked reads, the CLI's flag adapter, and hostile C-ABI
+ * params_json documents (truncations and bit flips).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "common/cli.hh"
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "swiftrl/run_spec.hh"
 
 namespace {
@@ -330,6 +332,59 @@ TEST(RunSpecDeath, BadFlagsAreUsageErrorsNamingTheFlag)
                                      "--format", "fp32"}),
                 ::testing::ExitedWithCode(1),
                 "67584 bytes of WRAM .* split the Q-table with --shards");
+}
+
+/**
+ * What swiftrl_session_create checks before it builds a machine:
+ * parse @p text, read every C-ABI key, validate. "" or the reason.
+ */
+std::string
+cApiParamsReason(const std::string &text)
+{
+    std::string error;
+    const auto doc = swiftrl::json::parseJson(text, &error);
+    if (!doc) {
+        EXPECT_FALSE(error.empty());
+        return "parse: " + error;
+    }
+    if (!doc->isObject())
+        return "not an object";
+    RunSpec spec;
+    const std::string why = swiftrl::readRunSpec(
+        *doc, swiftrl::runSpecKeys(FrontEnd::CApi), spec);
+    return why.empty() ? swiftrl::runSpecInvalidReason(spec) : why;
+}
+
+TEST(RunSpecMutations, ParamsJsonTruncationsAndBitFlips)
+{
+    // Hostile params_json: every truncation and 256 seeded single-bit
+    // flips of a valid document naming every kind of value. Each must
+    // come back as a reason or as a spec that passes validation; none
+    // may crash or abort.
+    const std::string valid =
+        R"({"env": "taxi", "cores": 8, "host_threads": 2,)"
+        R"( "transitions": 4000, "seed": 7, "algo": "sarsa",)"
+        R"( "sampling": "str", "format": "fp32", "alpha": 0.25,)"
+        R"( "gamma": 0.9, "epsilon": 0.1, "episodes": 20, "stride": 3,)"
+        R"( "tau": 5, "block_transitions": 64, "tasklets": 2,)"
+        R"( "weighted": true, "epsilon_decay": 0.99, "shards": 0})";
+    ASSERT_EQ(cApiParamsReason(valid), "");
+    std::size_t refused = 0;
+    for (std::size_t length = 0; length < valid.size(); ++length) {
+        SCOPED_TRACE(testing::Message() << "truncated to " << length);
+        refused += !cApiParamsReason(valid.substr(0, length)).empty();
+    }
+    // A JSON object has no valid proper prefix.
+    EXPECT_EQ(refused, valid.size());
+    swiftrl::common::XorShift128 rng(31);
+    for (int k = 0; k < 256; ++k) {
+        const auto bit = rng.nextBounded(valid.size() * 8);
+        SCOPED_TRACE(testing::Message() << "bit " << bit << " flipped");
+        std::string mutant = valid;
+        mutant[bit / 8] =
+            static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+        (void)cApiParamsReason(mutant);
+    }
 }
 
 } // namespace
