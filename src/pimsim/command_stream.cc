@@ -114,14 +114,14 @@ CommandStream::fillChunks(std::size_t offset, const ChunkBytes &bytes,
         if (b > 0)
             _chunkBanks[i] = dpus[i].reserveLane(offset + b);
     }
-    _system._pool->parallelFor(n, [&](std::size_t i, unsigned) {
+    _system._pool->parallelFor(n, [&](std::size_t i) {
         const std::size_t b = _chunkBytes[i];
         if (b == 0)
             return;
-        const std::span<std::uint8_t> bank = dpus[i].mramLane(offset + b);
-        SWIFTRL_ASSERT(bank.data() == _chunkBanks[i], "scatter lane ", i,
-                       " reallocated its bank");
-        fill(i, bank.subspan(offset, b));
+        const std::span<std::uint8_t> chunk = dpus[i].mramFill(offset, b);
+        SWIFTRL_ASSERT(chunk.data() == _chunkBanks[i] + offset,
+                       "scatter lane ", i, " reallocated its bank");
+        fill(i, chunk);
     });
     return max_bytes;
 }
@@ -432,8 +432,7 @@ CommandStream::launchBatch(const BatchKernel &kernel,
                    std::max(1u, _system.hostThreadCount())) *
                    4);
     if (lanes > 0) {
-        _system._pool->parallelFor(chunks, [&](std::size_t c,
-                                               unsigned) {
+        _system._pool->parallelFor(chunks, [&](std::size_t c) {
             const std::size_t begin = lanes * c / chunks;
             const std::size_t end = lanes * (c + 1) / chunks;
             if (begin == end)

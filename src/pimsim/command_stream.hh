@@ -132,8 +132,10 @@ class CommandStream
 
     /**
      * Write core `core`'s chunk into @p chunk, its bank bytes
-     * [offset, offset + bytes(core)). Runs on a host-pool lane, so it
-     * may read shared host data but must touch nothing of other cores.
+     * [offset, offset + bytes(core)): every byte of it, as the bank
+     * does not zero the range first (Dpu::mramFill). Runs on a
+     * host-pool lane, so it may read shared host data but must touch
+     * nothing of other cores.
      */
     using ChunkFill =
         std::function<void(std::size_t core, std::span<std::uint8_t> chunk)>;

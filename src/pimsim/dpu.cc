@@ -33,14 +33,20 @@ Dpu::grownSize(std::size_t size, std::size_t end) const
 }
 
 void
-Dpu::ensure(std::size_t end) const
+Dpu::ensure(std::size_t end, std::size_t overwrite) const
 {
     checkRange(end, "access");
-    // resize() value-initialises the new bytes, and mramRead
-    // zero-fills past the valid size anyway, so the functional
-    // contract — never-written MRAM reads as zero — is unchanged.
-    if (end > _mram.size())
-        _mram.resize(grownSize(_mram.size(), end), 0);
+    const std::size_t old = _mram.size();
+    if (end <= old)
+        return;
+    // resize() leaves the new bytes unwritten: zero all of them but
+    // the range the caller overwrites, so never-written MRAM still
+    // reads as zero (mramRead zero-fills past the size anyway).
+    _mram.resize(grownSize(old, end));
+    std::uint8_t *bytes = _mram.data();
+    const std::size_t gap_end = std::max(old, std::min(overwrite, end));
+    std::memset(bytes + old, 0, gap_end - old);
+    std::memset(bytes + end, 0, _mram.size() - end);
 }
 
 const std::uint8_t *
@@ -61,7 +67,7 @@ Dpu::settleSlow() const
 {
     const std::vector<std::uint8_t> &payload = *_pending;
     _pending = nullptr;
-    ensure(_pendingOffset + payload.size());
+    ensure(_pendingOffset + payload.size(), _pendingOffset);
     std::memcpy(_mram.data() + _pendingOffset, payload.data(),
                 payload.size());
 }
@@ -85,7 +91,7 @@ void
 Dpu::mramWrite(std::size_t offset, const void *src, std::size_t bytes)
 {
     settle();
-    ensure(offset + bytes);
+    ensure(offset + bytes, offset);
     std::memcpy(_mram.data() + offset, src, bytes);
 }
 

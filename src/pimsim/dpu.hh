@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "common/default_init_vector.hh"
 #include "pimsim/cost_model.hh"
 #include "pimsim/op_class.hh"
 
@@ -48,6 +49,11 @@ namespace swiftrl::pimsim {
  * bank in the enqueue thread's malloc arena: a bank a pool thread
  * allocated would land in that thread's arena, and the per-thread
  * arenas raise the process's peak memory.
+ *
+ * Never-written MRAM reads as zero through every accessor. Growth
+ * zeroes every new byte except a range the caller overwrites in full
+ * at once (mramWrite, mramFill, a landing payload), so a byte is
+ * written once on those paths.
  */
 class Dpu
 {
@@ -147,10 +153,26 @@ class Dpu
     }
 
     /**
-     * Reserve the buffer a later mramLane(@p end) needs, pending
-     * payload included, so that call grows the bank without
-     * reallocating (see the class comment). Touches no byte and
-     * changes nothing the bank reads as. Fatal past the capacity.
+     * Bank bytes [offset, offset + bytes) for the caller to overwrite
+     * in full, pending payload copied in first: the scatter lanes'
+     * accessor. Grows the bank like mramLane(offset + bytes) but
+     * leaves the returned range unzeroed, so the caller must write
+     * every byte of it. Same invalidation rule as mramView.
+     */
+    std::span<std::uint8_t>
+    mramFill(std::size_t offset, std::size_t bytes)
+    {
+        settle();
+        ensure(offset + bytes, offset);
+        return {_mram.data() + offset, bytes};
+    }
+
+    /**
+     * Reserve the buffer a later mramLane(@p end) or mramFill ending
+     * at @p end needs, pending payload included, so that call grows
+     * the bank without reallocating (see the class comment). Touches
+     * no byte and changes nothing the bank reads as. Fatal past the
+     * capacity.
      * @return the reserved storage, which mramLane(@p end) returns.
      */
     const std::uint8_t *reserveLane(std::size_t end);
@@ -188,8 +210,12 @@ class Dpu
     /** Fatal when [0, end) runs past the bank capacity. */
     void checkRange(std::size_t end, const char *what) const;
 
-    /** Grow the lazy buffer to cover [0, end); fatal past capacity. */
-    void ensure(std::size_t end) const;
+    /**
+     * Grow the lazy buffer to cover [0, end); fatal past capacity.
+     * Every new byte is zeroed except [@p overwrite, end), which the
+     * caller writes in full next.
+     */
+    void ensure(std::size_t end, std::size_t overwrite = SIZE_MAX) const;
 
     /** The buffer size ensure(@p end) grows a @p size buffer to. */
     std::size_t grownSize(std::size_t size, std::size_t end) const;
@@ -212,8 +238,8 @@ class Dpu
     // the bank reads as, and the single-owner rule (class comment)
     // keeps it race-free: no two threads touch one bank at a time.
 
-    /** The lazy bank buffer. */
-    mutable std::vector<std::uint8_t> _mram;
+    /** The lazy bank buffer; ensure() zeroes what it grows by. */
+    mutable common::DefaultInitVector<std::uint8_t> _mram;
 
     /**
      * The last broadcast payload, kept until the next one replaces it

@@ -12,7 +12,7 @@ HostPool::HostPool(unsigned threads) : _threads(threads)
                    "a host pool needs at least the calling thread");
     _workers.reserve(threads - 1);
     for (unsigned i = 0; i + 1 < threads; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i + 1); });
+        _workers.emplace_back([this] { workerLoop(); });
 }
 
 HostPool::~HostPool()
@@ -27,7 +27,7 @@ HostPool::~HostPool()
 }
 
 std::size_t
-HostPool::runShare(Job &job, unsigned worker)
+HostPool::runShare(Job &job)
 {
     std::size_t did = 0;
     for (;;) {
@@ -38,14 +38,14 @@ HostPool::runShare(Job &job, unsigned worker)
         const std::size_t end =
             std::min(start + job.grain, job.n);
         for (std::size_t i = start; i < end; ++i)
-            job.fn(job.ctx, i, worker);
+            job.fn(job.ctx, i);
         did += end - start;
     }
     return did;
 }
 
 void
-HostPool::workerLoop(unsigned worker)
+HostPool::workerLoop()
 {
     std::uint64_t seen = 0;
     std::unique_lock lock(_mutex);
@@ -63,7 +63,7 @@ HostPool::workerLoop(unsigned worker)
         if (!job)
             continue;
         lock.unlock();
-        const std::size_t did = runShare(*job, worker);
+        const std::size_t did = runShare(*job);
         lock.lock();
         job->finished += did;
         if (job->finished == job->n)
@@ -78,7 +78,7 @@ HostPool::run(std::size_t n, RawFn fn, void *ctx)
         return;
     if (_workers.empty() || n == 1) {
         for (std::size_t i = 0; i < n; ++i)
-            fn(ctx, i, 0);
+            fn(ctx, i);
         return;
     }
     const auto job = std::make_shared<Job>();
@@ -101,7 +101,7 @@ HostPool::run(std::size_t n, RawFn fn, void *ctx)
     }
     _wake.notify_all();
     // The caller works too; it then waits for stragglers.
-    const std::size_t did = runShare(*job, 0);
+    const std::size_t did = runShare(*job);
     std::unique_lock lock(_mutex);
     job->finished += did;
     _done.wait(lock, [&] { return job->finished == job->n; });

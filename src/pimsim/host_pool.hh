@@ -17,11 +17,10 @@
  * in *chunks* of `grain` at a time, so a 2,000-core launch costs on
  * the order of `threads` atomic operations rather than 2,000.
  *
- * Each invocation also receives the id of the host worker running it
- * (0 = the calling thread, 1..threadCount()-1 = resident workers),
- * letting callers keep per-worker scratch state without locks. Which
- * worker runs which index is scheduling-dependent — determinism of
- * results must never hang on it.
+ * Which host thread runs which index is scheduling-dependent, so a
+ * callable gets only its index: any scratch state it needs is per
+ * index (or per chunk of indices the caller splits itself), never
+ * per thread.
  */
 
 #ifndef SWIFTRL_PIMSIM_HOST_POOL_HH
@@ -58,12 +57,11 @@ class HostPool
     unsigned threadCount() const { return _threads; }
 
     /**
-     * Run fn(index, worker) for index 0..n-1, distributing chunks of
-     * indices across the pool and the calling thread; returns when
-     * every call has completed. @p fn must be safe to invoke
-     * concurrently for distinct indices and must not touch state
-     * shared across indices (per-@p worker state is fine). Accepts
-     * any callable `void(std::size_t index, unsigned worker)`; the
+     * Run fn(index) for index 0..n-1, distributing chunks of indices
+     * across the pool and the calling thread; returns when every call
+     * has completed. @p fn must be safe to invoke concurrently for
+     * distinct indices and must not touch state shared across
+     * indices. Accepts any callable `void(std::size_t index)`; the
      * callable is borrowed for the duration of the call, never
      * copied or heap-allocated.
      */
@@ -71,21 +69,20 @@ class HostPool
     void
     parallelFor(std::size_t n, Fn &&fn)
     {
-        static_assert(
-            std::is_invocable_v<Fn &, std::size_t, unsigned>,
-            "parallelFor callables take (index, worker)");
+        static_assert(std::is_invocable_v<Fn &, std::size_t>,
+                      "parallelFor callables take (index)");
         auto *ctx = std::addressof(fn);
         run(n,
-            [](void *opaque, std::size_t index, unsigned worker) {
-                (*static_cast<std::remove_reference_t<Fn> *>(
-                    opaque))(index, worker);
+            [](void *opaque, std::size_t index) {
+                (*static_cast<std::remove_reference_t<Fn> *>(opaque))(
+                    index);
             },
             ctx);
     }
 
   private:
-    /** Type-erased work item: (context, index, worker id). */
-    using RawFn = void (*)(void *, std::size_t, unsigned);
+    /** Type-erased work item: (context, index). */
+    using RawFn = void (*)(void *, std::size_t);
 
     /** One in-flight parallelFor: shared claim state + progress. */
     struct Job
@@ -102,9 +99,9 @@ class HostPool
     void run(std::size_t n, RawFn fn, void *ctx);
 
     /** Claim and run index chunks until the job is drained. */
-    static std::size_t runShare(Job &job, unsigned worker);
+    static std::size_t runShare(Job &job);
 
-    void workerLoop(unsigned worker);
+    void workerLoop();
 
     std::vector<std::thread> _workers;
     std::mutex _mutex;

@@ -124,8 +124,7 @@ class PimSystem
     void
     hostParallelFor(std::size_t n, Fn &&fn)
     {
-        _pool->parallelFor(n,
-                           [&fn](std::size_t index, unsigned) { fn(index); });
+        _pool->parallelFor(n, fn);
     }
 
     // --- accounting ---------------------------------------------------

@@ -184,8 +184,8 @@ datasetMisfit(const Dataset &data, StateId num_states,
 {
     first = std::min(first, data.size());
     count = std::min(count, data.size() - first);
-    const auto range = [first, count](const std::vector<std::int32_t> &c) {
-        return std::span<const std::int32_t>(c).subspan(first, count);
+    const auto range = [first, count](std::span<const std::int32_t> c) {
+        return c.subspan(first, count);
     };
     const std::size_t bad =
         std::min({firstOutside(range(data.states()), num_states),

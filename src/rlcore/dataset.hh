@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/default_init_vector.hh"
 #include "common/rng.hh"
 #include "rlcore/types.hh"
 #include "rlenv/environment.hh"
@@ -54,6 +55,13 @@ static_assert(sizeof(PackedTransition) == 16,
 class Dataset
 {
   public:
+    /**
+     * One column. resizeColumns leaves new entries unwritten (see
+     * there); every other way in writes what it adds.
+     */
+    template <typename T>
+    using Column = common::DefaultInitVector<T>;
+
     Dataset() = default;
 
     /** Number of stored transitions. */
@@ -73,7 +81,9 @@ class Dataset
 
     /**
      * Resize to exactly @p n transitions and return the columns for a
-     * bulk writer (Environment::rollout) to fill.
+     * bulk writer (Environment::rollout, the dataset loader) to fill.
+     * New entries are left unwritten (Column), so the caller fills
+     * all n.
      */
     rlenv::RolloutColumns resizeColumns(std::size_t n);
 
@@ -81,14 +91,11 @@ class Dataset
     Transition get(std::size_t i) const;
 
     /** Column access for the host trainers. */
-    const std::vector<StateId> &states() const { return _states; }
-    const std::vector<ActionId> &actions() const { return _actions; }
-    const std::vector<float> &rewards() const { return _rewards; }
-    const std::vector<StateId> &nextStates() const { return _nextStates; }
-    const std::vector<std::uint8_t> &terminals() const
-    {
-        return _terminals;
-    }
+    const Column<StateId> &states() const { return _states; }
+    const Column<ActionId> &actions() const { return _actions; }
+    const Column<float> &rewards() const { return _rewards; }
+    const Column<StateId> &nextStates() const { return _nextStates; }
+    const Column<std::uint8_t> &terminals() const { return _terminals; }
 
     /**
      * Pack transitions [first, first+count) in the FP32 MRAM layout
@@ -114,11 +121,11 @@ class Dataset
                                   std::int32_t scale);
 
   private:
-    std::vector<StateId> _states;
-    std::vector<ActionId> _actions;
-    std::vector<float> _rewards;
-    std::vector<StateId> _nextStates;
-    std::vector<std::uint8_t> _terminals;
+    Column<StateId> _states;
+    Column<ActionId> _actions;
+    Column<float> _rewards;
+    Column<StateId> _nextStates;
+    Column<std::uint8_t> _terminals;
 };
 
 /**

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/default_init_vector.hh"
 #include "common/logging.hh"
 
 namespace swiftrl::rlcore {
@@ -120,7 +121,9 @@ tryLoadDataset(const std::string &path, std::string *error)
                     " bytes past its header for " + std::to_string(count) +
                     " records; the file is corrupt");
 
-    std::vector<std::uint8_t> payload(count * sizeof(PackedTransition));
+    // Left unwritten until readExact fills it (or the load fails).
+    common::DefaultInitVector<std::uint8_t> payload(
+        count * sizeof(PackedTransition));
     std::uint64_t checksum = 0;
     if (!readExact(in, payload.data(), payload.size()) ||
         !readExact(in, &checksum, sizeof(checksum)))

@@ -69,6 +69,17 @@ CliffWalking::reset(common::XorShift128 &rng)
     return _state;
 }
 
+StateId
+CliffWalking::restartIf(bool done)
+{
+    // Masks, not ?: selects, which GCC turns back into the branch.
+    const int keep = static_cast<int>(done) - 1; // 0 when done, else ~0
+    _state = (_state & keep) | (kStart & ~keep);
+    _steps &= keep;
+    _episodeDone = false;
+    return _state;
+}
+
 StepResult
 CliffWalking::step(ActionId action, common::XorShift128 &rng)
 {

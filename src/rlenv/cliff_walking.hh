@@ -40,6 +40,13 @@ class CliffWalking final : public RolloutEnvironment<CliffWalking>
     StepResult step(ActionId action, common::XorShift128 &rng) override;
     StateId currentState() const override { return _state; }
 
+    /**
+     * reset() when @p done, else nothing, without a branch: the
+     * rollout's episode restart (rlenv/rollout.hh), possible because
+     * this reset draws nothing. Returns the current state.
+     */
+    StateId restartIf(bool done);
+
     /** True when @p state is a cliff cell. */
     static constexpr bool
     isCliff(StateId state)

@@ -49,6 +49,17 @@ FrozenLake::reset(common::XorShift128 &rng)
     return _state;
 }
 
+StateId
+FrozenLake::restartIf(bool done)
+{
+    // Masks, not ?: selects, which GCC turns back into the branch.
+    const int keep = static_cast<int>(done) - 1; // 0 when done, else ~0
+    _state &= keep; // the start tile is 0
+    _steps &= keep;
+    _episodeDone = false;
+    return _state;
+}
+
 StepResult
 FrozenLake::step(ActionId action, common::XorShift128 &rng)
 {

@@ -42,6 +42,13 @@ class FrozenLake final : public RolloutEnvironment<FrozenLake>
     StepResult step(ActionId action, common::XorShift128 &rng) override;
     StateId currentState() const override { return _state; }
 
+    /**
+     * reset() when @p done, else nothing, without a branch: the
+     * rollout's episode restart (rlenv/rollout.hh), possible because
+     * this reset draws nothing. Returns the current state.
+     */
+    StateId restartIf(bool done);
+
     /** Tile character ('S','F','H','G') at a state (tests, render). */
     static constexpr char
     tileAt(StateId state)

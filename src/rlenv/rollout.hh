@@ -32,6 +32,12 @@ namespace detail {
  * fields and the caller's generator to be reloaded on every step.
  * Without flatten GCC keeps each environment's step() an out-of-line
  * call from this loop (checked in objdump for FrozenLake and Taxi).
+ *
+ * An environment whose reset draws nothing offers restartIf(done),
+ * and the loop restarts its episodes through it without a branch:
+ * the done-or-not branch mispredicted at every episode end (13 % of
+ * random-policy FrozenLake steps are terminal). The rest reset
+ * through reset(), which may draw from the generator.
  */
 template <typename Env, typename Act>
 [[gnu::flatten]] void
@@ -49,7 +55,10 @@ rolloutLoop(Env &env, common::XorShift128 &rng, const Act act,
         out.rewards[i] = r.reward;
         out.nextStates[i] = r.nextState;
         out.terminals[i] = static_cast<std::uint8_t>(r.terminated);
-        state = r.done() ? walker.reset(gen) : r.nextState;
+        if constexpr (requires { walker.restartIf(true); })
+            state = walker.restartIf(r.done());
+        else
+            state = r.done() ? walker.reset(gen) : r.nextState;
     }
     rng = gen;
     env = walker;

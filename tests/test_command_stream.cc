@@ -637,6 +637,65 @@ TEST(CommandStreamScatter, BytesBelowTheOffsetReadZero)
     }
 }
 
+TEST(CommandStreamScatter, FreshBankReadsZeroBelowTheOffsetThroughEveryAccessor)
+{
+    // A scatter at offset k into a fresh bank leaves [0, k) unwritten;
+    // the lane zeroes it (and only it) before filling the chunk.
+    const std::size_t k = 4096;
+    auto system = makeSystem(1);
+    CommandStream stream(system);
+    const auto chunk = pattern(300, 7);
+    stream.scatter(
+        k, [&](std::size_t) { return chunk.size(); },
+        [&](std::size_t, std::span<std::uint8_t> out) {
+            std::ranges::copy(chunk, out.begin());
+        });
+    const Dpu &dpu = system.dpu(0);
+    const auto zero = [](std::uint8_t b) { return b == 0; };
+
+    const auto bank = dpu.mram();
+    ASSERT_EQ(bank.size(), k + chunk.size());
+    EXPECT_TRUE(std::ranges::all_of(bank.first(k), zero)) << "mram";
+    EXPECT_TRUE(std::ranges::equal(bank.subspan(k), chunk));
+    EXPECT_EQ(readBank(dpu, k), std::vector<std::uint8_t>(k, 0))
+        << "mramRead";
+    std::vector<std::span<const std::uint8_t>> out;
+    ASSERT_TRUE(stream.gather(0, k, out).ok());
+    EXPECT_TRUE(std::ranges::all_of(out[0], zero)) << "mramView";
+}
+
+TEST(CommandStreamScatter, GrowthTailPastAChunkReadsZero)
+{
+    // A bank that already holds 4096 bytes doubles when a chunk ends
+    // past them: the tail between the chunk's end and the new size
+    // is never written by the lane and must read zero.
+    auto system = makeSystem(1);
+    CommandStream stream(system);
+    const auto old = pattern(4096, 1);
+    stream.scatter(
+        0, [&](std::size_t) { return old.size(); },
+        [&](std::size_t, std::span<std::uint8_t> out) {
+            std::ranges::copy(old, out.begin());
+        });
+    const auto chunk = pattern(100, 9);
+    const std::size_t at = 5000;
+    stream.scatter(
+        at, [&](std::size_t) { return chunk.size(); },
+        [&](std::size_t, std::span<std::uint8_t> out) {
+            std::ranges::copy(chunk, out.begin());
+        });
+    const auto bank = system.dpu(0).mram();
+    ASSERT_EQ(bank.size(), 8192u);
+    EXPECT_TRUE(std::ranges::equal(bank.first(old.size()), old));
+    const auto zero = [](std::uint8_t b) { return b == 0; };
+    EXPECT_TRUE(std::ranges::all_of(bank.subspan(4096, at - 4096), zero))
+        << "gap below the chunk";
+    EXPECT_TRUE(std::ranges::equal(bank.subspan(at, chunk.size()), chunk));
+    EXPECT_TRUE(
+        std::ranges::all_of(bank.subspan(at + chunk.size()), zero))
+        << "growth tail past the chunk";
+}
+
 TEST(CommandStreamScatter, ReserveCoversThePendingPayload)
 {
     // reserveLane must reserve what mramLane then grows to — the

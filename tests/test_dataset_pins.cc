@@ -31,9 +31,9 @@ using namespace swiftrl::rlcore;
 class Fnv1a
 {
   public:
-    template <typename T>
+    template <typename T, typename Alloc>
     void
-    add(const std::vector<T> &column)
+    add(const std::vector<T, Alloc> &column)
     {
         const auto *bytes =
             reinterpret_cast<const unsigned char *>(column.data());

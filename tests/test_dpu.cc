@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "pimsim/dpu.hh"
@@ -154,6 +156,70 @@ TEST(Dpu, GrowthClampsToCapacityAtTheTail)
     EXPECT_EQ(out[0], 0x01);
     EXPECT_EQ(out[50], 0x00);
     EXPECT_EQ(out[99], 0xee);
+}
+
+/**
+ * Free a dirty @p bytes block just before a bank grows to that size,
+ * so the growth most likely reuses it (glibc hands the last freed
+ * chunk of a size back first): a byte the growth fails to zero then
+ * reads 0xa5, not the zero of a fresh page.
+ */
+void
+dirtyHeap(std::size_t bytes)
+{
+    auto *junk = new std::uint8_t[bytes];
+    std::memset(junk, 0xa5, bytes);
+    // Keep the fill from being dropped as a dead store.
+    asm volatile("" : : "r"(junk) : "memory");
+    delete[] junk;
+}
+
+TEST(Dpu, LandedPayloadHasZerosAroundIt)
+{
+    // The landing payload's range is not zeroed before the copy-in,
+    // but the gap below it and the growth tail past it must be.
+    Dpu dpu(0, 4096);
+    const std::vector<std::uint8_t> low(64, 0x11);
+    dpu.mramWrite(0, low.data(), low.size());
+    const std::vector<std::uint8_t> payload(16, 0x22);
+    dpu.mramShare(100, std::make_shared<const std::vector<std::uint8_t>>(
+                           payload));
+    dirtyHeap(128);
+    const auto bank = dpu.mram();
+    ASSERT_EQ(bank.size(), 128u); // doubled from 64, past the payload
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+        const std::uint8_t want =
+            i < 64 ? 0x11 : (i >= 100 && i < 116 ? 0x22 : 0x00);
+        ASSERT_EQ(bank[i], want) << "byte " << i;
+    }
+}
+
+TEST(Dpu, FillRangeGrowsWithZerosAroundIt)
+{
+    // mramFill leaves only the range it hands out unzeroed: once the
+    // caller has written it, the gap below and the tail past it read
+    // zero through every accessor.
+    Dpu dpu(0, 4096);
+    const std::vector<std::uint8_t> low(64, 0x11);
+    dpu.mramWrite(0, low.data(), low.size());
+    dirtyHeap(128);
+    const auto chunk = dpu.mramFill(80, 20);
+    ASSERT_EQ(chunk.size(), 20u);
+    std::ranges::fill(chunk, std::uint8_t{0x33});
+
+    const auto expect = [](std::size_t i) -> std::uint8_t {
+        return i < 64 ? 0x11 : (i >= 80 && i < 100 ? 0x33 : 0x00);
+    };
+    const auto bank = dpu.mram();
+    ASSERT_EQ(bank.size(), 128u);
+    std::vector<std::uint8_t> read(bank.size());
+    dpu.mramRead(0, read.data(), read.size());
+    const std::uint8_t *view = dpu.mramView(0, bank.size());
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+        ASSERT_EQ(bank[i], expect(i)) << "mram(), byte " << i;
+        ASSERT_EQ(read[i], expect(i)) << "mramRead, byte " << i;
+        ASSERT_EQ(view[i], expect(i)) << "mramView, byte " << i;
+    }
 }
 
 } // namespace

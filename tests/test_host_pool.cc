@@ -1,13 +1,16 @@
 /**
  * @file
  * HostPool dispatch invariants: chunked claiming must visit every
- * index exactly once for any (n, threads) shape, worker ids must
- * stay within the pool, and the serial path must run inline on the
- * caller.
+ * index exactly once for any (n, threads) shape, a launch runs on at
+ * most threadCount() distinct threads, the caller included, and the
+ * serial path must run inline on the caller.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -30,7 +33,7 @@ TEST(HostPool, VisitsEveryIndexExactlyOnce)
               std::size_t{7}, std::size_t{64}, std::size_t{2000},
               std::size_t{2001}}) {
             std::vector<std::atomic<std::uint32_t>> hits(n);
-            pool.parallelFor(n, [&](std::size_t i, unsigned) {
+            pool.parallelFor(n, [&](std::size_t i) {
                 hits[i].fetch_add(1, std::memory_order_relaxed);
             });
             for (std::size_t i = 0; i < n; ++i) {
@@ -42,16 +45,20 @@ TEST(HostPool, VisitsEveryIndexExactlyOnce)
     }
 }
 
-TEST(HostPool, WorkerIdsStayWithinThePool)
+TEST(HostPool, RunsOnAtMostThePoolsThreads)
 {
-    const unsigned threads = 4;
-    HostPool pool(threads);
-    std::atomic<bool> out_of_range{false};
-    pool.parallelFor(512, [&](std::size_t, unsigned worker) {
-        if (worker >= threads)
-            out_of_range = true;
-    });
-    EXPECT_FALSE(out_of_range.load());
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        HostPool pool(threads);
+        EXPECT_EQ(pool.threadCount(), threads);
+        std::mutex mutex;
+        std::set<std::thread::id> seen;
+        pool.parallelFor(512, [&](std::size_t) {
+            std::lock_guard lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        });
+        EXPECT_GE(seen.size(), 1u);
+        EXPECT_LE(seen.size(), threads) << "threads=" << threads;
+    }
 }
 
 TEST(HostPool, SerialPoolRunsInlineOnTheCaller)
@@ -60,9 +67,8 @@ TEST(HostPool, SerialPoolRunsInlineOnTheCaller)
     EXPECT_EQ(pool.threadCount(), 1u);
     const auto caller = std::this_thread::get_id();
     std::size_t sum = 0; // no atomics needed: everything is inline
-    pool.parallelFor(100, [&](std::size_t i, unsigned worker) {
+    pool.parallelFor(100, [&](std::size_t i) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
-        EXPECT_EQ(worker, 0u);
         sum += i;
     });
     EXPECT_EQ(sum, 4950u);
@@ -75,10 +81,9 @@ TEST(HostPool, OneElementRangeRunsInlineEvenWithWorkers)
     HostPool pool(4);
     const auto caller = std::this_thread::get_id();
     int runs = 0;
-    pool.parallelFor(1, [&](std::size_t i, unsigned worker) {
+    pool.parallelFor(1, [&](std::size_t i) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
         EXPECT_EQ(i, 0u);
-        EXPECT_EQ(worker, 0u);
         ++runs;
     });
     EXPECT_EQ(runs, 1);
@@ -94,7 +99,7 @@ TEST(HostPool, RangeShorterThanThePoolVisitsEveryIndexOnce)
          {std::size_t{2}, std::size_t{3}, std::size_t{5},
           std::size_t{7}}) {
         std::vector<std::atomic<std::uint32_t>> hits(n);
-        pool.parallelFor(n, [&](std::size_t i, unsigned) {
+        pool.parallelFor(n, [&](std::size_t i) {
             hits[i].fetch_add(1, std::memory_order_relaxed);
         });
         for (std::size_t i = 0; i < n; ++i)
@@ -109,7 +114,7 @@ TEST(HostPool, CallableIsBorrowedNotCopied)
     // pool erases to a pointer, it never copies the callable.
     HostPool pool(2);
     std::atomic<std::uint64_t> total{0};
-    auto fn = [&total](std::size_t i, unsigned) {
+    auto fn = [&total](std::size_t i) {
         total.fetch_add(i, std::memory_order_relaxed);
     };
     pool.parallelFor(1000, fn);
@@ -122,7 +127,7 @@ TEST(HostPool, BackToBackLaunchesDoNotLeakIndices)
     for (int round = 0; round < 50; ++round) {
         const std::size_t n = 17 + static_cast<std::size_t>(round);
         std::vector<std::atomic<std::uint8_t>> hits(n);
-        pool.parallelFor(n, [&](std::size_t i, unsigned) {
+        pool.parallelFor(n, [&](std::size_t i) {
             hits[i].fetch_add(1, std::memory_order_relaxed);
         });
         for (std::size_t i = 0; i < n; ++i)
